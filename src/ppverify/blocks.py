@@ -14,19 +14,10 @@ import numpy as np
 
 from .field import FieldCtx
 
-# parity of the 16-bit patterns, for popcount-parity of masked values
-_P = np.arange(1 << 16, dtype=np.uint16)
-_P = _P ^ (_P >> 8)
-_P = _P ^ (_P >> 4)
-_P = _P ^ (_P >> 2)
-_PARITY16 = ((_P ^ (_P >> 1)) & 1).astype(np.uint8)
-del _P
-
 
 def parity(values: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry (values < 2^32), as uint8."""
-    v = values.astype(np.int64, copy=False)
-    return _PARITY16[v & 0xFFFF] ^ _PARITY16[(v >> 16) & 0xFFFF]
+    """Bit parity of each nonnegative entry, as uint8."""
+    return np.bitwise_count(values) & 1
 
 
 def mul_block(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,10 +26,13 @@ def mul_block(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = b.astype(np.int64, copy=False)
     m = ctx.m
     acc = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    bit, term = np.empty_like(acc), np.empty_like(acc)   # reused: no temporaries per step
     for i in range(m):
-        acc ^= ((b >> i) & 1) * (a << i)
+        np.bitwise_and(np.right_shift(b, i, out=bit), 1, out=bit)
+        acc ^= np.multiply(np.left_shift(a, i, out=term), bit, out=term)
     for j in range(2 * m - 2, m - 1, -1):
-        acc ^= ((acc >> j) & 1) * (ctx.modulus << (j - m))
+        np.bitwise_and(np.right_shift(acc, j, out=bit), 1, out=bit)
+        acc ^= np.multiply(bit, ctx.modulus << (j - m), out=bit)
     return acc
 
 

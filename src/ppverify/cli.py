@@ -319,8 +319,7 @@ def _add_ctx_flags(p: argparse.ArgumentParser, ranged: bool = False) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppverify",
-        description="Verification lab for additive permutation maps over GF(2^m). "
-                    "Set PPVERIFY_WORKERS to cap threads in character-sum sweeps.")
+        description="Verification lab for additive permutation maps over GF(2^m).")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("verify", help="run a theorem verification battery")

@@ -30,6 +30,7 @@ class FieldMap:
         self._fn = fn
         self._block_fn = block_fn
         self._table: np.ndarray | None = None
+        self._spectrum: np.ndarray | None = None
 
     def __call__(self, x: int) -> int:
         return self._fn(x)
@@ -57,13 +58,34 @@ class FieldMap:
             self._table.setflags(write=False)
         return self._table
 
+    def spectrum(self) -> np.ndarray:
+        """Walsh spectrum W[M] = sum_x (-1)^popcount(M & f(x)), cached beside the table.
+
+        One in-place fast Walsh-Hadamard transform of the preimage counts;
+        every |W[M]| <= 2^m, so int32 is exact.
+        """
+        if self._spectrum is None:
+            w = np.bincount(self.table(), minlength=self.ctx.order).astype(np.int32)
+            for i in range(self.ctx.m):
+                pairs = w.reshape(-1, 2, 1 << i)
+                lo, hi = pairs[:, 0], pairs[:, 1]
+                lo += hi          # (lo, hi) -> (lo + hi, lo - hi)
+                hi *= -2
+                hi += lo
+            w.setflags(write=False)
+            self._spectrum = w
+        return self._spectrum
+
     def value_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (inputs, outputs) chunk pairs covering the whole domain in order."""
-        if self.ctx.m <= TABLE_LIMIT_M:
-            xs = np.arange(self.ctx.order, dtype=np.int64)
-            yield xs, self.table()
+        ctx = self.ctx
+        if ctx.m <= TABLE_LIMIT_M:
+            if "domain" not in ctx._cache:   # shared by every map on this context
+                ctx._cache["domain"] = np.arange(ctx.order, dtype=np.int64)
+                ctx._cache["domain"].setflags(write=False)
+            yield ctx._cache["domain"], self.table()
             return
-        for chunk in blocks.domain_chunks(self.ctx):
+        for chunk in blocks.domain_chunks(ctx):
             yield chunk, self.eval_block(chunk)
 
     @classmethod
@@ -121,10 +143,9 @@ def parse_table_file(path: str, ctx: FieldCtx | None = None) -> FieldMap:
         ctx = FieldCtx(m)
     if count != ctx.order:
         raise ValueError(f"{path}: expected {ctx.order} entries for m={ctx.m}, got {count}")
-    if set(entries) != set(range(count)):
-        missing = next(x for x in range(count) if x not in entries)
-        raise ValueError(f"{path}: missing entry for x={missing:#x}")
-    values = [entries[x] for x in range(count)]
+    values = [entries.get(x) for x in range(count)]
+    if None in values:
+        raise ValueError(f"{path}: missing entry for x={values.index(None):#x}")
     if any(v >> ctx.m for v in values) or min(values) < 0:
         bad = next(x for x in range(count) if values[x] >> ctx.m or values[x] < 0)
         raise ValueError(f"{path}: value {values[bad]:#x} at x={bad:#x} outside GF(2^{ctx.m})")

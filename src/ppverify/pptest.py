@@ -7,23 +7,22 @@ iff every such sum vanishes.  Sums are accumulated as machine integers
 (each term is +-1), so there is no rounding anywhere.
 
 Character sums use the linearity of the trace: Tr(a*y) = parity(M_a & y)
-for a per-a bitmask M_a, which turns each sum into one masked popcount
-sweep over the value table.  The PPVERIFY_WORKERS environment variable
-caps the thread count for multi-a sweeps (default 1).
+for a per-a bitmask M_a, so the sum at a is W[M_a], where W is the Walsh
+spectrum of the value histogram: one exact integer transform per map with
+a table (m <= TABLE_LIMIT_M).  Above the table limit each sum is one
+masked popcount sweep over the chunked domain.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import blocks
 from .field import FieldCtx
-from .maps import FieldMap
+from .maps import TABLE_LIMIT_M, FieldMap
 
 CHARSUM_ALL_LIMIT_M = 14
 DEFAULT_SEED = 1729
@@ -52,14 +51,6 @@ class PPVerdict:
             raise ValueError("negative verdicts must carry a witness")
 
 
-def worker_count() -> int:
-    raw = os.environ.get("PPVERIFY_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def is_permutation_exhaustive(f: FieldMap) -> PPVerdict:
     """Sweep all inputs in order; permutation iff no output collides.
 
@@ -69,13 +60,14 @@ def is_permutation_exhaustive(f: FieldMap) -> PPVerdict:
     """
     ctx = f.ctx
     seen = np.zeros(ctx.order, dtype=bool)
-    clean = True
-    for xs, ys in f.value_chunks():
-        if seen[ys].any() or np.unique(ys).size != ys.size:
-            clean = False
-            break
+    filled = 0
+    for _, ys in f.value_chunks():
         seen[ys] = True
-    if clean:
+        grown = np.count_nonzero(seen)
+        if grown - filled != ys.size:   # a value repeated or was already seen
+            break
+        filled = grown
+    else:
         return PPVerdict(PERMUTATION, "exhaustive", ctx.order)
     first: dict[int, int] = {}
     for x in ctx.elements():
@@ -91,24 +83,16 @@ def char_sum(f: FieldMap, a: int) -> int:
     return _char_sums(f, [a])[0]
 
 
-def _char_sums(f: FieldMap, a_values, workers: int | None = None) -> list[int]:
-    """Character sums for many a at once, one masked sweep per a."""
+def _char_sums(f: FieldMap, a_values) -> list[int]:
+    """Character sums for many a at once: spectrum lookups, or one masked sweep per a."""
     ctx = f.ctx
-    masks = [ctx.trace_mask(a) for a in a_values]
+    masks = np.array([ctx.trace_mask(a) for a in a_values], dtype=np.int64)
+    if ctx.m <= TABLE_LIMIT_M:
+        return f.spectrum()[masks].tolist()
     odd = np.zeros(len(masks), dtype=np.int64)
-    if workers is None:
-        workers = worker_count()
     for _, ys in f.value_chunks():
-        if workers > 1 and len(masks) > 1:
-            def count(j):
-                return int(blocks.parity(ys & masks[j]).sum(dtype=np.int64))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                odd += np.fromiter(pool.map(count, range(len(masks))),
-                                   dtype=np.int64, count=len(masks))
-        else:
-            for j, mask in enumerate(masks):
-                odd[j] += int(blocks.parity(ys & mask).sum(dtype=np.int64))
-    return [ctx.order - 2 * int(o) for o in odd]
+        odd += [np.count_nonzero(blocks.parity(ys & mask)) for mask in masks]
+    return (ctx.order - 2 * odd).tolist()
 
 
 def pp_verdict_charsum(f: FieldMap, mode: str = "all", n: int = DEFAULT_SAMPLES,
@@ -121,6 +105,12 @@ def pp_verdict_charsum(f: FieldMap, mode: str = "all", n: int = DEFAULT_SAMPLES,
     not-permutation.  The witness is the first a (in check order) with a
     nonzero sum.
     """
+    return _charsum_run(f, mode, n, seed, allow_large)[0]
+
+
+def _charsum_run(f: FieldMap, mode: str, n: int, seed: int,
+                 allow_large: bool = False) -> tuple[PPVerdict, dict[int, int]]:
+    """pp_verdict_charsum's verdict plus every checked a's sum, from one computation."""
     ctx = f.ctx
     if mode == "all":
         if ctx.m > CHARSUM_ALL_LIMIT_M and not allow_large:
@@ -136,16 +126,12 @@ def pp_verdict_charsum(f: FieldMap, mode: str = "all", n: int = DEFAULT_SAMPLES,
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'all' or 'sample'")
 
-    batch = 1 << 10
-    checked = 0
-    for start in range(0, len(a_values), batch):
-        part = a_values[start:start + batch]
-        sums = _char_sums(f, part)
-        for a, s in zip(part, sums):
-            checked += 1
-            if s != 0:
-                return PPVerdict(NOT_PERMUTATION, f"charsum-{mode}", checked, witness=(a, s))
-    return PPVerdict(clean_verdict, f"charsum-{mode}", checked)
+    sums = _char_sums(f, a_values)
+    by_a = dict(zip(a_values, sums))
+    for checked, (a, s) in enumerate(zip(a_values, sums), 1):
+        if s != 0:
+            return PPVerdict(NOT_PERMUTATION, f"charsum-{mode}", checked, witness=(a, s)), by_a
+    return PPVerdict(clean_verdict, f"charsum-{mode}", len(a_values)), by_a
 
 
 def shift_check(f: FieldMap, a: int, y: int) -> int | None:
@@ -159,8 +145,11 @@ def shift_check(f: FieldMap, a: int, y: int) -> int | None:
     mask = ctx.trace_mask(a)
     constant: int | None = None
     for xs, ys in f.value_chunks():
-        shifted = f.eval_block(xs ^ y)
-        bits = blocks.parity(ys & mask) ^ blocks.parity(shifted & mask)
+        par = blocks.parity(ys & mask)
+        if ys.size == ctx.order:    # the whole table: shift the parities by index
+            bits = par ^ par[xs ^ y]
+        else:
+            bits = par ^ blocks.parity(f.eval_block(xs ^ y) & mask)
         lo, hi = int(bits.min()), int(bits.max())
         if lo != hi:
             return None

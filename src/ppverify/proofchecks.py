@@ -24,9 +24,8 @@ from .constructions import build_g_thm1, build_g_thm3, s2k
 from .field import FieldCtx
 from .linearized import LinearizedPoly, format_linpoly, subfield_permutation_check
 from .maps import FieldMap
-from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, _char_sums, char_sum,
-                     find_case1_witness, is_permutation_exhaustive,
-                     pp_verdict_charsum, shift_check)
+from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run, char_sum,
+                     find_case1_witness, is_permutation_exhaustive, shift_check)
 
 FULL_SWEEP_LIMIT_M = 18   # pointwise identity sweeps cover every x up to here
 PER_A_FULL_LIMIT_M = 12   # per-a case loops cover every a up to here
@@ -257,11 +256,15 @@ def decomposition_coset(ctx: FieldCtx, a: int) -> list[int]:
         raise ValueError(
             f"a={a:#x} has nonzero relative trace, so it is outside the image of "
             f"c -> c + c^(q^k); it belongs to Case 1")
-    cols = gf2linalg.columns_of_map(ctx.m, lambda c: c ^ ctx.frobenius(c, d))
+    key = ("decomposition", d)
+    if key not in ctx._cache:
+        cols = gf2linalg.columns_of_map(ctx.m, lambda c: c ^ ctx.frobenius(c, d))
+        kernel, _ = gf2linalg.kernel_image(cols)
+        ctx._cache[key] = (cols, gf2linalg.span(kernel))
+    cols, kernel_span = ctx._cache[key]
     particular = gf2linalg.solve(cols, a)
     assert particular is not None, "trace-zero a must be reachable"
-    kernel, _ = gf2linalg.kernel_image(cols)
-    return sorted(particular ^ v for v in gf2linalg.span(kernel))
+    return sorted(particular ^ v for v in kernel_span)
 
 
 class _Thm1State:
@@ -273,6 +276,8 @@ class _Thm1State:
         self.tk = t * k
         self.g = g if g is not None else build_g_thm1(ctx)
         self.exponent = 1 + (1 << (self.tk + 1)) + (1 << (2 * self.tk))
+        self._frob_a = blocks.LinearTable(ctx, lambda v: ctx.frobenius(v, self.tk + 1))
+        self._frob_b = blocks.LinearTable(ctx, lambda v: ctx.frobenius(v, 2 * self.tk))
         self._s_power_table: np.ndarray | None = None
         self._basis: tuple[int, int] | None = None
         self._tz: list[int] | None = None
@@ -290,17 +295,16 @@ class _Thm1State:
         return ctx.mul(ctx.mul(v, ctx.frobenius(v, self.tk + 1)),
                        ctx.frobenius(v, 2 * self.tk))
 
+    def power_block(self, v: np.ndarray) -> np.ndarray:
+        """elem_power elementwise over an encoding array."""
+        ctx = self.ctx
+        return blocks.mul_block(ctx, blocks.mul_block(ctx, v, self._frob_a(v)), self._frob_b(v))
+
     def s_power_table(self) -> np.ndarray:
         if self._s_power_table is None:
-            ctx = self.ctx
-            s_tab = blocks.LinearTable(ctx, s2k(ctx).__call__)
-            f_a = blocks.LinearTable(ctx, lambda v: ctx.frobenius(v, self.tk + 1))
-            f_b = blocks.LinearTable(ctx, lambda v: ctx.frobenius(v, 2 * self.tk))
-            parts = []
-            for chunk in blocks.domain_chunks(ctx):
-                s = s_tab(chunk)
-                parts.append(blocks.mul_block(ctx, blocks.mul_block(ctx, s, f_a(s)), f_b(s)))
-            self._s_power_table = np.concatenate(parts)
+            s_tab = blocks.LinearTable(self.ctx, s2k(self.ctx).__call__)
+            self._s_power_table = np.concatenate(
+                [self.power_block(s_tab(chunk)) for chunk in blocks.domain_chunks(self.ctx)])
         return self._s_power_table
 
     def tracezero(self) -> list[int]:
@@ -310,8 +314,7 @@ class _Thm1State:
 
     def tz_powers(self) -> np.ndarray:
         if self._tz_powers is None:
-            self._tz_powers = np.array([self.elem_power(w) for w in self.tracezero()],
-                                       dtype=np.int64)
+            self._tz_powers = self.power_block(np.array(self.tracezero(), dtype=np.int64))
         return self._tz_powers
 
     def basis(self) -> tuple[int, int]:
@@ -504,16 +507,10 @@ def _check_pp_exhaustive(g: FieldMap) -> CheckResult:
 
 
 def _check_charsum(g: FieldMap, mode: str, sample_n: int, seed: int) -> CheckResult:
-    ctx = g.ctx
-
     def run():
-        verdict = pp_verdict_charsum(g, mode=mode, n=sample_n, seed=seed)
+        verdict, by_a = _charsum_run(g, mode=mode, n=sample_n, seed=seed)
         name = f"pp-charsum-{mode}"
-        sums = None
-        if mode == "sample":
-            rng = random.Random(seed)
-            a_values = [rng.randrange(1, ctx.order) for _ in range(sample_n)]
-            sums = {f"{a:x}": s for a, s in zip(a_values, _char_sums(g, a_values))}
+        sums = {f"{a:x}": s for a, s in by_a.items()} if mode == "sample" else None
         if verdict.verdict == "not-permutation":
             a, s = verdict.witness
             return CheckResult(name, "fail", count=verdict.checks,

@@ -1,10 +1,13 @@
 """Independent brute-force oracles the tests check the fast paths against.
 
 Everything here prefers the dumbest correct algorithm: trial division,
-exhaustive filters, definitional sums.  Deliberately disjoint from the
-implementation's Frobenius/gcd irreducibility test, kernel-basis
-subfield enumeration, and masked character sums.
+exhaustive filters, definitional sums, one masked sweep per character
+sum.  Deliberately disjoint from the implementation's Frobenius/gcd
+irreducibility test, kernel-basis subfield enumeration, Walsh-spectrum
+character sums and popcount parity kernel.
 """
+
+import numpy as np
 
 from ppverify import binpoly
 
@@ -50,6 +53,19 @@ def char_sum_definitional(fmap, a: int) -> int:
     """Sum of (-1)^Tr(a*f(x)) term by term, no masks."""
     ctx = fmap.ctx
     return sum(1 - 2 * ctx.abs_trace(ctx.mul(a, fmap(x))) for x in ctx.elements())
+
+
+def char_sums_masked(fmap, a_values) -> list[int]:
+    """One masked-parity sweep over the value table per a; parity by bit folding."""
+    ctx = fmap.ctx
+    table = fmap.table()
+    sums = []
+    for a in a_values:
+        v = table & ctx.trace_mask(a)
+        for shift in (16, 8, 4, 2, 1):
+            v = v ^ (v >> shift)
+        sums.append(ctx.order - 2 * int((v & 1).sum()))
+    return sums
 
 
 def kernel_by_sweep(L) -> set[int]:

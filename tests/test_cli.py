@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from ppverify.cli import run
+from ppverify.maps import parse_table_file
 
 
 def test_verify_thm1_range_json(tmp_path, capsys):
@@ -147,6 +150,13 @@ def test_pptest_export_roundtrip(tmp_path, capsys):
     assert lines[0].startswith("0:")
     assert run(["pptest", "--t", "2", "--k", "1", "--map", str(exported),
                 "--method", "both"]) == 0
+
+
+def test_table_file_names_the_first_missing_entry(tmp_path):
+    table = tmp_path / "gap.txt"
+    table.write_text("0:1\n1:0\n3:2\n5:3\n")   # four lines, no entry for x = 2
+    with pytest.raises(ValueError, match="missing entry for x=0x2"):
+        parse_table_file(str(table))
 
 
 def test_charsum_command(capsys):

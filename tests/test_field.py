@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from ppverify import FieldCtx, binpoly, load_modulus_file
+from ppverify import FieldCtx, binpoly, blocks, load_modulus_file
 
 from reference import mul_via_polymod, subfield_by_filter
 
@@ -225,3 +226,17 @@ def test_modulus_file_bad_line(tmp_path):
     path.write_text("6=43\n")
     with pytest.raises(ValueError, match="moduli.txt:1"):
         load_modulus_file(str(path))
+
+
+@pytest.mark.parametrize("m", [1, 6, 18, 24])
+def test_mul_block_matches_polymod_oracle(m):
+    ctx = FieldCtx(m)
+    rng = random.Random(m)
+    top = ctx.order - 1
+    a = [0, 1, top, top] + [rng.randrange(ctx.order) for _ in range(300)]
+    b = [top, top, 1, top] + [rng.randrange(ctx.order) for _ in range(300)]
+    got = blocks.mul_block(ctx, np.array(a), np.array(b))
+    assert got.tolist() == [mul_via_polymod(ctx, x, y) for x, y in zip(a, b)]
+    # a scalar operand broadcasts against the array
+    assert blocks.mul_block(ctx, np.array(a), np.int64(top)).tolist() == [
+        mul_via_polymod(ctx, x, top) for x in a]

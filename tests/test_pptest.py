@@ -2,14 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from ppverify import (FieldCtx, build_g_thm1, char_sum, find_case1_witness,
-                      is_permutation_exhaustive, pp_verdict_charsum, shift_check)
+from ppverify import (FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note, char_sum,
+                      find_case1_witness, is_permutation_exhaustive, pp_verdict_charsum,
+                      shift_check)
 from ppverify.maps import FieldMap
-from ppverify.pptest import PPVerdict
+from ppverify.pptest import PPVerdict, _char_sums
 
-from reference import char_sum_definitional
+from reference import char_sum_definitional, char_sums_masked
 
 
 def cube_map_f4():
@@ -207,3 +209,97 @@ def test_workers_env_var_gives_same_sums(monkeypatch):
     monkeypatch.setenv("PPVERIFY_WORKERS", "4")
     threaded = pp_verdict_charsum(g, mode="sample", n=32, seed=3)
     assert baseline == threaded
+
+
+def one_collision_mutant(fmap, x1, x2):
+    """The table of fmap with g(x2) overwritten by g(x1)."""
+    table = fmap.table().copy()
+    table[x2] = table[x1]
+    return FieldMap.from_table(f"{fmap.name}-mutant", fmap.ctx, table)
+
+
+def test_char_sums_match_masked_sweep_for_all_a_at_m12():
+    ctx = FieldCtx.from_tower(2, 2)
+    g1 = build_g_thm1(ctx)
+    g3 = build_g_thm3(ctx, build_L_note(ctx))
+    a_values = list(range(ctx.order))
+    for fmap in (g1, g3, one_collision_mutant(g1, 100, 3000)):
+        assert _char_sums(fmap, a_values) == char_sums_masked(fmap, a_values)
+
+
+def test_char_sums_match_definitional_for_all_a_at_m6():
+    ctx = FieldCtx.from_tower(2, 1)
+    g1 = build_g_thm1(ctx)
+    for fmap in (g1, one_collision_mutant(g1, 5, 40)):
+        assert _char_sums(fmap, list(ctx.elements())) == [
+            char_sum_definitional(fmap, a) for a in ctx.elements()]
+
+
+def test_spectrum_is_exact_int32_and_read_only():
+    ctx = FieldCtx.from_tower(2, 2)
+    w = build_g_thm1(ctx).spectrum()
+    assert w.dtype == np.int32 and w.shape == (ctx.order,)
+    assert w[0] == ctx.order            # every value counted once at M = 0
+    assert not w.flags.writeable
+    # Parseval: the squared spectrum sums to 2^m * sum of squared preimage counts
+    assert int((w.astype(np.int64) ** 2).sum()) == ctx.order * ctx.order
+
+
+def test_parity_matches_bit_count():
+    rng = np.random.default_rng(24)
+    top = (1 << 24) - 1
+    values = np.concatenate([[0, 1, top, top - 1],
+                             rng.integers(0, top, size=5000, endpoint=True)]).astype(np.int64)
+    got = blocks.parity(values)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [v.bit_count() & 1 for v in values.tolist()]
+
+
+def test_shift_check_on_table_matches_definition():
+    ctx = FieldCtx.from_tower(2, 1)
+    mutant = one_collision_mutant(build_g_thm1(ctx), 3, 50)
+    for a in (1, 6, 37):
+        mask = ctx.trace_mask(a)
+        for y in (0, 1, 9, 63):
+            bits = {((mask & mutant(x)).bit_count() ^ (mask & mutant(x ^ y)).bit_count()) & 1
+                    for x in ctx.elements()}
+            want = bits.pop() if len(bits) == 1 else None
+            assert shift_check(mutant, a, y) == want
+
+
+def collision_map_m19(x1, x2):
+    """Identity on GF(2^19) except g(x2) = x1: cheap to evaluate in chunks."""
+    ctx = FieldCtx(19)
+    return FieldMap(f"collide-{x1:x}-{x2:x}", ctx, lambda x: x1 if x == x2 else x,
+                    block_fn=lambda xs: np.where(xs == x2, x1, xs))
+
+
+@pytest.mark.parametrize("x1, x2", [
+    ((1 << 18) + 5, (1 << 18) + 1000),   # both inputs inside the second chunk
+    (7, (1 << 18) + 3),                  # first chunk against the second
+])
+def test_exhaustive_collision_above_table_limit(x1, x2):
+    verdict = is_permutation_exhaustive(collision_map_m19(x1, x2))
+    assert verdict.verdict == "not-permutation"
+    assert verdict.witness == (x1, x2)
+    assert verdict.checks == x2 + 1
+
+
+def test_char_sums_above_table_limit():
+    # identity but for g(x2) = x1, so only those two terms differ from a vanishing sum
+    x1, x2 = 7, (1 << 18) + 3
+    fmap = collision_map_m19(x1, x2)
+    ctx = fmap.ctx
+    def term(a, x):
+        return 1 - 2 * ctx.abs_trace(ctx.mul(a, x))
+
+    a_values = [0, 1, 2, 0x1234, (1 << 19) - 1]
+    expected = [term(a, x1) - term(a, x2) if a else ctx.order for a in a_values]
+    assert any(s not in (0, ctx.order) for s in expected)
+    assert _char_sums(fmap, a_values) == expected
+
+
+def test_exhaustive_identity_above_table_limit():
+    ctx = FieldCtx(19)
+    ident = FieldMap("id", ctx, lambda x: x, block_fn=lambda xs: xs)
+    assert is_permutation_exhaustive(ident) == PPVerdict("permutation", "exhaustive", 1 << 19)
