@@ -2,8 +2,8 @@
 
 Element encodings ride in int64 arrays (products before reduction reach
 2m-1 < 48 bits).  Linear maps get split-table lookups built from basis
-images; general products use a vectorized shift-and-XOR multiply.  The
-scalar paths in `field` stay the reference; tests pin agreement.
+images, cached per coefficient vector; general products use a vectorized
+shift-and-XOR multiply.  The scalar paths in `field` stay the reference.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .field import FieldCtx
+from .linearized import LinearizedPoly
 
 
 def parity(values: np.ndarray) -> np.ndarray:
@@ -36,6 +37,22 @@ def mul_block(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+def frobenius_product(ctx: FieldCtx, v: np.ndarray, exponents) -> np.ndarray:
+    """v times v^(2^e) for each e in exponents, elementwise: one lookup and one product per e."""
+    out = v
+    for e in exponents:
+        out = mul_block(ctx, out, linear_table(LinearizedPoly.frobenius_power(ctx, e))(v))
+    return out
+
+
+def linear_table(poly: LinearizedPoly) -> "LinearTable":
+    """The lookup table of a linearized polynomial, cached on its context by coefficients."""
+    key = ("linear", poly.coeffs)
+    if key not in poly.ctx._cache:
+        poly.ctx._cache[key] = LinearTable(poly.ctx, poly.__call__)
+    return poly.ctx._cache[key]
+
+
 class LinearTable:
     """Split lookup tables for an F2-linear map on m-bit encodings."""
 
@@ -57,6 +74,14 @@ def _span_table(images: list[int]) -> np.ndarray:
     for i, img in enumerate(images):
         table[1 << i:2 << i] = table[:1 << i] ^ img
     return table
+
+
+def domain(ctx: FieldCtx) -> np.ndarray:
+    """All 2^m encodings in order, as one read-only array shared on the context."""
+    if "domain" not in ctx._cache:
+        ctx._cache["domain"] = np.arange(ctx.order, dtype=np.int64)
+        ctx._cache["domain"].setflags(write=False)
+    return ctx._cache["domain"]
 
 
 def domain_chunks(ctx: FieldCtx, chunk_bits: int = 18):

@@ -20,7 +20,7 @@ from .constructions import (SEARCH_FAMILY, build_g_thm1, build_g_thm3,
 from .field import FieldCtx, load_modulus_file
 from .linearized import LinearizedPoly, format_linpoly, parse_linpoly
 from .maps import FieldMap, format_table_lines, linearized_map, parse_table_file
-from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, char_sum,
+from .pptest import (CHARSUM_ALL_LIMIT_M, DEFAULT_SAMPLES, DEFAULT_SEED, char_sum,
                      is_permutation_exhaustive, pp_verdict_charsum)
 from .proofchecks import CSV_HEADER, VerificationReport, verify_thm1, verify_thm3
 
@@ -231,7 +231,7 @@ def _cmd_pptest(args) -> int:
         print(f"exported table to {args.export}")
 
     mode, n, seed = _parse_mode(args.mode) if args.mode else (
-        ("all", DEFAULT_SAMPLES, args.seed) if fmap.ctx.m <= 14
+        ("all", DEFAULT_SAMPLES, args.seed) if fmap.ctx.m <= CHARSUM_ALL_LIMIT_M
         else ("sample", DEFAULT_SAMPLES, args.seed))
     verdicts = []
     if args.method in ("exhaustive", "both"):
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exhaustive", "charsum", "both"], default="both")
     p.add_argument("--mode", default=None, help="charsum mode: all or sample:N[:SEED]")
     p.add_argument("--allow-large", action="store_true",
-                   help="lift the m<=14 gate on charsum mode=all")
+                   help=f"lift the m<={CHARSUM_ALL_LIMIT_M} gate on charsum mode=all")
     p.add_argument("--export", default=None, help="also export the map as a hex table")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_pptest)

@@ -9,7 +9,7 @@ the numpy kernels in `blocks` instead.
 A context may carry tower parameters (t, k) with m = 3*t*k and
 q = 2^t, giving the subfield ladder F_2 <= F_{q^k} <= F_{q^{3k}} that
 the permutation-map constructions live on.  Contexts are immutable
-after construction and safe to share across workers.
+after construction.
 """
 
 from __future__ import annotations

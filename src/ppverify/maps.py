@@ -1,10 +1,10 @@
 """Named evaluators from field elements to field elements.
 
-A FieldMap bundles a scalar evaluator with an optional vectorized one;
-full 2^m value tables are materialized (and cached) only for m <= 18,
-larger domains are swept in chunks on demand.  Determinism contract:
-repeated evaluation at the same input yields identical results, and the
-scalar and block paths agree everywhere.
+A FieldMap is defined by one vectorized block function, its only
+evaluation path; calling it on a single element evaluates a one-element
+block.  Full 2^m value tables are materialized (and cached) only for
+m <= 18, larger domains are swept in chunks on demand.  Determinism
+contract: repeated evaluation at the same input yields identical results.
 """
 
 from __future__ import annotations
@@ -23,17 +23,15 @@ TABLE_LIMIT_M = 18
 class FieldMap:
     """A named, pure map on GF(2^m) element encodings."""
 
-    def __init__(self, name: str, ctx: FieldCtx, fn: Callable[[int], int],
-                 block_fn: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(self, name: str, ctx: FieldCtx, block_fn: Callable[[np.ndarray], np.ndarray]):
         self.name = name
         self.ctx = ctx
-        self._fn = fn
         self._block_fn = block_fn
         self._table: np.ndarray | None = None
         self._spectrum: np.ndarray | None = None
 
     def __call__(self, x: int) -> int:
-        return self._fn(x)
+        return int(self.eval_block(np.array([x], dtype=np.int64))[0])
 
     def __repr__(self) -> str:
         return f"FieldMap({self.name!r}, m={self.ctx.m})"
@@ -41,10 +39,7 @@ class FieldMap:
     def eval_block(self, xs: np.ndarray) -> np.ndarray:
         if self._table is not None:
             return self._table[xs]
-        if self._block_fn is not None:
-            return self._block_fn(xs)
-        fn = self._fn
-        return np.fromiter((fn(int(x)) for x in xs), dtype=np.int64, count=len(xs))
+        return self._block_fn(xs)
 
     def table(self) -> np.ndarray:
         """The full 2^m value table, cached; refuses domains above m=18."""
@@ -53,8 +48,7 @@ class FieldMap:
                 raise ValueError(
                     f"m={self.ctx.m} exceeds the table materialization limit "
                     f"{TABLE_LIMIT_M}; sweep value_chunks() instead")
-            parts = [self.eval_block(chunk) for chunk in blocks.domain_chunks(self.ctx)]
-            self._table = np.concatenate(parts)
+            self._table = self._block_fn(blocks.domain(self.ctx))
             self._table.setflags(write=False)
         return self._table
 
@@ -80,10 +74,7 @@ class FieldMap:
         """Yield (inputs, outputs) chunk pairs covering the whole domain in order."""
         ctx = self.ctx
         if ctx.m <= TABLE_LIMIT_M:
-            if "domain" not in ctx._cache:   # shared by every map on this context
-                ctx._cache["domain"] = np.arange(ctx.order, dtype=np.int64)
-                ctx._cache["domain"].setflags(write=False)
-            yield ctx._cache["domain"], self.table()
+            yield blocks.domain(ctx), self.table()
             return
         for chunk in blocks.domain_chunks(ctx):
             yield chunk, self.eval_block(chunk)
@@ -96,16 +87,15 @@ class FieldMap:
             raise ValueError(f"table must have exactly {ctx.order} entries, got {table.shape}")
         if table.size and (table.min() < 0 or table.max() >= ctx.order):
             raise ValueError("table entry out of field range")
-        fmap = cls(name, ctx, lambda x: int(table[x]))
+        fmap = cls(name, ctx, table.__getitem__)
         fmap._table = table
         fmap._table.setflags(write=False)
         return fmap
 
 
 def linearized_map(L: LinearizedPoly, name: str) -> FieldMap:
-    """View a linearized polynomial as a FieldMap with a fast block path."""
-    table = blocks.LinearTable(L.ctx, L.__call__)
-    return FieldMap(name, L.ctx, L.__call__, block_fn=table)
+    """View a linearized polynomial as a FieldMap through its cached lookup table."""
+    return FieldMap(name, L.ctx, blocks.linear_table(L))
 
 
 def format_table_lines(fmap: FieldMap) -> Iterator[str]:
@@ -138,7 +128,7 @@ def parse_table_file(path: str, ctx: FieldCtx | None = None) -> FieldMap:
     count = len(entries)
     if ctx is None:
         m = count.bit_length() - 1
-        if count != 1 << m or m < 1:
+        if m < 1 or count != 1 << m:
             raise ValueError(f"{path}: entry count {count} is not a power of two >= 2")
         ctx = FieldCtx(m)
     if count != ctx.order:

@@ -65,17 +65,29 @@ def is_permutation_exhaustive(f: FieldMap) -> PPVerdict:
         seen[ys] = True
         grown = np.count_nonzero(seen)
         if grown - filled != ys.size:   # a value repeated or was already seen
-            break
+            x1, x2 = _first_collision(f)
+            return PPVerdict(NOT_PERMUTATION, "exhaustive", x2 + 1, witness=(x1, x2))
         filled = grown
+    return PPVerdict(PERMUTATION, "exhaustive", ctx.order)
+
+
+def _first_collision(f: FieldMap) -> tuple[int, int]:
+    """(x1, x2): the least x2 whose value appeared before it, and that value's first preimage."""
+    seen = np.zeros(f.ctx.order, dtype=bool)
+    for xs, ys in f.value_chunks():
+        _, first, inverse = np.unique(ys, return_index=True, return_inverse=True)
+        repeat = seen[ys] | (first[inverse] != np.arange(ys.size))
+        if repeat.any():
+            i2 = int(np.argmax(repeat))
+            y, x2 = ys[i2], int(xs[i2])
+            break
+        seen[ys] = True
     else:
-        return PPVerdict(PERMUTATION, "exhaustive", ctx.order)
-    first: dict[int, int] = {}
-    for x in ctx.elements():
-        y = f(x)
-        if y in first:
-            return PPVerdict(NOT_PERMUTATION, "exhaustive", x + 1, witness=(first[y], x))
-        first[y] = x
-    raise AssertionError("collision vanished on rescan; map is not deterministic")
+        raise AssertionError("collision vanished on rescan; map is not deterministic")
+    for xs, ys in f.value_chunks():
+        hits = np.flatnonzero(ys == y)
+        if hits.size:
+            return int(xs[hits[0]]), x2
 
 
 def char_sum(f: FieldMap, a: int) -> int:
@@ -100,10 +112,10 @@ def pp_verdict_charsum(f: FieldMap, mode: str = "all", n: int = DEFAULT_SAMPLES,
     """Permutation verdict from character sums.
 
     mode="all" checks every nonzero a (exact both ways) and is gated at
-    m <= 14 unless allow_large is set; mode="sample" checks n seeded
-    pseudo-random nonzero a and can only return probable-permutation or
-    not-permutation.  The witness is the first a (in check order) with a
-    nonzero sum.
+    m <= CHARSUM_ALL_LIMIT_M unless allow_large is set; mode="sample"
+    checks n seeded pseudo-random nonzero a and can only return
+    probable-permutation or not-permutation.  The witness is the first a
+    (in check order) with a nonzero sum.
     """
     return _charsum_run(f, mode, n, seed, allow_large)[0]
 

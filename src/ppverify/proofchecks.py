@@ -20,14 +20,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import blocks, gf2linalg
-from .constructions import build_g_thm1, build_g_thm3, s2k
+from .constructions import build_g_thm1, build_g_thm3, rel_trace_poly, s2k
 from .field import FieldCtx
 from .linearized import LinearizedPoly, format_linpoly, subfield_permutation_check
-from .maps import FieldMap
-from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run, char_sum,
-                     find_case1_witness, is_permutation_exhaustive, shift_check)
+from .maps import TABLE_LIMIT_M, FieldMap
+from .pptest import (CHARSUM_ALL_LIMIT_M, DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run,
+                     char_sum, find_case1_witness, is_permutation_exhaustive, shift_check)
 
-FULL_SWEEP_LIMIT_M = 18   # pointwise identity sweeps cover every x up to here
 PER_A_FULL_LIMIT_M = 12   # per-a case loops cover every a up to here
 POINTWISE_SAMPLES = 10_000
 
@@ -131,6 +130,19 @@ def _timed(fn):
     return result
 
 
+def _point_set(ctx: FieldCtx, rng: random.Random) -> tuple[np.ndarray, str | None]:
+    """Every x up to the table limit, else POINTWISE_SAMPLES seeded draws; plus the note."""
+    if ctx.m <= TABLE_LIMIT_M:
+        return blocks.domain(ctx), None
+    xs = np.array([rng.randrange(ctx.order) for _ in range(POINTWISE_SAMPLES)], dtype=np.int64)
+    return xs, f"sampled {POINTWISE_SAMPLES} points"
+
+
+def _on_points(fmap: FieldMap, xs: np.ndarray) -> np.ndarray:
+    """fmap at each point; the whole domain (the only full-size point set) is the cached table."""
+    return fmap.table() if len(xs) == fmap.ctx.order else fmap.eval_block(xs)
+
+
 # ---------------------------------------------------------------------------
 # individual identity checks
 # ---------------------------------------------------------------------------
@@ -140,8 +152,8 @@ def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None,
     """S + S^(q^k) + S^(q^(2k)) reduces to the zero map, twice over.
 
     (a) the three coefficient vectors XOR-cancel exactly; (b) the sum
-    vanishes pointwise at every x (all x for m <= 18, seeded sample
-    above).
+    vanishes pointwise at every x (all x for m <= TABLE_LIMIT_M, a
+    seeded sample above).
     """
     t, k = ctx.require_tower()
     S = s_poly if s_poly is not None else s2k(ctx)
@@ -152,24 +164,13 @@ def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None,
             bad = next(i for i, c in enumerate(total.coeffs) if c)
             return CheckResult("eq22", "fail", count=0,
                                counterexample=f"coefficient {total.coeffs[bad]:#x} at index {bad}")
-        if ctx.m <= FULL_SWEEP_LIMIT_M:
-            table = blocks.LinearTable(ctx, total.__call__)
-            for chunk in blocks.domain_chunks(ctx):
-                values = table(chunk)
-                if values.any():
-                    x = int(chunk[int(np.nonzero(values)[0][0])])
-                    return CheckResult("eq22", "fail", count=int(chunk[-1]) + 1,
-                                       counterexample=f"sum = {total(x):#x} at x={x:#x}")
-            return CheckResult("eq22", "pass", count=ctx.order)
-        rng = random.Random(seed)
-        for _ in range(POINTWISE_SAMPLES):
-            x = rng.randrange(ctx.order)
-            if total(x) != 0:
-                return CheckResult("eq22", "fail", count=POINTWISE_SAMPLES,
-                                   counterexample=f"sum = {total(x):#x} at x={x:#x}",
-                                   note=f"sampled {POINTWISE_SAMPLES} points")
-        return CheckResult("eq22", "pass", count=POINTWISE_SAMPLES,
-                           note=f"sampled {POINTWISE_SAMPLES} points")
+        xs, note = _point_set(ctx, random.Random(seed))
+        values = blocks.linear_table(total)(xs)
+        if values.any():
+            x = int(xs[np.argmax(values != 0)])
+            return CheckResult("eq22", "fail", count=len(xs),
+                               counterexample=f"sum = {total(x):#x} at x={x:#x}", note=note)
+        return CheckResult("eq22", "pass", count=len(xs), note=note)
 
     return _timed(run)
 
@@ -267,54 +268,30 @@ def decomposition_coset(ctx: FieldCtx, a: int) -> list[int]:
     return sorted(particular ^ v for v in kernel_span)
 
 
+def _power_e(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
+    """v^E = v * v^(2q^k) * v^(q^(2k)) elementwise over an encoding array."""
+    t, k = ctx.require_tower()
+    return blocks.frobenius_product(ctx, v, (t * k + 1, 2 * t * k))
+
+
 class _Thm1State:
     """Shared tables for the per-a Case-2 checks of one context."""
 
     def __init__(self, ctx: FieldCtx, g: FieldMap | None = None):
         t, k = ctx.require_tower()
         self.ctx = ctx
-        self.tk = t * k
         self.g = g if g is not None else build_g_thm1(ctx)
-        self.exponent = 1 + (1 << (self.tk + 1)) + (1 << (2 * self.tk))
-        self._frob_a = blocks.LinearTable(ctx, lambda v: ctx.frobenius(v, self.tk + 1))
-        self._frob_b = blocks.LinearTable(ctx, lambda v: ctx.frobenius(v, 2 * self.tk))
-        self._s_power_table: np.ndarray | None = None
+        self.exponent = 1 + (1 << (t * k + 1)) + (1 << (2 * t * k))
+        # the closure holds ctx and s_tab, not self: a reference cycle would keep
+        # this state's tables alive after the run, until the next garbage collection
+        s_tab = blocks.linear_table(s2k(ctx))
+        self.s_power = FieldMap("S^E", ctx, lambda xs: _power_e(ctx, s_tab(xs)))
         self._basis: tuple[int, int] | None = None
-        self._tz: list[int] | None = None
         self._tz_powers: np.ndarray | None = None
-
-    def s_power(self, x: int) -> int:
-        """S(x)^(1 + 2q^k + q^(2k)) by value powers."""
-        ctx = self.ctx
-        s = s2k(ctx)(x)
-        return self.elem_power(s)
-
-    def elem_power(self, v: int) -> int:
-        """v^(1 + 2q^k + q^(2k)) = v * v^(2^(tk+1)) * v^(2^(2tk))."""
-        ctx = self.ctx
-        return ctx.mul(ctx.mul(v, ctx.frobenius(v, self.tk + 1)),
-                       ctx.frobenius(v, 2 * self.tk))
-
-    def power_block(self, v: np.ndarray) -> np.ndarray:
-        """elem_power elementwise over an encoding array."""
-        ctx = self.ctx
-        return blocks.mul_block(ctx, blocks.mul_block(ctx, v, self._frob_a(v)), self._frob_b(v))
-
-    def s_power_table(self) -> np.ndarray:
-        if self._s_power_table is None:
-            s_tab = blocks.LinearTable(self.ctx, s2k(self.ctx).__call__)
-            self._s_power_table = np.concatenate(
-                [self.power_block(s_tab(chunk)) for chunk in blocks.domain_chunks(self.ctx)])
-        return self._s_power_table
-
-    def tracezero(self) -> list[int]:
-        if self._tz is None:
-            self._tz = tracezero_set(self.ctx)
-        return self._tz
 
     def tz_powers(self) -> np.ndarray:
         if self._tz_powers is None:
-            self._tz_powers = self.power_block(np.array(self.tracezero(), dtype=np.int64))
+            self._tz_powers = _power_e(self.ctx, np.array(tracezero_set(self.ctx), dtype=np.int64))
         return self._tz_powers
 
     def basis(self) -> tuple[int, int]:
@@ -330,34 +307,23 @@ def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None,
     E = 1 + 2q^k + q^(2k) and c is the least decomposition of a.  The
     rewrite cancels S^q against S^4, so for g = g1 this is a q = 4
     identity (the t=2 towers); it fails pointwise at other q.  Every x
-    is swept for m <= 18; larger fields get a seeded sample.
+    is swept for m <= TABLE_LIMIT_M; larger fields get a seeded sample,
+    evaluated as one block.
     """
     if state is None:
         state = _Thm1State(ctx)
 
     def run():
         c = decompose_a(ctx, a)
-        mask_a = ctx.trace_mask(a)
-        mask_c = ctx.trace_mask(c)
-        if ctx.m <= FULL_SWEEP_LIMIT_M:
-            left = blocks.parity(state.g.table() & mask_a)
-            right = blocks.parity(state.s_power_table() & mask_c)
-            diff = left ^ right
-            if diff.any():
-                x = int(np.nonzero(diff)[0][0])
-                return CheckResult("case2-eq23", "fail", count=ctx.order,
-                                   counterexample=f"a={a:#x}, x={x:#x}")
-            return CheckResult("case2-eq23", "pass", count=ctx.order)
-        rng = random.Random(f"{seed}:eq23:{a}")
-        n = POINTWISE_SAMPLES
-        for _ in range(n):
-            x = rng.randrange(ctx.order)
-            lhs = (mask_a & state.g(x)).bit_count() & 1
-            rhs = (mask_c & state.s_power(x)).bit_count() & 1
-            if lhs != rhs:
-                return CheckResult("case2-eq23", "fail", count=n,
-                                   counterexample=f"a={a:#x}, x={x:#x}")
-        return CheckResult("case2-eq23", "pass", count=n, note=f"sampled {n} points")
+        xs, note = _point_set(ctx, random.Random(f"{seed}:eq23:{a}"))
+        left = blocks.parity(_on_points(state.g, xs) & ctx.trace_mask(a))
+        right = blocks.parity(_on_points(state.s_power, xs) & ctx.trace_mask(c))
+        diff = left ^ right
+        if diff.any():
+            x = int(xs[np.argmax(diff)])
+            return CheckResult("case2-eq23", "fail", count=len(xs),
+                               counterexample=f"a={a:#x}, x={x:#x}", note=note)
+        return CheckResult("case2-eq23", "pass", count=len(xs), note=note)
 
     return _timed(run)
 
@@ -445,8 +411,7 @@ def _case_split(ctx: FieldCtx, seed: int, sample_n: int) -> tuple[list[int], lis
     d = t * k
     case2 = [a for a in tracezero_set(ctx) if a != 0]
     if ctx.m <= PER_A_FULL_LIMIT_M:
-        rel = blocks.LinearTable(ctx, lambda v: ctx.rel_trace(v, d))
-        values = rel(np.arange(ctx.order, dtype=np.int64))
+        values = blocks.linear_table(rel_trace_poly(ctx))(blocks.domain(ctx))
         case1 = [int(a) for a in np.nonzero(values)[0] if a != 0]
         return case1, case2, False
     rng = random.Random(f"{seed}:cases")
@@ -520,14 +485,28 @@ def _check_charsum(g: FieldMap, mode: str, sample_n: int, seed: int) -> CheckRes
     return _timed(run)
 
 
+def _each_case2(name: str, case2: list[int], note: str | None, check) -> CheckResult:
+    """check(a) for every Case-2 a; the first failure, if any, stands for the whole sweep."""
+    def run():
+        for a in case2:
+            got = check(a)
+            if not got.passed:
+                got.note = note
+                return got
+        return CheckResult(name, "pass", count=len(case2), note=note)
+
+    return _timed(run)
+
+
 def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
                 sample_n: int = DEFAULT_SAMPLES,
                 charsum_mode: str | None = None) -> VerificationReport:
     """Full battery for the q=4 construction g1 on one tower context.
 
     Runs eq22, kernel/image, the exhaustive bijection check, the
-    character-sum criterion (all a for m <= 14, seeded sample above),
-    the Case-1 shift-witness sweep and the Case-2 identity chain.
+    character-sum criterion (all a for m <= CHARSUM_ALL_LIMIT_M, seeded
+    sample above), the Case-1 shift-witness sweep and the Case-2 identity
+    chain.
     Rejects t != 2: the statement is specific to q = 4.
     """
     t, k = ctx.require_tower()
@@ -542,7 +521,7 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
     state = _Thm1State(ctx, g)
     report.checks.append(_check_pp_exhaustive(g))
     if charsum_mode is None:
-        charsum_mode = "all" if ctx.m <= 14 else "sample"
+        charsum_mode = "all" if ctx.m <= CHARSUM_ALL_LIMIT_M else "sample"
     report.checks.append(_check_charsum(g, charsum_mode, sample_n, seed))
 
     case1, case2, sampled = _case_split(ctx, seed, sample_n)
@@ -550,27 +529,10 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
                                       lambda a: find_case1_witness(ctx, a)))
 
     note = f"sampled {len(case2)} a-values" if sampled else None
-    start = time.perf_counter()
-    eq23 = CheckResult("case2-eq23", "pass", count=len(case2), note=note)
-    for a in case2:
-        got = check_eq23(ctx, a, state, seed=seed)
-        if not got.passed:
-            eq23 = got
-            eq23.note = note
-            break
-    eq23.millis = (time.perf_counter() - start) * 1000.0
-    report.checks.append(eq23)
-
-    start = time.perf_counter()
-    fact = CheckResult("case2-factorization", "pass", count=len(case2), note=note)
-    for a in case2:
-        got = check_case2_factorization(ctx, a, state)
-        if not got.passed:
-            fact = got
-            fact.note = note
-            break
-    fact.millis = (time.perf_counter() - start) * 1000.0
-    report.checks.append(fact)
+    report.checks.append(_each_case2("case2-eq23", case2, note,
+                                     lambda a: check_eq23(ctx, a, state, seed=seed)))
+    report.checks.append(_each_case2("case2-factorization", case2, note,
+                                     lambda a: check_case2_factorization(ctx, a, state)))
     return report.finish()
 
 

@@ -4,12 +4,14 @@ Everything here prefers the dumbest correct algorithm: trial division,
 exhaustive filters, definitional sums, one masked sweep per character
 sum.  Deliberately disjoint from the implementation's Frobenius/gcd
 irreducibility test, kernel-basis subfield enumeration, Walsh-spectrum
-character sums and popcount parity kernel.
+character sums, popcount parity kernel, block map formulas and
+vectorized collision search.
 """
 
 import numpy as np
 
 from ppverify import binpoly
+from ppverify.constructions import s2k
 
 
 def trial_division_irreducible(f: int) -> bool:
@@ -74,3 +76,28 @@ def kernel_by_sweep(L) -> set[int]:
 
 def image_by_sweep(L) -> set[int]:
     return {L(x) for x in L.ctx.elements()}
+
+
+def g_scalar(ctx, x: int, L=None) -> int:
+    """g1(x), or g3(x) given L, with s = S(x) and s^(q^k+3) = s * s^2 * s^(q^k), by scalar ops."""
+    t, k = ctx.require_tower()
+    s = s2k(ctx)(x)
+    head = x ^ ctx.frobenius(s, 2 * t * k) if L is None else L(x)
+    return head ^ ctx.mul(ctx.mul(s, ctx.sqr(s)), ctx.frobenius(s, t * k))
+
+
+def s_power(ctx, x: int) -> int:
+    """S(x)^(1 + 2q^k + q^(2k)) = v * v^(2^(tk+1)) * v^(2^(2tk)) with v = S(x), by scalar ops."""
+    t, k = ctx.require_tower()
+    v = s2k(ctx)(x)
+    return ctx.mul(ctx.mul(v, ctx.frobenius(v, t * k + 1)), ctx.frobenius(v, 2 * t * k))
+
+
+def first_collision(values):
+    """(x1, x2) for the least x2 whose value appeared before, by a dict scan; None if none."""
+    first = {}
+    for x, y in enumerate(values):
+        if y in first:
+            return first[y], x
+        first[y] = x
+    return None

@@ -20,6 +20,8 @@ from ppverify.pptest import _char_sums
 from ppverify.proofchecks import (_Thm1State, check_case2_factorization, check_eq23,
                                   decomposition_coset)
 
+from reference import s_power
+
 SIX_TOWERS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 ALL_TOWERS_M18 = [(t, k) for t in range(1, 7) for k in range(1, 7) if 3 * t * k <= 18]
 SEED = 20250809
@@ -143,7 +145,7 @@ def test_criterion_08_case_analysis_exhaustive():
             mask_c = ctx.trace_mask(c)
             ok &= not ctx.in_subfield(c, 2)
             ok &= all(((mask_a & int(g_table[x])).bit_count() & 1) ==
-                      ((mask_c & state.s_power(x)).bit_count() & 1)
+                      ((mask_c & s_power(ctx, x)).bit_count() & 1)
                       for x in ctx.elements())
             ok &= sum(1 - 2 * ((mask_c & int(w)).bit_count() & 1)
                       for w in state.tz_powers()) == 0
@@ -157,7 +159,7 @@ def test_criterion_09_oracle_equivalence():
     disagreements = 0
     for trial in range(200):
         table = [rng.randrange(16) for _ in range(16)]
-        fmap = FieldMap(f"rand{trial}", ctx16, lambda x, t=table: t[x])
+        fmap = FieldMap.from_table(f"rand{trial}", ctx16, table)
         ex = is_permutation_exhaustive(fmap).verdict
         cs = pp_verdict_charsum(fmap, mode="all").verdict
         disagreements += ex != cs

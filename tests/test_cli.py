@@ -127,6 +127,12 @@ def test_pptest_malformed_tables(tmp_path, capsys):
     duplicate = tmp_path / "dup.txt"
     duplicate.write_text("0:0\n0:1\n1:2\n2:3\n")
     assert run(["pptest", "--map", str(duplicate)]) == 2
+    for name, text in (("empty.txt", ""), ("comments.txt", "# no entries\n\n")):
+        empty = tmp_path / name
+        empty.write_text(text)
+        capsys.readouterr()
+        assert run(["pptest", "--map", str(empty)]) == 2
+        assert f"{empty}: entry count 0 is not a power of two >= 2" in capsys.readouterr().err
 
 
 def test_pptest_sampled_mode_on_large_field(capsys):

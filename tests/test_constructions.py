@@ -8,8 +8,10 @@ import pytest
 from ppverify import (FieldCtx, LinearizedPoly, build_g_thm1, build_g_thm3, build_L_note,
                       check_condition_ii, is_permutation_exhaustive, permutes,
                       search_L_candidates)
-from ppverify.constructions import condition_ii_sides, rel_trace_poly, s2k
+from ppverify.constructions import build_L1, condition_ii_sides, rel_trace_poly, s2k
 from ppverify.maps import FieldMap, linearized_map
+
+from reference import g_scalar
 
 SIX_TOWERS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
 ALL_TOWERS_M18 = [(t, k) for t in range(1, 7) for k in range(1, 7) if 3 * t * k <= 18]
@@ -43,19 +45,20 @@ def test_g1_scalar_and_block_paths_agree():
     xs = np.array([rng.randrange(ctx.order) for _ in range(500)], dtype=np.int64)
     block = g.eval_block(xs)
     for x, y in zip(xs, block):
-        assert g(int(x)) == int(y)
+        assert g_scalar(ctx, int(x)) == int(y)
 
 
 def test_table_limit_and_on_demand_agreement():
     ctx = FieldCtx(19)
-    L = linearized_map(LinearizedPoly.frobenius_power(ctx, 3), "frob3")
+    frob3 = LinearizedPoly.frobenius_power(ctx, 3)
+    L = linearized_map(frob3, "frob3")
     with pytest.raises(ValueError):
         L.table()
     rng = random.Random(2)
     xs = np.array([rng.randrange(ctx.order) for _ in range(200)], dtype=np.int64)
     block = L.eval_block(xs)
     for x, y in zip(xs, block):
-        assert L(int(x)) == int(y)
+        assert frob3(int(x)) == int(y)
 
 
 def test_L_note_agrees_with_direct_power_form():
@@ -69,6 +72,15 @@ def test_L_note_agrees_with_direct_power_form():
         for x in ctx.elements():
             direct = ctx.pow(x ^ ctx.pow(S(x), q ** (2 * k)), outer)
             assert L(x) == direct
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_L1_satisfies_both_hypotheses_at_q4(k):
+    # g1 is built as g3 with L = L1; at q = 4 that makes it an instance of theorem 3
+    ctx = FieldCtx.from_tower(2, k)
+    L1 = build_L1(ctx)
+    assert permutes(L1, 2 * k)
+    assert check_condition_ii(ctx, L1)
 
 
 def test_L_note_additivity_spot_check():
@@ -149,10 +161,10 @@ def test_g3_bijection_on_the_six_towers(t, k):
 
 def test_g3_scalar_and_block_paths_agree():
     ctx = FieldCtx.from_tower(3, 1)
-    g = build_g_thm3(ctx, build_L_note(ctx))
-    table = g.table()
+    L = build_L_note(ctx)
+    table = build_g_thm3(ctx, L).table()
     for x in ctx.elements():
-        assert g(x) == int(table[x])
+        assert g_scalar(ctx, x, L) == int(table[x])
 
 
 def test_rel_trace_poly_matches_ctx_rel_trace():

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppverify import (FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note, char_sum,
                       find_case1_witness, is_permutation_exhaustive, pp_verdict_charsum,
@@ -11,19 +12,19 @@ from ppverify import (FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note
 from ppverify.maps import FieldMap
 from ppverify.pptest import PPVerdict, _char_sums
 
-from reference import char_sum_definitional, char_sums_masked
+from reference import char_sum_definitional, char_sums_masked, first_collision
 
 
 def cube_map_f4():
     ctx = FieldCtx(2)
-    return FieldMap("x^3", ctx, lambda x: ctx.pow(x, 3))
+    return FieldMap.from_table("x^3", ctx, [ctx.pow(x, 3) for x in ctx.elements()])
 
 
 def test_exhaustive_identity_and_squaring():
     ctx = FieldCtx(5)
-    ident = FieldMap("id", ctx, lambda x: x)
+    ident = FieldMap("id", ctx, lambda xs: xs)
     assert is_permutation_exhaustive(ident).verdict == "permutation"
-    sq = FieldMap("x^2", ctx, ctx.sqr)
+    sq = FieldMap.from_table("x^2", ctx, [ctx.sqr(x) for x in ctx.elements()])
     assert is_permutation_exhaustive(sq).verdict == "permutation"
 
 
@@ -41,13 +42,13 @@ def test_negative_verdicts_carry_witnesses():
 
 def test_char_sum_at_zero_is_field_order():
     ctx = FieldCtx(6)
-    ident = FieldMap("id", ctx, lambda x: x)
+    ident = FieldMap("id", ctx, lambda xs: xs)
     assert char_sum(ident, 0) == 64
 
 
 def test_char_sum_identity_vanishes_for_nonzero_a():
     ctx = FieldCtx(6)
-    ident = FieldMap("id", ctx, lambda x: x)
+    ident = FieldMap("id", ctx, lambda xs: xs)
     for a in range(1, 64):
         assert char_sum(ident, a) == 0
 
@@ -65,7 +66,7 @@ def test_char_sum_matches_definitional_oracle():
     g = build_g_thm1(ctx)
     rng = random.Random(15)
     table = [rng.randrange(ctx.order) for _ in range(ctx.order)]
-    messy = FieldMap("random", ctx, lambda x: table[x])
+    messy = FieldMap.from_table("random", ctx, table)
     for fmap in (g, messy):
         for a in (0, 1, 7, 33, 63):
             assert char_sum(fmap, a) == char_sum_definitional(fmap, a)
@@ -75,7 +76,7 @@ def test_char_sum_parity():
     ctx = FieldCtx(4)
     rng = random.Random(8)
     table = [rng.randrange(16) for _ in range(16)]
-    fmap = FieldMap("random", ctx, lambda x: table[x])
+    fmap = FieldMap.from_table("random", ctx, table)
     for a in ctx.elements():
         assert char_sum(fmap, a) % 2 == 0  # same parity as 2^m
 
@@ -86,7 +87,7 @@ def test_char_sum_orthogonality(m):
     ctx = FieldCtx(m)
     rng = random.Random(m * 7)
     table = [rng.randrange(ctx.order) for _ in range(ctx.order)]
-    fmap = FieldMap("random", ctx, lambda x: table[x])
+    fmap = FieldMap.from_table("random", ctx, table)
     total = sum(char_sum(fmap, a) for a in ctx.elements())
     zeros = sum(1 for v in table if v == 0)
     assert total == ctx.order * zeros
@@ -125,7 +126,7 @@ def test_charsum_sample_is_deterministic():
 
 def test_charsum_all_cost_gate():
     ctx = FieldCtx.from_tower(1, 5)  # m = 15
-    g = FieldMap("id", ctx, lambda x: x)
+    g = FieldMap("id", ctx, lambda xs: xs)
     with pytest.raises(ValueError, match="allow_large"):
         pp_verdict_charsum(g, mode="all")
     verdict = pp_verdict_charsum(g, mode="sample", n=8, seed=1)
@@ -134,7 +135,7 @@ def test_charsum_all_cost_gate():
 
 def test_charsum_all_gate_override():
     ctx = FieldCtx(15)
-    ident = FieldMap("id", ctx, lambda x: x)
+    ident = FieldMap("id", ctx, lambda xs: xs)
     verdict = pp_verdict_charsum(ident, mode="all", allow_large=True)
     assert verdict.verdict == "permutation"
     assert verdict.checks == (1 << 15) - 1
@@ -156,7 +157,7 @@ def test_oracle_equivalence_on_seeded_tables():
             rng.shuffle(table)
         else:
             table = [rng.randrange(16) for _ in range(16)]
-        fmap = FieldMap(f"t{trial}", ctx, lambda x, t=table: t[x])
+        fmap = FieldMap.from_table(f"t{trial}", ctx, table)
         ex = is_permutation_exhaustive(fmap).verdict
         cs = pp_verdict_charsum(fmap, mode="all").verdict
         assert ex == cs
@@ -200,15 +201,6 @@ def test_find_case1_witness_rejects_case2_a():
     case2_a = next(a for a in range(1, 64) if ctx.rel_trace(a, 2) == 0)
     with pytest.raises(ValueError, match="Case 2"):
         find_case1_witness(ctx, case2_a)
-
-
-def test_workers_env_var_gives_same_sums(monkeypatch):
-    ctx = FieldCtx.from_tower(2, 2)
-    g = build_g_thm1(ctx)
-    baseline = pp_verdict_charsum(g, mode="sample", n=32, seed=3)
-    monkeypatch.setenv("PPVERIFY_WORKERS", "4")
-    threaded = pp_verdict_charsum(g, mode="sample", n=32, seed=3)
-    assert baseline == threaded
 
 
 def one_collision_mutant(fmap, x1, x2):
@@ -270,8 +262,7 @@ def test_shift_check_on_table_matches_definition():
 def collision_map_m19(x1, x2):
     """Identity on GF(2^19) except g(x2) = x1: cheap to evaluate in chunks."""
     ctx = FieldCtx(19)
-    return FieldMap(f"collide-{x1:x}-{x2:x}", ctx, lambda x: x1 if x == x2 else x,
-                    block_fn=lambda xs: np.where(xs == x2, x1, xs))
+    return FieldMap(f"collide-{x1:x}-{x2:x}", ctx, lambda xs: np.where(xs == x2, x1, xs))
 
 
 @pytest.mark.parametrize("x1, x2", [
@@ -301,5 +292,31 @@ def test_char_sums_above_table_limit():
 
 def test_exhaustive_identity_above_table_limit():
     ctx = FieldCtx(19)
-    ident = FieldMap("id", ctx, lambda x: x, block_fn=lambda xs: xs)
+    ident = FieldMap("id", ctx, lambda xs: xs)
     assert is_permutation_exhaustive(ident) == PPVerdict("permutation", "exhaustive", 1 << 19)
+
+
+@st.composite
+def tables_with_collisions(draw):
+    """A permutation of GF(2^m), m = 2..8, with up to five entries overwritten by others."""
+    m = draw(st.integers(2, 8))
+    table = draw(st.permutations(range(1 << m)))
+    for _ in range(draw(st.integers(0, 5))):
+        x1 = draw(st.integers(0, (1 << m) - 1))
+        x2 = draw(st.integers(0, (1 << m) - 1))
+        table[x2] = table[x1]
+    return m, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables_with_collisions())
+def test_exhaustive_witness_matches_dict_scan(case):
+    m, table = case
+    verdict = is_permutation_exhaustive(FieldMap.from_table("t", FieldCtx(m), table))
+    pair = first_collision(table)
+    if pair is None:
+        assert verdict == PPVerdict("permutation", "exhaustive", 1 << m)
+    else:
+        assert verdict.verdict == "not-permutation"
+        assert verdict.witness == pair
+        assert verdict.checks == pair[1] + 1

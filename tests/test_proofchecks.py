@@ -1,7 +1,9 @@
 """Per-identity checks and the theorem-level verification drivers."""
 
 import json
+import random
 
+import numpy as np
 import pytest
 
 from ppverify import (FieldCtx, LinearizedPoly, VerificationReport, build_g_thm1,
@@ -10,10 +12,13 @@ from ppverify import (FieldCtx, LinearizedPoly, VerificationReport, build_g_thm1
                       pp_verdict_charsum, tracezero_basis, verify_thm1, verify_thm3)
 from ppverify.constructions import s2k
 from ppverify.maps import FieldMap
-from ppverify.proofchecks import _Thm1State, decomposition_coset, tracezero_set
+from ppverify.proofchecks import (POINTWISE_SAMPLES, _Thm1State, decomposition_coset,
+                                  tracezero_set)
+
+from reference import s_power
 
 
-@pytest.mark.parametrize("t,k", [(2, 1), (1, 1), (1, 2), (3, 1), (2, 2)], ids=str)
+@pytest.mark.parametrize("t,k", [(2, 1), (1, 1), (1, 2), (3, 1), (2, 2), (2, 4)], ids=str)
 def test_eq22_passes(t, k):
     assert check_eq22(FieldCtx.from_tower(t, k)).passed
 
@@ -102,17 +107,38 @@ def test_eq23_both_sides_vanish_on_subfield():
     c = decompose_a(ctx, a)
     for z in ctx.enumerate_subfield(2):
         assert ctx.abs_trace(ctx.mul(a, state.g(z))) == 0
-        assert ctx.abs_trace(ctx.mul(c, state.s_power(z))) == 0
+        assert ctx.abs_trace(ctx.mul(c, s_power(ctx, z))) == 0
 
 
 def test_eq23_detects_mutated_g():
     ctx = FieldCtx.from_tower(2, 1)
     table = build_g_thm1(ctx).table().tolist()
     table[5], table[9] = table[9], table[5]
-    state = _Thm1State(ctx, FieldMap("mutated", ctx, lambda x: table[x]))
+    state = _Thm1State(ctx, FieldMap.from_table("mutated", ctx, table))
     failures = sum(1 for a in range(1, 64)
                    if ctx.rel_trace(a, 2) == 0 and not check_eq23(ctx, a, state).passed)
     assert failures > 0
+
+
+def test_eq23_sampled_above_table_limit_at_m24():
+    # thm1 k = 4: check_eq23 evaluates g and S^E on one block of seeded points
+    ctx = FieldCtx.from_tower(2, 4)
+    g = build_g_thm1(ctx)
+    state = _Thm1State(ctx, g)
+    for c in (0x123456, 0xabcdef):
+        a = c ^ ctx.frobenius(c, 8)   # a = c + c^(q^k) is a nonzero Case-2 element
+        assert a and ctx.rel_trace(a, 8) == 0
+        result = check_eq23(ctx, a, state, seed=3)
+        assert result.passed and result.count == POINTWISE_SAMPLES
+        # flip Tr(a*g) at the first point of this a's sample, and nowhere else
+        x0 = random.Random(f"3:eq23:{a}").randrange(ctx.order)
+        mask = ctx.trace_mask(a)
+        flip = mask & -mask               # Tr(a * flip) = parity(mask & flip) = 1
+        mutant = FieldMap("flipped", ctx,
+                          lambda xs, x0=x0, flip=flip: g.eval_block(xs) ^ np.where(xs == x0, flip, 0))
+        bad = check_eq23(ctx, a, _Thm1State(ctx, mutant), seed=3)
+        assert not bad.passed
+        assert bad.counterexample == f"a={a:#x}, x={x0:#x}"
 
 
 def test_tracezero_basis_at_21():
@@ -190,7 +216,7 @@ def test_case2_conclusions_are_coset_invariant():
             mask_c = ctx.trace_mask(c)
             for x in ctx.elements():
                 lhs = (mask_a & int(g_table[x])).bit_count() & 1
-                rhs = (mask_c & state.s_power(x)).bit_count() & 1
+                rhs = (mask_c & s_power(ctx, x)).bit_count() & 1
                 assert lhs == rhs
             tz_sum = sum(1 - 2 * ((mask_c & int(w)).bit_count() & 1)
                          for w in state.tz_powers())
@@ -235,7 +261,7 @@ def test_verify_thm1_mutation_is_caught():
     ctx = FieldCtx.from_tower(2, 1)
     table = build_g_thm1(ctx).table().tolist()
     table[3] = table[7]  # break the bijection
-    broken = FieldMap("broken", ctx, lambda x: table[x])
+    broken = FieldMap.from_table("broken", ctx, table)
     assert is_permutation_exhaustive(broken).verdict == "not-permutation"
     assert pp_verdict_charsum(broken, mode="all").verdict == "not-permutation"
 
