@@ -1,7 +1,8 @@
 """Vectorized numpy kernels for full-field sweeps.
 
-Element encodings ride in int64 arrays (products before reduction reach
-2m-1 < 48 bits).  Linear maps get split-table lookups built from basis
+The kernels compute in int64 (products before reduction reach 2m-1 < 48
+bits) and accept any integer array, such as the uint32 map tables of
+`maps`.  Linear maps get split-table lookups built from basis
 images, cached per coefficient vector; general products use a vectorized
 shift-and-XOR multiply.  The scalar paths in `field` stay the reference.
 """
@@ -83,10 +84,3 @@ def domain(ctx: FieldCtx) -> np.ndarray:
         ctx._cache["domain"].setflags(write=False)
     return ctx._cache["domain"]
 
-
-def domain_chunks(ctx: FieldCtx, chunk_bits: int = 18):
-    """Yield np.arange chunks covering all 2^m encodings in order."""
-    order = ctx.order
-    step = min(order, 1 << chunk_bits)
-    for start in range(0, order, step):
-        yield np.arange(start, min(start + step, order), dtype=np.int64)

@@ -136,16 +136,20 @@ def _build_map(spec: str, ctx: FieldCtx | None) -> FieldMap:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temp file beside path; an unwritable path is a ConfigError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ppverify-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ppverify-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit_reports(reports: list[VerificationReport], fmt: str, out: str | None) -> None:

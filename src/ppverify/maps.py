@@ -2,9 +2,11 @@
 
 A FieldMap is defined by one vectorized block function, its only
 evaluation path; calling it on a single element evaluates a one-element
-block.  Full 2^m value tables are materialized (and cached) only for
-m <= 18, larger domains are swept in chunks on demand.  Determinism
-contract: repeated evaluation at the same input yields identical results.
+block.  The full 2^m value table, uint32 (64 MB at m = 24), is the only
+way a check reads a whole map: it is filled from the block function in
+fixed blocks of 2^16 inputs and cached, with its Walsh spectrum beside it.
+Determinism contract: repeated evaluation at the same input yields
+identical results.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import blocks
 from .field import FieldCtx
 from .linearized import LinearizedPoly
 
-TABLE_LIMIT_M = 18
+_BLOCK = 1 << 16   # inputs per block_fn call while a table fills
 
 
 class FieldMap:
@@ -42,24 +44,27 @@ class FieldMap:
         return self._block_fn(xs)
 
     def table(self) -> np.ndarray:
-        """The full 2^m value table, cached; refuses domains above m=18."""
+        """The full 2^m value table as read-only uint32, filled block by block and cached."""
         if self._table is None:
-            if self.ctx.m > TABLE_LIMIT_M:
-                raise ValueError(
-                    f"m={self.ctx.m} exceeds the table materialization limit "
-                    f"{TABLE_LIMIT_M}; sweep value_chunks() instead")
-            self._table = self._block_fn(blocks.domain(self.ctx))
-            self._table.setflags(write=False)
+            order = self.ctx.order
+            table = np.empty(order, dtype=np.uint32)
+            for start in range(0, order, _BLOCK):
+                stop = min(start + _BLOCK, order)
+                table[start:stop] = self._block_fn(np.arange(start, stop, dtype=np.int64))
+            table.setflags(write=False)
+            self._table = table
         return self._table
 
     def spectrum(self) -> np.ndarray:
         """Walsh spectrum W[M] = sum_x (-1)^popcount(M & f(x)), cached beside the table.
 
-        One in-place fast Walsh-Hadamard transform of the preimage counts;
+        One in-place fast Walsh-Hadamard transform of the preimage counts,
+        which are accumulated straight into int32 (no int64 histogram);
         every |W[M]| <= 2^m, so int32 is exact.
         """
         if self._spectrum is None:
-            w = np.bincount(self.table(), minlength=self.ctx.order).astype(np.int32)
+            w = np.zeros(self.ctx.order, dtype=np.int32)
+            np.add.at(w, self.table(), np.int32(1))   # an int32 increment keeps the fast path
             for i in range(self.ctx.m):
                 pairs = w.reshape(-1, 2, 1 << i)
                 lo, hi = pairs[:, 0], pairs[:, 1]
@@ -70,26 +75,18 @@ class FieldMap:
             self._spectrum = w
         return self._spectrum
 
-    def value_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (inputs, outputs) chunk pairs covering the whole domain in order."""
-        ctx = self.ctx
-        if ctx.m <= TABLE_LIMIT_M:
-            yield blocks.domain(ctx), self.table()
-            return
-        for chunk in blocks.domain_chunks(ctx):
-            yield chunk, self.eval_block(chunk)
-
     @classmethod
     def from_table(cls, name: str, ctx: FieldCtx, values) -> "FieldMap":
-        """Wrap an explicit value table (length 2^m, entries in range)."""
+        """Wrap an explicit value table (length 2^m, entries in range), stored as uint32."""
         table = np.asarray(values, dtype=np.int64)
         if table.shape != (ctx.order,):
             raise ValueError(f"table must have exactly {ctx.order} entries, got {table.shape}")
         if table.size and (table.min() < 0 or table.max() >= ctx.order):
             raise ValueError("table entry out of field range")
+        table = table.astype(np.uint32)
+        table.setflags(write=False)
         fmap = cls(name, ctx, table.__getitem__)
         fmap._table = table
-        fmap._table.setflags(write=False)
         return fmap
 
 
@@ -100,9 +97,8 @@ def linearized_map(L: LinearizedPoly, name: str) -> FieldMap:
 
 def format_table_lines(fmap: FieldMap) -> Iterator[str]:
     """Hex table exchange format: one `x:gx` line per element, sorted by x."""
-    for xs, ys in fmap.value_chunks():
-        for x, y in zip(xs, ys):
-            yield f"{int(x):x}:{int(y):x}"
+    for x, y in enumerate(fmap.table()):
+        yield f"{x:x}:{int(y):x}"
 
 
 def parse_table_file(path: str, ctx: FieldCtx | None = None) -> FieldMap:

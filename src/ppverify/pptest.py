@@ -6,11 +6,10 @@ exact integer sum of (-1)^Tr(a*f(x)) over the field; f is a permutation
 iff every such sum vanishes.  Sums are accumulated as machine integers
 (each term is +-1), so there is no rounding anywhere.
 
-Character sums use the linearity of the trace: Tr(a*y) = parity(M_a & y)
-for a per-a bitmask M_a, so the sum at a is W[M_a], where W is the Walsh
-spectrum of the value histogram: one exact integer transform per map with
-a table (m <= TABLE_LIMIT_M).  Above the table limit each sum is one
-masked popcount sweep over the chunked domain.
+Both read the map's cached value table.  Character sums use the
+linearity of the trace: Tr(a*y) = parity(M_a & y) for a per-a bitmask
+M_a, so the sum at a is W[M_a], where W is the Walsh spectrum of the
+value histogram: one exact integer transform per map, at every m.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import blocks
 from .field import FieldCtx
-from .maps import TABLE_LIMIT_M, FieldMap
+from .maps import FieldMap
 
 CHARSUM_ALL_LIMIT_M = 14
 DEFAULT_SEED = 1729
@@ -52,42 +51,21 @@ class PPVerdict:
 
 
 def is_permutation_exhaustive(f: FieldMap) -> PPVerdict:
-    """Sweep all inputs in order; permutation iff no output collides.
+    """Scatter the whole table; permutation iff every value is hit.
 
     On a collision the witness is the first colliding pair in
     enumeration order: the least x2 whose value already appeared,
     paired with that value's first preimage.
     """
-    ctx = f.ctx
-    seen = np.zeros(ctx.order, dtype=bool)
-    filled = 0
-    for _, ys in f.value_chunks():
-        seen[ys] = True
-        grown = np.count_nonzero(seen)
-        if grown - filled != ys.size:   # a value repeated or was already seen
-            x1, x2 = _first_collision(f)
-            return PPVerdict(NOT_PERMUTATION, "exhaustive", x2 + 1, witness=(x1, x2))
-        filled = grown
-    return PPVerdict(PERMUTATION, "exhaustive", ctx.order)
-
-
-def _first_collision(f: FieldMap) -> tuple[int, int]:
-    """(x1, x2): the least x2 whose value appeared before it, and that value's first preimage."""
+    table = f.table()
     seen = np.zeros(f.ctx.order, dtype=bool)
-    for xs, ys in f.value_chunks():
-        _, first, inverse = np.unique(ys, return_index=True, return_inverse=True)
-        repeat = seen[ys] | (first[inverse] != np.arange(ys.size))
-        if repeat.any():
-            i2 = int(np.argmax(repeat))
-            y, x2 = ys[i2], int(xs[i2])
-            break
-        seen[ys] = True
-    else:
-        raise AssertionError("collision vanished on rescan; map is not deterministic")
-    for xs, ys in f.value_chunks():
-        hits = np.flatnonzero(ys == y)
-        if hits.size:
-            return int(xs[hits[0]]), x2
+    seen[table] = True
+    if np.count_nonzero(seen) == f.ctx.order:
+        return PPVerdict(PERMUTATION, "exhaustive", f.ctx.order)
+    # return_index gives each value's first preimage: np.unique sorts stably for it
+    _, first, inverse = np.unique(table, return_index=True, return_inverse=True)
+    x2 = int(np.argmax(first[inverse] != np.arange(table.size)))
+    return PPVerdict(NOT_PERMUTATION, "exhaustive", x2 + 1, witness=(int(first[inverse[x2]]), x2))
 
 
 def char_sum(f: FieldMap, a: int) -> int:
@@ -96,15 +74,9 @@ def char_sum(f: FieldMap, a: int) -> int:
 
 
 def _char_sums(f: FieldMap, a_values) -> list[int]:
-    """Character sums for many a at once: spectrum lookups, or one masked sweep per a."""
-    ctx = f.ctx
-    masks = np.array([ctx.trace_mask(a) for a in a_values], dtype=np.int64)
-    if ctx.m <= TABLE_LIMIT_M:
-        return f.spectrum()[masks].tolist()
-    odd = np.zeros(len(masks), dtype=np.int64)
-    for _, ys in f.value_chunks():
-        odd += [np.count_nonzero(blocks.parity(ys & mask)) for mask in masks]
-    return (ctx.order - 2 * odd).tolist()
+    """Character sums for many a at once: lookups in the map's Walsh spectrum."""
+    masks = np.array([f.ctx.trace_mask(a) for a in a_values], dtype=np.int64)
+    return f.spectrum()[masks].tolist()
 
 
 def pp_verdict_charsum(f: FieldMap, mode: str = "all", n: int = DEFAULT_SAMPLES,
@@ -153,23 +125,10 @@ def shift_check(f: FieldMap, a: int, y: int) -> int | None:
     lets the caller conclude char_sum(f, a) = 0 (shift-difference
     lemma); verify runs cross-check that implication wherever it fires.
     """
-    ctx = f.ctx
-    mask = ctx.trace_mask(a)
-    constant: int | None = None
-    for xs, ys in f.value_chunks():
-        par = blocks.parity(ys & mask)
-        if ys.size == ctx.order:    # the whole table: shift the parities by index
-            bits = par ^ par[xs ^ y]
-        else:
-            bits = par ^ blocks.parity(f.eval_block(xs ^ y) & mask)
-        lo, hi = int(bits.min()), int(bits.max())
-        if lo != hi:
-            return None
-        if constant is None:
-            constant = lo
-        elif constant != lo:
-            return None
-    return constant
+    par = blocks.parity(f.table() & f.ctx.trace_mask(a))
+    bits = par ^ par[blocks.domain(f.ctx) ^ y]
+    lo, hi = int(bits.min()), int(bits.max())
+    return lo if lo == hi else None
 
 
 def find_case1_witness(ctx: FieldCtx, a: int) -> int:

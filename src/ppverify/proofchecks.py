@@ -6,8 +6,9 @@ S, the gcd identity behind it, the a = c + c^(q^k) decomposition, the
 trace-zero basis claim, and the character-sum factorization that closes
 Case 2.  The nine-line trace rewrite chain is checked at its endpoint
 only (equality over all x is stronger evidence than replaying each
-rewrite).  Sweeps are exhaustive up to the thresholds recorded in the
-report and seeded-sampled above them.
+rewrite).  Pointwise identities are checked at every x through the maps'
+cached tables, at every m; the per-a case loops cover every a up to
+PER_A_FULL_LIMIT_M and a seeded sample above it, as the report records.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from . import blocks, gf2linalg
 from .constructions import build_g_thm1, build_g_thm3, rel_trace_poly, s2k
 from .field import FieldCtx
 from .linearized import LinearizedPoly, format_linpoly, subfield_permutation_check
-from .maps import TABLE_LIMIT_M, FieldMap
+from .maps import FieldMap, linearized_map
 from .pptest import (CHARSUM_ALL_LIMIT_M, DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run,
                      char_sum, find_case1_witness, is_permutation_exhaustive, shift_check)
 
 PER_A_FULL_LIMIT_M = 12   # per-a case loops cover every a up to here
-POINTWISE_SAMPLES = 10_000
 
 
 @dataclass
@@ -130,30 +130,15 @@ def _timed(fn):
     return result
 
 
-def _point_set(ctx: FieldCtx, rng: random.Random) -> tuple[np.ndarray, str | None]:
-    """Every x up to the table limit, else POINTWISE_SAMPLES seeded draws; plus the note."""
-    if ctx.m <= TABLE_LIMIT_M:
-        return blocks.domain(ctx), None
-    xs = np.array([rng.randrange(ctx.order) for _ in range(POINTWISE_SAMPLES)], dtype=np.int64)
-    return xs, f"sampled {POINTWISE_SAMPLES} points"
-
-
-def _on_points(fmap: FieldMap, xs: np.ndarray) -> np.ndarray:
-    """fmap at each point; the whole domain (the only full-size point set) is the cached table."""
-    return fmap.table() if len(xs) == fmap.ctx.order else fmap.eval_block(xs)
-
-
 # ---------------------------------------------------------------------------
 # individual identity checks
 # ---------------------------------------------------------------------------
 
-def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None,
-               seed: int = DEFAULT_SEED) -> CheckResult:
+def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None) -> CheckResult:
     """S + S^(q^k) + S^(q^(2k)) reduces to the zero map, twice over.
 
     (a) the three coefficient vectors XOR-cancel exactly; (b) the sum
-    vanishes pointwise at every x (all x for m <= TABLE_LIMIT_M, a
-    seeded sample above).
+    vanishes pointwise at every x.
     """
     t, k = ctx.require_tower()
     S = s_poly if s_poly is not None else s2k(ctx)
@@ -164,13 +149,12 @@ def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None,
             bad = next(i for i, c in enumerate(total.coeffs) if c)
             return CheckResult("eq22", "fail", count=0,
                                counterexample=f"coefficient {total.coeffs[bad]:#x} at index {bad}")
-        xs, note = _point_set(ctx, random.Random(seed))
-        values = blocks.linear_table(total)(xs)
+        values = linearized_map(total, "eq22-sum").table()
         if values.any():
-            x = int(xs[np.argmax(values != 0)])
-            return CheckResult("eq22", "fail", count=len(xs),
-                               counterexample=f"sum = {total(x):#x} at x={x:#x}", note=note)
-        return CheckResult("eq22", "pass", count=len(xs), note=note)
+            x = int(np.argmax(values != 0))
+            return CheckResult("eq22", "fail", count=ctx.order,
+                               counterexample=f"sum = {total(x):#x} at x={x:#x}")
+        return CheckResult("eq22", "pass", count=ctx.order)
 
     return _timed(run)
 
@@ -300,30 +284,27 @@ class _Thm1State:
         return self._basis
 
 
-def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None,
-               seed: int = DEFAULT_SEED) -> CheckResult:
+def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None) -> CheckResult:
     """Endpoint of the Case-2 trace rewrite: Tr(a*g(x)) = Tr(c*S(x)^E).
 
     E = 1 + 2q^k + q^(2k) and c is the least decomposition of a.  The
     rewrite cancels S^q against S^4, so for g = g1 this is a q = 4
     identity (the t=2 towers); it fails pointwise at other q.  Every x
-    is swept for m <= TABLE_LIMIT_M; larger fields get a seeded sample,
-    evaluated as one block.
+    is checked, through the tables of g and S^E.
     """
     if state is None:
         state = _Thm1State(ctx)
 
     def run():
         c = decompose_a(ctx, a)
-        xs, note = _point_set(ctx, random.Random(f"{seed}:eq23:{a}"))
-        left = blocks.parity(_on_points(state.g, xs) & ctx.trace_mask(a))
-        right = blocks.parity(_on_points(state.s_power, xs) & ctx.trace_mask(c))
+        left = blocks.parity(state.g.table() & ctx.trace_mask(a))
+        right = blocks.parity(state.s_power.table() & ctx.trace_mask(c))
         diff = left ^ right
         if diff.any():
-            x = int(xs[np.argmax(diff)])
-            return CheckResult("case2-eq23", "fail", count=len(xs),
-                               counterexample=f"a={a:#x}, x={x:#x}", note=note)
-        return CheckResult("case2-eq23", "pass", count=len(xs), note=note)
+            x = int(np.argmax(diff))
+            return CheckResult("case2-eq23", "fail", count=ctx.order,
+                               counterexample=f"a={a:#x}, x={x:#x}")
+        return CheckResult("case2-eq23", "pass", count=ctx.order)
 
     return _timed(run)
 
@@ -514,7 +495,7 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
         raise ValueError(f"theorem 1 is stated for q = 4 (t = 2); got t={t}. "
                          "Use the generalized verification for other towers")
     report = VerificationReport("thm1", t, k, ctx.m, f"{ctx.modulus:x}", seed)
-    report.checks.append(check_eq22(ctx, seed=seed))
+    report.checks.append(check_eq22(ctx))
     report.checks.append(check_kernel_image(ctx))
 
     g = build_g_thm1(ctx)
@@ -530,7 +511,7 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
 
     note = f"sampled {len(case2)} a-values" if sampled else None
     report.checks.append(_each_case2("case2-eq23", case2, note,
-                                     lambda a: check_eq23(ctx, a, state, seed=seed)))
+                                     lambda a: check_eq23(ctx, a, state)))
     report.checks.append(_each_case2("case2-factorization", case2, note,
                                      lambda a: check_case2_factorization(ctx, a, state)))
     return report.finish()

@@ -210,3 +210,19 @@ def test_no_command_prints_help(capsys):
 def test_bad_range_is_config_error(capsys):
     assert run(["verify", "thm1", "--k", "2..1"]) == 2
     assert run(["verify", "thm1", "--k", "x"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm1", "--k", "1", "--out"],
+    ["search-L", "--t", "1", "--k", "1", "--budget", "8", "--out"],
+    ["pptest", "--t", "2", "--k", "1", "--map", "builtin:g-thm1", "--export"],
+], ids=["verify", "search-L", "pptest"])
+@pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, argv, where):
+    target = tmp_path / "missing" / "out.txt"
+    if where == "is-a-dir":   # the temp file is written, then cannot replace a directory
+        target = tmp_path / "taken"
+        target.mkdir()
+    assert run(argv + [str(target)]) == 2
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+    assert not list(tmp_path.rglob(".ppverify-*"))

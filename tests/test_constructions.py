@@ -9,7 +9,7 @@ from ppverify import (FieldCtx, LinearizedPoly, build_g_thm1, build_g_thm3, buil
                       check_condition_ii, is_permutation_exhaustive, permutes,
                       search_L_candidates)
 from ppverify.constructions import build_L1, condition_ii_sides, rel_trace_poly, s2k
-from ppverify.maps import FieldMap, linearized_map
+from ppverify.maps import FieldMap, format_table_lines, linearized_map, parse_table_file
 
 from reference import g_scalar
 
@@ -52,13 +52,24 @@ def test_table_limit_and_on_demand_agreement():
     ctx = FieldCtx(19)
     frob3 = LinearizedPoly.frobenius_power(ctx, 3)
     L = linearized_map(frob3, "frob3")
-    with pytest.raises(ValueError):
-        L.table()
     rng = random.Random(2)
     xs = np.array([rng.randrange(ctx.order) for _ in range(200)], dtype=np.int64)
-    block = L.eval_block(xs)
+    block = L.eval_block(xs)          # on demand: no table exists yet
+    table = L.table()                 # m = 19 is tabled like every m <= 24
+    assert table.dtype == np.uint32 and table.shape == (ctx.order,)
     for x, y in zip(xs, block):
-        assert frob3(int(x)) == int(y)
+        assert frob3(int(x)) == int(y) == int(table[x])
+
+
+def test_explicit_and_parsed_tables_are_read_only_uint32(tmp_path):
+    ctx = FieldCtx(4)
+    squares = [ctx.sqr(x) for x in ctx.elements()]
+    fmap = FieldMap.from_table("x^2", ctx, squares)
+    path = tmp_path / "sq.txt"
+    path.write_text("\n".join(format_table_lines(fmap)) + "\n")
+    for table in (fmap.table(), parse_table_file(str(path)).table()):
+        assert table.dtype == np.uint32 and not table.flags.writeable
+        assert table.tolist() == squares
 
 
 def test_L_note_agrees_with_direct_power_form():

@@ -260,14 +260,14 @@ def test_shift_check_on_table_matches_definition():
 
 
 def collision_map_m19(x1, x2):
-    """Identity on GF(2^19) except g(x2) = x1: cheap to evaluate in chunks."""
+    """Identity on GF(2^19) except g(x2) = x1: cheap to tabulate."""
     ctx = FieldCtx(19)
     return FieldMap(f"collide-{x1:x}-{x2:x}", ctx, lambda xs: np.where(xs == x2, x1, xs))
 
 
 @pytest.mark.parametrize("x1, x2", [
-    ((1 << 18) + 5, (1 << 18) + 1000),   # both inputs inside the second chunk
-    (7, (1 << 18) + 3),                  # first chunk against the second
+    ((1 << 18) + 5, (1 << 18) + 1000),   # both inputs in the upper half of the table
+    (7, (1 << 18) + 3),                  # lower half against upper half
 ])
 def test_exhaustive_collision_above_table_limit(x1, x2):
     verdict = is_permutation_exhaustive(collision_map_m19(x1, x2))
@@ -288,6 +288,22 @@ def test_char_sums_above_table_limit():
     expected = [term(a, x1) - term(a, x2) if a else ctx.order for a in a_values]
     assert any(s not in (0, ctx.order) for s in expected)
     assert _char_sums(fmap, a_values) == expected
+
+
+@pytest.mark.parametrize("y", [1 << 18, (1 << 18) + 0x1234, (1 << 19) - 1])
+def test_shift_check_at_m19_high_shift(y):
+    # y >= 2^18 pairs every x in the lower half of the table with one in the upper half
+    x1, x2 = 7, (1 << 18) + 3
+    collide = collision_map_m19(x1, x2)
+    ctx = collide.ctx
+    ident = FieldMap("id", ctx, lambda xs: xs)
+    for a in (1, 0x2b, 0x5a5a5, (1 << 19) - 1):
+        assert shift_check(ident, a, y) == ctx.abs_trace(ctx.mul(a, y))
+    # only x2 and x2 + y see the changed value, where the bit moves by Tr(a*(x1+x2))
+    a_moved = next(a for a in range(1, ctx.order) if ctx.abs_trace(ctx.mul(a, x1 ^ x2)) == 1)
+    a_fixed = next(a for a in range(1, ctx.order) if ctx.abs_trace(ctx.mul(a, x1 ^ x2)) == 0)
+    assert shift_check(collide, a_moved, y) is None
+    assert shift_check(collide, a_fixed, y) == ctx.abs_trace(ctx.mul(a_fixed, y))
 
 
 def test_exhaustive_identity_above_table_limit():

@@ -12,8 +12,7 @@ from ppverify import (FieldCtx, LinearizedPoly, VerificationReport, build_g_thm1
                       pp_verdict_charsum, tracezero_basis, verify_thm1, verify_thm3)
 from ppverify.constructions import s2k
 from ppverify.maps import FieldMap
-from ppverify.proofchecks import (POINTWISE_SAMPLES, _Thm1State, decomposition_coset,
-                                  tracezero_set)
+from ppverify.proofchecks import _Thm1State, decomposition_coset, tracezero_set
 
 from reference import s_power
 
@@ -121,22 +120,25 @@ def test_eq23_detects_mutated_g():
 
 
 def test_eq23_sampled_above_table_limit_at_m24():
-    # thm1 k = 4: check_eq23 evaluates g and S^E on one block of seeded points
+    # thm1 k = 4: check_eq23 reads every x from the 2^24-entry tables of g and S^E
     ctx = FieldCtx.from_tower(2, 4)
     g = build_g_thm1(ctx)
     state = _Thm1State(ctx, g)
+    rng = random.Random(3)
     for c in (0x123456, 0xabcdef):
         a = c ^ ctx.frobenius(c, 8)   # a = c + c^(q^k) is a nonzero Case-2 element
         assert a and ctx.rel_trace(a, 8) == 0
-        result = check_eq23(ctx, a, state, seed=3)
-        assert result.passed and result.count == POINTWISE_SAMPLES
-        # flip Tr(a*g) at the first point of this a's sample, and nowhere else
-        x0 = random.Random(f"3:eq23:{a}").randrange(ctx.order)
+        result = check_eq23(ctx, a, state)
+        assert result.passed and result.count == 1 << 24 and result.note is None
+        # flip Tr(a*g) at one seeded point, and nowhere else
+        x0 = rng.randrange(ctx.order)
         mask = ctx.trace_mask(a)
         flip = mask & -mask               # Tr(a * flip) = parity(mask & flip) = 1
         mutant = FieldMap("flipped", ctx,
                           lambda xs, x0=x0, flip=flip: g.eval_block(xs) ^ np.where(xs == x0, flip, 0))
-        bad = check_eq23(ctx, a, _Thm1State(ctx, mutant), seed=3)
+        bad_state = _Thm1State(ctx, mutant)
+        bad_state.s_power = state.s_power   # reuse the S^E table: only g differs
+        bad = check_eq23(ctx, a, bad_state)
         assert not bad.passed
         assert bad.counterexample == f"a={a:#x}, x={x0:#x}"
 
@@ -279,6 +281,16 @@ def test_verify_thm3_at_21():
     assert report.passed
     names = [c.name for c in report.checks]
     assert names[:3] == ["condition-i", "condition-ii", "pp-exhaustive"]
+
+
+def test_verify_thm3_at_m21():
+    # tower (1, 7): a full battery on a 2^21-entry table, with sampled Case-1 a's
+    ctx = FieldCtx.from_tower(1, 7)
+    report = verify_thm3(ctx, build_L_note(ctx))
+    assert report.overall == "pass"
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["pp-exhaustive"].count == 1 << 21
+    assert by_name["case1-shift-witness"].count == 128
 
 
 def test_verify_thm3_identity_is_hypothesis_failure():
