@@ -2,9 +2,12 @@
 
 The kernels compute in int64 (products before reduction reach 2m-1 < 48
 bits) and accept any integer array, such as the uint32 map tables of
-`maps`.  Linear maps get split-table lookups built from basis
-images, cached per coefficient vector; general products use a vectorized
-shift-and-XOR multiply.  The scalar paths in `field` stay the reference.
+`maps`.  Linear maps get split-table lookups built from their columns,
+cached per coefficient vector.  General products use a vectorized
+shift-and-XOR multiply, and a map that is nonlinear only through a linear
+map's value is tabled on that map's image (`ImageTable`), so products run
+once per image element, never once per input.  The scalar paths in `field`
+stay the reference.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import gf2linalg
 from .field import FieldCtx
 from .linearized import LinearizedPoly
 
@@ -50,24 +54,54 @@ def linear_table(poly: LinearizedPoly) -> "LinearTable":
     """The lookup table of a linearized polynomial, cached on its context by coefficients."""
     key = ("linear", poly.coeffs)
     if key not in poly.ctx._cache:
-        poly.ctx._cache[key] = LinearTable(poly.ctx, poly.__call__)
+        poly.ctx._cache[key] = LinearTable(poly.matrix_columns())
     return poly.ctx._cache[key]
 
 
 class LinearTable:
-    """Split lookup tables for an F2-linear map on m-bit encodings."""
+    """Split lookup tables for an F2-linear map, given its columns (the images of 1 << i)."""
 
-    def __init__(self, ctx: FieldCtx, fn: Callable[[int], int]):
-        m = ctx.m
-        self.lo_bits = (m + 1) // 2
+    def __init__(self, images: list[int]):
+        self.lo_bits = (len(images) + 1) // 2
         self.lo_mask = (1 << self.lo_bits) - 1
-        images = [fn(1 << i) for i in range(m)]
         self.lo = _span_table(images[:self.lo_bits])
         self.hi = _span_table(images[self.lo_bits:])
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         xs = xs.astype(np.int64, copy=False)
         return self.lo[xs & self.lo_mask] ^ self.hi[xs >> self.lo_bits]
+
+
+def image_product(poly: LinearizedPoly, exponents) -> "ImageTable":
+    """xs -> frobenius_product(poly(xs), exponents) through poly's image, cached on its context."""
+    key = ("image-product", poly.coeffs, tuple(exponents))
+    if key not in poly.ctx._cache:
+        poly.ctx._cache[key] = ImageTable(
+            poly, lambda v: frobenius_product(poly.ctx, v, exponents))
+    return poly.ctx._cache[key]
+
+
+class ImageTable:
+    """The block function xs -> fn(poly(xs)), with fn evaluated once per image element.
+
+    The reduced row-echelon form of poly's columns gives an image basis in
+    which each basis vector holds its own pivot bit and no other, so the
+    pivot bits of y = poly(x) are y's coordinates.  `coords` maps x to
+    them (a LinearTable from m to r = rank bits, built from the same
+    columns), `values[c]` is fn at the image element with coordinates c,
+    and a block is one gather, values[coords(xs)].
+    """
+
+    def __init__(self, poly: LinearizedPoly, fn: Callable[[np.ndarray], np.ndarray]):
+        cols = poly.matrix_columns()
+        pivots, _ = gf2linalg._rref(cols)
+        bits = sorted(pivots)
+        self.coords = LinearTable([sum(((col >> b) & 1) << j for j, b in enumerate(bits))
+                                   for col in cols])
+        self.values = fn(_span_table([pivots[b][0] for b in bits])).astype(np.uint32)
+
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return self.values[self.coords(xs)]
 
 
 def _span_table(images: list[int]) -> np.ndarray:

@@ -99,7 +99,7 @@ def _charsum_run(f: FieldMap, mode: str, n: int, seed: int,
     if mode == "all":
         if ctx.m > CHARSUM_ALL_LIMIT_M and not allow_large:
             raise ValueError(
-                f"mode=all costs 2^m*(2^m-1) trace evaluations; m={ctx.m} exceeds "
+                f"mode=all reports 2^m-1 sums, one per nonzero a; m={ctx.m} exceeds "
                 f"{CHARSUM_ALL_LIMIT_M} (pass allow_large to override)")
         a_values = list(range(1, ctx.order))
         clean_verdict = PERMUTATION

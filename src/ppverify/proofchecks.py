@@ -266,10 +266,9 @@ class _Thm1State:
         self.ctx = ctx
         self.g = g if g is not None else build_g_thm1(ctx)
         self.exponent = 1 + (1 << (t * k + 1)) + (1 << (2 * t * k))
-        # the closure holds ctx and s_tab, not self: a reference cycle would keep
+        # the block function holds ctx, not self: a reference cycle would keep
         # this state's tables alive after the run, until the next garbage collection
-        s_tab = blocks.linear_table(s2k(ctx))
-        self.s_power = FieldMap("S^E", ctx, lambda xs: _power_e(ctx, s_tab(xs)))
+        self.s_power = FieldMap("S^E", ctx, blocks.ImageTable(s2k(ctx), lambda v: _power_e(ctx, v)))
         self._basis: tuple[int, int] | None = None
         self._tz_powers: np.ndarray | None = None
 

@@ -4,14 +4,17 @@ Everything here prefers the dumbest correct algorithm: trial division,
 exhaustive filters, definitional sums, one masked sweep per character
 sum.  Deliberately disjoint from the implementation's Frobenius/gcd
 irreducibility test, kernel-basis subfield enumeration, Walsh-spectrum
-character sums, popcount parity kernel, block map formulas and
-vectorized collision search.
+character sums, popcount parity kernel, image-table map formulas and
+vectorized collision search.  The `*_block_direct` oracles reuse the
+linear-table and multiply kernels, which are pinned on their own, but
+multiply on every x instead of once per image element.
 """
 
 import numpy as np
 
-from ppverify import binpoly
+from ppverify import binpoly, blocks
 from ppverify.constructions import s2k
+from ppverify.linearized import LinearizedPoly
 
 
 def trial_division_irreducible(f: int) -> bool:
@@ -91,6 +94,23 @@ def s_power(ctx, x: int) -> int:
     t, k = ctx.require_tower()
     v = s2k(ctx)(x)
     return ctx.mul(ctx.mul(v, ctx.frobenius(v, t * k + 1)), ctx.frobenius(v, 2 * t * k))
+
+
+def g_block_direct(ctx, xs, L=None):
+    """g1(xs), or g3(xs) given L, with two shift-and-XOR products on every x (no image table)."""
+    t, k = ctx.require_tower()
+    s = blocks.linear_table(s2k(ctx))(xs)
+    if L is None:
+        head = xs ^ blocks.linear_table(LinearizedPoly.frobenius_power(ctx, 2 * t * k))(s)
+    else:
+        head = blocks.linear_table(L)(xs)
+    return head ^ blocks.frobenius_product(ctx, s, (1, t * k))
+
+
+def s_power_block_direct(ctx, xs):
+    """S(xs)^(1 + 2q^k + q^(2k)) with two shift-and-XOR products on every x (no image table)."""
+    t, k = ctx.require_tower()
+    return blocks.frobenius_product(ctx, blocks.linear_table(s2k(ctx))(xs), (t * k + 1, 2 * t * k))
 
 
 def first_collision(values):

@@ -179,6 +179,19 @@ def test_search_small(capsys):
     assert "M=0" in out and "PP-verified" in out
 
 
+def test_search_output_is_pinned(capsys):
+    assert run(["search-L", "--t", "2", "--k", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "budget: 256, accepted: 6",
+        "[   0] M=0                      lin[4:1] PP-verified",
+        "[   2] P=0:3a                   lin[0:3a,2:3a,4:3b] PP-verified",
+        "[   3] P=0:3b                   lin[0:3b,2:3b,4:3a] PP-verified",
+        "[  19] P=0:1,1:1                lin[0:1,1:1,2:1,3:1,5:1] PP-verified",
+        "[  20] P=0:1,1:3a               lin[0:1,1:3a,2:1,3:3a,5:3a] PP-verified",
+        "[  21] P=0:1,1:3b               lin[0:1,1:3b,2:1,3:3b,5:3b] PP-verified",
+    ]
+
+
 def test_search_respects_size_gate(capsys):
     assert run(["search-L", "--t", "2", "--k", "4"]) == 2
 

@@ -5,15 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from ppverify import (FieldCtx, LinearizedPoly, build_g_thm1, build_g_thm3, build_L_note,
-                      check_condition_ii, is_permutation_exhaustive, permutes,
+from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_thm3,
+                      build_L_note, check_condition_ii, is_permutation_exhaustive, permutes,
                       search_L_candidates)
 from ppverify.constructions import build_L1, condition_ii_sides, rel_trace_poly, s2k
 from ppverify.maps import FieldMap, format_table_lines, linearized_map, parse_table_file
+from ppverify.proofchecks import _Thm1State
 
-from reference import g_scalar
+from reference import g_block_direct, g_scalar, s_power, s_power_block_direct
 
 SIX_TOWERS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+ALL_TOWERS_M12 = [(t, k) for t in range(1, 5) for k in range(1, 5) if 3 * t * k <= 12]
 ALL_TOWERS_M18 = [(t, k) for t in range(1, 7) for k in range(1, 7) if 3 * t * k <= 18]
 
 
@@ -176,6 +178,42 @@ def test_g3_scalar_and_block_paths_agree():
     table = build_g_thm3(ctx, L).table()
     for x in ctx.elements():
         assert g_scalar(ctx, x, L) == int(table[x])
+
+
+@pytest.mark.parametrize("t,k", ALL_TOWERS_M12, ids=str)
+def test_image_tables_match_per_x_products(t, k):
+    ctx = FieldCtx.from_tower(t, k)
+    xs = blocks.domain(ctx)
+    L = build_L_note(ctx)
+    assert np.array_equal(build_g_thm1(ctx).table(), g_block_direct(ctx, xs))
+    assert np.array_equal(build_g_thm3(ctx, L).table(), g_block_direct(ctx, xs, L))
+    assert np.array_equal(_Thm1State(ctx).s_power.table(), s_power_block_direct(ctx, xs))
+
+
+@pytest.mark.parametrize("t,k", [(7, 1), (2, 4)], ids=str)
+def test_image_tables_match_scalar_oracles_above_m18(t, k):
+    ctx = FieldCtx.from_tower(t, k)
+    rng = random.Random(11)
+    xs = np.array([0] + [rng.randrange(ctx.order) for _ in range(300)], dtype=np.int64)
+    L = build_L_note(ctx)
+    g1 = build_g_thm1(ctx).eval_block(xs)
+    g3 = build_g_thm3(ctx, L).eval_block(xs)
+    se = _Thm1State(ctx).s_power.eval_block(xs)
+    for i, x in enumerate(xs.tolist()):
+        assert int(g1[i]) == g_scalar(ctx, x)
+        assert int(g3[i]) == g_scalar(ctx, x, L)
+        assert int(se[i]) == s_power(ctx, x)
+
+
+def test_g3_maps_share_one_image_table():
+    ctx = FieldCtx.from_tower(2, 1)
+    candidates = search_L_candidates(ctx, 256)
+    assert len(candidates) >= 2
+    for cand in candidates[:2]:
+        table = build_g_thm3(ctx, cand.poly).table()
+        assert table.tolist() == [g_scalar(ctx, x, cand.poly) for x in ctx.elements()]
+    image_tables = [key for key in ctx._cache if key[0] == "image-product"]
+    assert len(image_tables) == 1
 
 
 def test_rel_trace_poly_matches_ctx_rel_trace():
