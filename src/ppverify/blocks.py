@@ -1,18 +1,20 @@
 """Vectorized numpy kernels for full-field sweeps.
 
-The kernels compute in int64 (products before reduction reach 2m-1 < 48
-bits) and accept any integer array, such as the uint32 map tables of
+The multiply computes in int64 (products before reduction reach 2m-1 <
+48 bits) and accepts any integer array, such as the uint32 map tables of
 `maps`.  Linear maps get split-table lookups built from their columns,
-cached per coefficient vector.  General products use a vectorized
-shift-and-XOR multiply, and a map that is nonlinear only through a linear
-map's value is tabled on that map's image (`ImageTable`), so products run
-once per image element, never once per input.  The scalar paths in `field`
-stay the reference.
+uint32 and cached per coefficient vector; the trace masks a -> M_a are one
+of them.  General products use a vectorized shift-and-XOR multiply, and a
+map that is nonlinear only through a linear map's value is tabled on that
+map's image (`ImageTable`), so products run once per image element, never
+once per input.  `span_basis` finds the F2-span of a table's worth of
+vectors in one blocked pass, which lets a per-a check be decided for every
+a at once.  The scalar paths in `field` stay the reference.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -20,10 +22,23 @@ from . import gf2linalg
 from .field import FieldCtx
 from .linearized import LinearizedPoly
 
+BLOCK = 1 << 16    # inputs per block of a pass over a whole table
+_CHUNK_BITS = 12   # input bits per LinearTable chunk: 4096-entry tables
+
 
 def parity(values: np.ndarray) -> np.ndarray:
     """Bit parity of each nonnegative entry, as uint8."""
     return np.bitwise_count(values) & 1
+
+
+def signed_parity_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The exact sum over v in values of (-1)^parity(M & v), for each mask M, as int64."""
+    out = np.empty(len(masks), dtype=np.int64)
+    step = max(1, BLOCK // max(1, len(values)))   # bounds the masks-by-values block
+    for i in range(0, len(masks), step):
+        odd = parity(masks[i:i + step, None] & values).sum(axis=1, dtype=np.int64)
+        out[i:i + step] = len(values) - 2 * odd
+    return out
 
 
 def mul_block(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -59,17 +74,29 @@ def linear_table(poly: LinearizedPoly) -> "LinearTable":
 
 
 class LinearTable:
-    """Split lookup tables for an F2-linear map, given its columns (the images of 1 << i)."""
+    """Split lookup tables for an F2-linear map, given its columns (the images of 1 << i).
+
+    The input bits are cut into equal chunks of at most _CHUNK_BITS, one
+    table per chunk, and a lookup XORs one gather per chunk.  Tables are
+    uint32, or uint64 for images wider than 32 bits; index arrays are used
+    as given, with no int64 copy.
+    """
 
     def __init__(self, images: list[int]):
-        self.lo_bits = (len(images) + 1) // 2
-        self.lo_mask = (1 << self.lo_bits) - 1
-        self.lo = _span_table(images[:self.lo_bits])
-        self.hi = _span_table(images[self.lo_bits:])
+        pieces = max(1, -(-len(images) // _CHUNK_BITS))
+        self.bits = -(-len(images) // pieces)
+        self.mask = (1 << self.bits) - 1
+        dtype = np.uint32 if max(images, default=0) >> 32 == 0 else np.uint64
+        self.tables = [_span_table(images[i:i + self.bits], dtype)
+                       for i in range(0, len(images), self.bits)]
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
-        xs = xs.astype(np.int64, copy=False)
-        return self.lo[xs & self.lo_mask] ^ self.hi[xs >> self.lo_bits]
+        last = len(self.tables) - 1
+        out = self.tables[0][xs & self.mask if last else xs]
+        for j in range(1, last + 1):
+            part = xs >> (j * self.bits)
+            out ^= self.tables[j][part & self.mask if j < last else part]
+        return out
 
 
 def image_product(poly: LinearizedPoly, exponents) -> "ImageTable":
@@ -104,17 +131,58 @@ class ImageTable:
         return self.values[self.coords(xs)]
 
 
-def _span_table(images: list[int]) -> np.ndarray:
-    table = np.zeros(1 << len(images), dtype=np.int64)
+def _span_table(images: list[int], dtype=np.uint32) -> np.ndarray:
+    table = np.zeros(1 << len(images), dtype=dtype)
     for i, img in enumerate(images):
         table[1 << i:2 << i] = table[:1 << i] ^ img
     return table
 
 
+def trace_masks(ctx: FieldCtx) -> LinearTable:
+    """a -> ctx.trace_mask(a) over arrays of a, cached on the context.
+
+    Bit i of the mask is Tr(a * e_i) for the basis element e_i = 1 << i;
+    that is linear in a, so the columns are the masks of the basis elements.
+    """
+    if "trace-masks" not in ctx._cache:
+        ctx._cache["trace-masks"] = LinearTable([ctx.trace_mask(1 << i) for i in range(ctx.m)])
+    return ctx._cache["trace-masks"]
+
+
+def span_basis(vector_blocks: Iterable[np.ndarray], width: int) -> list[int]:
+    """Reduced row-echelon basis of the span of all vectors in the blocks (width-bit ints).
+
+    Each block is reduced by the linear map z -> z + (the basis vectors
+    whose pivot bits z has), one split-table lookup: z lies in the span iff
+    its residual is 0.  Up to `width` nonzero residuals are then reduced
+    again one by one and join the basis under their top bits, and the
+    block is reduced anew.  Earlier blocks lie in the old span and need no
+    second look.
+    """
+    pivots: dict[int, int] = {}   # pivot bit -> the one basis vector holding it
+    reduce = None
+    for vs in vector_blocks:
+        residual = vs if reduce is None else reduce(vs)
+        while residual.any():
+            for v in residual[residual != 0][:width].tolist():
+                for bit, w in pivots.items():
+                    if (v >> bit) & 1:
+                        v ^= w
+                if v:
+                    top = v.bit_length() - 1
+                    for bit, w in pivots.items():
+                        if (w >> top) & 1:
+                            pivots[bit] = w ^ v
+                    pivots[top] = v
+            reduce = LinearTable([(1 << i) ^ pivots.get(i, 0) for i in range(width)])
+            residual = reduce(vs)
+    return [pivots[bit] for bit in sorted(pivots)]
+
+
 def domain(ctx: FieldCtx) -> np.ndarray:
-    """All 2^m encodings in order, as one read-only array shared on the context."""
+    """All 2^m encodings in order as uint32, one read-only array shared on the context."""
     if "domain" not in ctx._cache:
-        ctx._cache["domain"] = np.arange(ctx.order, dtype=np.int64)
+        ctx._cache["domain"] = np.arange(ctx.order, dtype=np.uint32)
         ctx._cache["domain"].setflags(write=False)
     return ctx._cache["domain"]
 

@@ -49,15 +49,17 @@ def kernel_image(cols: Sequence[int]) -> tuple[list[int], list[int]]:
     return kernel, image
 
 
-def solve(cols: Sequence[int], target: int) -> int | None:
-    """One input vector mapping to target, or None if target is not reachable."""
-    pivots, _ = _rref(cols)
-    v, pre = target, 0
-    for bit, (img, p) in pivots.items():
-        if (v >> bit) & 1:
-            v ^= img
-            pre ^= p
-    return pre if v == 0 else None
+def particular_solution(cols: Sequence[int], width: int) -> tuple[list[int], list[int]]:
+    """Columns (on width-bit targets) of a linear map P with A(P(v)) = v for
+    every v in the image of A, the map with columns cols; and a kernel basis of A.
+
+    In reduced row echelon form each image basis vector alone holds its
+    pivot bit, so reducing v flips exactly v's own pivot bits: the
+    preimage is linear in v, with column b the preimage paired with pivot
+    b, and 0 where b is not a pivot.
+    """
+    pivots, kernel = _rref(cols)
+    return [pivots[b][1] if b in pivots else 0 for b in range(width)], kernel
 
 
 def span(basis: Sequence[int]) -> list[int]:

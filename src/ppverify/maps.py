@@ -19,8 +19,6 @@ from . import blocks
 from .field import FieldCtx
 from .linearized import LinearizedPoly
 
-_BLOCK = 1 << 16   # inputs per block_fn call while a table fills
-
 
 class FieldMap:
     """A named, pure map on GF(2^m) element encodings."""
@@ -48,8 +46,8 @@ class FieldMap:
         if self._table is None:
             order = self.ctx.order
             table = np.empty(order, dtype=np.uint32)
-            for start in range(0, order, _BLOCK):
-                stop = min(start + _BLOCK, order)
+            for start in range(0, order, blocks.BLOCK):
+                stop = min(start + blocks.BLOCK, order)
                 table[start:stop] = self._block_fn(np.arange(start, stop, dtype=np.int64))
             table.setflags(write=False)
             self._table = table

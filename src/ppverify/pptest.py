@@ -9,7 +9,13 @@ iff every such sum vanishes.  Sums are accumulated as machine integers
 Both read the map's cached value table.  Character sums use the
 linearity of the trace: Tr(a*y) = parity(M_a & y) for a per-a bitmask
 M_a, so the sum at a is W[M_a], where W is the Walsh spectrum of the
-value histogram: one exact integer transform per map, at every m.
+value histogram: one exact integer transform per map, at every m.  M_a
+is linear in a too, so the masks of any number of a are one table lookup.
+
+The shift-difference lemma is checked the same way for many a at once:
+Tr(a*(f(x+y) + f(x))) is constant in x iff M_a annihilates the span of
+the differences, so one pass over the table per shift y decides every a
+(`shift_checks`); `shift_check` is the one-a sweep.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 
 from . import blocks
 from .field import FieldCtx
+from .linearized import LinearizedPoly
 from .maps import FieldMap
 
 CHARSUM_ALL_LIMIT_M = 14
@@ -62,21 +69,27 @@ def is_permutation_exhaustive(f: FieldMap) -> PPVerdict:
     seen[table] = True
     if np.count_nonzero(seen) == f.ctx.order:
         return PPVerdict(PERMUTATION, "exhaustive", f.ctx.order)
-    # return_index gives each value's first preimage: np.unique sorts stably for it
-    _, first, inverse = np.unique(table, return_index=True, return_inverse=True)
-    x2 = int(np.argmax(first[inverse] != np.arange(table.size)))
-    return PPVerdict(NOT_PERMUTATION, "exhaustive", x2 + 1, witness=(int(first[inverse[x2]]), x2))
+    # first[v] = the least preimage of v; x2 is the least x that is not its value's first
+    xs = np.arange(table.size, dtype=np.uint32)
+    first = np.full(f.ctx.order, table.size, dtype=np.uint32)
+    np.minimum.at(first, table, xs)
+    x2 = int(np.argmax(first[table] != xs))
+    return PPVerdict(NOT_PERMUTATION, "exhaustive", x2 + 1, witness=(int(first[table[x2]]), x2))
 
 
-def char_sum(f: FieldMap, a: int) -> int:
-    """Exact integer sum of (-1)^Tr(a*f(x)) over the whole field."""
-    return _char_sums(f, [a])[0]
+def char_sum(f: FieldMap, a):
+    """Exact integer sum of (-1)^Tr(a*f(x)) over the whole field.
+
+    Given an array of a, returns the array of their sums: one gather of
+    the trace masks from their linear table, one from the Walsh spectrum.
+    """
+    sums = f.spectrum()[blocks.trace_masks(f.ctx)(np.asarray(a, dtype=np.int64))]
+    return sums if np.ndim(a) else int(sums)
 
 
 def _char_sums(f: FieldMap, a_values) -> list[int]:
-    """Character sums for many a at once: lookups in the map's Walsh spectrum."""
-    masks = np.array([f.ctx.trace_mask(a) for a in a_values], dtype=np.int64)
-    return f.spectrum()[masks].tolist()
+    """Character sums for many a at once, as a list: lookups in the map's Walsh spectrum."""
+    return char_sum(f, a_values).tolist()
 
 
 def pp_verdict_charsum(f: FieldMap, mode: str = "all", n: int = DEFAULT_SAMPLES,
@@ -131,6 +144,27 @@ def shift_check(f: FieldMap, a: int, y: int) -> int | None:
     return lo if lo == hi else None
 
 
+def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
+    """shift_check(f, a, y) for every a at once, as int8: the constant bit, or -1 if none.
+
+    With D(x) = f(x) + f(x+y), Tr(a*D(x)) = parity(M_a & D(x)) is constant
+    in x iff the trace mask M_a annihilates the span of D(x) + D(0) over
+    every x, and the constant is then parity(M_a & D(0)).  D comes from the
+    table in blocks, and its span from one pass (`blocks.span_basis`), so
+    the cost is one sweep per y whatever the number of a.
+    """
+    table = f.table()
+    d0 = int(table[0] ^ table[y])
+    local = np.arange(min(table.size, blocks.BLOCK), dtype=np.uint32)
+    diffs = (table[start:start + local.size] ^ table[local ^ (start ^ y)] ^ d0
+             for start in range(0, table.size, local.size))
+    masks = blocks.trace_masks(f.ctx)(np.asarray(a_values, dtype=np.int64))
+    const = blocks.parity(masks & d0).astype(np.int8)
+    for b in blocks.span_basis(diffs, f.ctx.m):
+        const[blocks.parity(masks & b) == 1] = -1
+    return const
+
+
 def find_case1_witness(ctx: FieldCtx, a: int) -> int:
     """First y in F_{q^k} (enumeration order) with Tr_{q^k/2}(y * rel_trace(a)) = 1.
 
@@ -146,3 +180,20 @@ def find_case1_witness(ctx: FieldCtx, a: int) -> int:
         if ctx.subfield_trace(ctx.mul(y, r), d) == 1:
             return y
     raise AssertionError("nondegenerate trace form yielded no witness")
+
+
+def adapted_witness(ctx: FieldCtx, L: LinearizedPoly, a: int) -> int | None:
+    """First y in F_{q^k} with Tr_{q^k/2}[L(y) rel_trace(a)] = 1, the Case-1 shift of g3.
+
+    None if no y qualifies, or if L maps a y met on the way outside F_{q^k}.
+    """
+    t, k = ctx.require_tower()
+    d = t * k
+    r = ctx.rel_trace(a, d)
+    for y in ctx.enumerate_subfield(d):
+        ly = L(y)
+        if not ctx.in_subfield(ly, d):
+            return None
+        if ctx.subfield_trace(ctx.mul(ly, r), d) == 1:
+            return y
+    return None

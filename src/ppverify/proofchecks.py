@@ -7,8 +7,16 @@ trace-zero basis claim, and the character-sum factorization that closes
 Case 2.  The nine-line trace rewrite chain is checked at its endpoint
 only (equality over all x is stronger evidence than replaying each
 rewrite).  Pointwise identities are checked at every x through the maps'
-cached tables, at every m; the per-a case loops cover every a up to
+cached tables, at every m; the per-a case checks cover every a up to
 PER_A_FULL_LIMIT_M and a seeded sample above it, as the report records.
+
+Each per-a row is decided for its whole a list in one batch, exactly,
+by GF(2) linear algebra over the tables: the trace conditions are linear
+in the masks M_a, so a row costs one pass per table (the span of the
+values a condition must annihilate) plus a few array operations over a.
+The first failing a in list order is reported, with the message of the
+one-a check (`check_eq23`, `check_case2_factorization`), which is rerun
+on that a.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from .field import FieldCtx
 from .linearized import LinearizedPoly, format_linpoly, subfield_permutation_check
 from .maps import FieldMap, linearized_map
 from .pptest import (CHARSUM_ALL_LIMIT_M, DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run,
-                     char_sum, find_case1_witness, is_permutation_exhaustive, shift_check)
+                     adapted_witness, char_sum, find_case1_witness, is_permutation_exhaustive,
+                     shift_checks)
 
 PER_A_FULL_LIMIT_M = 12   # per-a case loops cover every a up to here
 
@@ -241,15 +250,35 @@ def decomposition_coset(ctx: FieldCtx, a: int) -> list[int]:
         raise ValueError(
             f"a={a:#x} has nonzero relative trace, so it is outside the image of "
             f"c -> c + c^(q^k); it belongs to Case 1")
+    _, particular, kernel = _decomposition(ctx)
+    return sorted((int(particular(a)) ^ kernel).tolist())
+
+
+def least_decompositions(ctx: FieldCtx, a_values) -> np.ndarray:
+    """decompose_a for an array of Case-2 a at once, as uint32.
+
+    One lookup of the particular solution (it is linear in a), the least
+    member of its coset over the q^k-element kernel, and an exact check
+    that every c solves c + c^(q^k) = a.
+    """
+    phi, particular, kernel = _decomposition(ctx)
+    a_values = np.asarray(a_values, dtype=np.int64)
+    c = (particular(a_values)[:, None] ^ kernel).min(axis=1)
+    assert np.array_equal(phi(c), a_values), "every Case-2 a must be reachable"
+    return c
+
+
+def _decomposition(ctx: FieldCtx):
+    """Tables of c -> c + c^(q^k), of a particular solution of it, and its kernel span; cached."""
+    t, k = ctx.require_tower()
+    d = t * k
     key = ("decomposition", d)
     if key not in ctx._cache:
         cols = gf2linalg.columns_of_map(ctx.m, lambda c: c ^ ctx.frobenius(c, d))
-        kernel, _ = gf2linalg.kernel_image(cols)
-        ctx._cache[key] = (cols, gf2linalg.span(kernel))
-    cols, kernel_span = ctx._cache[key]
-    particular = gf2linalg.solve(cols, a)
-    assert particular is not None, "trace-zero a must be reachable"
-    return sorted(particular ^ v for v in kernel_span)
+        particular, kernel = gf2linalg.particular_solution(cols, ctx.m)
+        ctx._cache[key] = (blocks.LinearTable(cols), blocks.LinearTable(particular),
+                           np.array(gf2linalg.span(kernel), dtype=np.uint32))
+    return ctx._cache[key]
 
 
 def _power_e(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
@@ -271,6 +300,7 @@ class _Thm1State:
         self.s_power = FieldMap("S^E", ctx, blocks.ImageTable(s2k(ctx), lambda v: _power_e(ctx, v)))
         self._basis: tuple[int, int] | None = None
         self._tz_powers: np.ndarray | None = None
+        self._eq23_basis: list[int] | None = None
 
     def tz_powers(self) -> np.ndarray:
         if self._tz_powers is None:
@@ -282,14 +312,25 @@ class _Thm1State:
             self._basis = tracezero_basis(self.ctx)
         return self._basis
 
+    def eq23_basis(self) -> list[int]:
+        """Basis of the span of z(x) = g(x) + S^E(x) * 2^m (2m-bit vectors) over every x."""
+        if self._eq23_basis is None:
+            g, se, m = self.g.table(), self.s_power.table(), self.ctx.m
+            step = blocks.BLOCK
+            packed = (np.left_shift(se[i:i + step], m, dtype=np.uint64) | g[i:i + step]
+                      for i in range(0, g.size, step))
+            self._eq23_basis = blocks.span_basis(packed, 2 * m)
+        return self._eq23_basis
+
 
 def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None) -> CheckResult:
     """Endpoint of the Case-2 trace rewrite: Tr(a*g(x)) = Tr(c*S(x)^E).
 
     E = 1 + 2q^k + q^(2k) and c is the least decomposition of a.  The
-    rewrite cancels S^q against S^4, so for g = g1 this is a q = 4
-    identity (the t=2 towers); it fails pointwise at other q.  Every x
-    is checked, through the tables of g and S^E.
+    rewrite cancels S^q against S^4.  For g = g1 that makes it a q = 4
+    identity (the t=2 towers), and it fails pointwise at other q; for g3,
+    condition (ii) supplies the cancellation at every q.  Every x is
+    checked, through the tables of g and S^E.
     """
     if state is None:
         state = _Thm1State(ctx)
@@ -317,13 +358,13 @@ def tracezero_basis(ctx: FieldCtx) -> tuple[int, int]:
     """
     t, k = ctx.require_tower()
     d = t * k
-    tz = tracezero_set(ctx)
-    subfield = ctx.enumerate_subfield(d)
-    d1 = next(w for w in tz if w != 0)
-    line = {ctx.mul(d1, u) for u in subfield}
-    d2 = next(w for w in tz if w not in line)
-    span = {ctx.mul(d1, u) ^ ctx.mul(d2, v) for u in subfield for v in subfield}
-    assert len(span) == 1 << (2 * d) and span == set(tz)
+    tz = np.array(tracezero_set(ctx), dtype=np.int64)
+    subfield = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
+    d1 = int(tz[1])                     # tz is ascending and tz[0] = 0
+    line = blocks.mul_block(ctx, np.asarray(d1), subfield)
+    d2 = int(tz[~np.isin(tz, line)][0])
+    span = line[:, None] ^ blocks.mul_block(ctx, np.asarray(d2), subfield)
+    assert tz.size == 1 << (2 * d) and np.array_equal(np.unique(span), tz)
     return d1, d2
 
 
@@ -410,32 +451,40 @@ def _case_split(ctx: FieldCtx, seed: int, sample_n: int) -> tuple[list[int], lis
 
 def _check_case1(g: FieldMap, case1: list[int], sampled: bool,
                  witness_for) -> CheckResult:
-    """Shift-difference lemma hypothesis for every Case-1 a.
+    """Shift-difference lemma hypothesis for every Case-1 a, decided in one batch.
 
-    witness_for(a) picks the shift y; the check asserts the difference
-    bit is the constant 1 and cross-checks the implied vanishing sum.
+    witness_for(a) picks the shift y and depends on a only through
+    rel_trace(a), so it runs once per distinct relative trace; each
+    distinct y is then decided for all its a by `shift_checks`.  The check
+    asserts the difference bit is the constant 1 and cross-checks the
+    implied vanishing sum; the first failing a in list order is reported.
     """
     ctx = g.ctx
 
     def run():
         note = f"sampled {len(case1)} a-values" if sampled else None
-        for a in case1:
-            y = witness_for(a)
-            if y is None:
-                return CheckResult("case1-shift-witness", "fail", count=len(case1),
-                                   counterexample=f"a={a:#x}: no shift witness in the subfield",
-                                   note=note)
-            const = shift_check(g, a, y)
-            if const != 1:
-                return CheckResult("case1-shift-witness", "fail", count=len(case1),
-                                   counterexample=f"a={a:#x}, y={y:#x}: "
-                                   f"difference {'not constant' if const is None else const}",
-                                   note=note)
-            if char_sum(g, a) != 0:
-                return CheckResult("case1-shift-witness", "fail", count=len(case1),
-                                   counterexample=f"a={a:#x}: constant-1 shift but "
-                                   "nonzero character sum", note=note)
-        return CheckResult("case1-shift-witness", "pass", count=len(case1), note=note)
+        a_values = np.array(case1, dtype=np.int64)
+        rel = blocks.linear_table(rel_trace_poly(ctx))(a_values)
+        _, first, inverse = np.unique(rel, return_index=True, return_inverse=True)
+        found = [witness_for(case1[i]) for i in first]
+        ys = np.array([-1 if y is None else y for y in found], dtype=np.int64)[inverse]
+        const = np.zeros(len(case1), dtype=np.int8)
+        for y in np.unique(ys[ys >= 0]).tolist():
+            const[ys == y] = shift_checks(g, a_values[ys == y], y)
+        sums = char_sum(g, a_values)
+        bad = (ys < 0) | (const != 1) | (sums != 0)
+        if not bad.any():
+            return CheckResult("case1-shift-witness", "pass", count=len(case1), note=note)
+        i = int(np.argmax(bad))
+        a, y = case1[i], int(ys[i])
+        if y < 0:
+            why = f"a={a:#x}: no shift witness in the subfield"
+        elif const[i] != 1:
+            why = f"a={a:#x}, y={y:#x}: difference {'not constant' if const[i] < 0 else const[i]}"
+        else:
+            why = f"a={a:#x}: constant-1 shift but nonzero character sum"
+        return CheckResult("case1-shift-witness", "fail", count=len(case1),
+                           counterexample=why, note=note)
 
     return _timed(run)
 
@@ -465,17 +514,71 @@ def _check_charsum(g: FieldMap, mode: str, sample_n: int, seed: int) -> CheckRes
     return _timed(run)
 
 
-def _each_case2(name: str, case2: list[int], note: str | None, check) -> CheckResult:
-    """check(a) for every Case-2 a; the first failure, if any, stands for the whole sweep."""
+def _check_eq23_batch(state: _Thm1State, case2: list[int], note: str | None) -> CheckResult:
+    """check_eq23 for every Case-2 a at once.
+
+    Tr(a g(x)) = Tr(c S^E(x)) at every x iff the mask pair (M_a, M_c)
+    annihilates the span of (g(x), S^E(x)) over every x, whose basis
+    `eq23_basis` finds in one pass over the two tables.
+    """
+    ctx = state.ctx
+
     def run():
-        for a in case2:
-            got = check(a)
-            if not got.passed:
-                got.note = note
-                return got
-        return CheckResult(name, "pass", count=len(case2), note=note)
+        a_values = np.array(case2, dtype=np.int64)
+        masks = blocks.trace_masks(ctx)
+        mask_a, mask_c = masks(a_values), masks(least_decompositions(ctx, a_values))
+        bad = np.zeros(len(case2), dtype=bool)
+        for z in state.eq23_basis():
+            bad |= (blocks.parity(mask_a & (z & (ctx.order - 1)))
+                    != blocks.parity(mask_c & (z >> ctx.m)))
+        return _case2_row("case2-eq23", case2, bad, note, lambda a: check_eq23(ctx, a, state))
 
     return _timed(run)
+
+
+def _check_factorization_batch(state: _Thm1State, case2: list[int],
+                               note: str | None) -> CheckResult:
+    """check_case2_factorization for every Case-2 a at once, its sums as arrays over a.
+
+    full_sum is one spectrum gather, the trace-zero sum and the two
+    factors are exact signed parity sums, and beta_i = c * d_i^(q^k) is a
+    fixed-multiplier linear table.
+    """
+    ctx = state.ctx
+
+    def run():
+        t, k = ctx.require_tower()
+        d = t * k
+        a_values = np.array(case2, dtype=np.int64)
+        c = least_decompositions(ctx, a_values)
+        masks = blocks.trace_masks(ctx)
+        tz_sum = blocks.signed_parity_sums(state.tz_powers(), masks(c))
+        full_sum = char_sum(state.g, a_values)
+        subfield = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
+        rel = blocks.linear_table(rel_trace_poly(ctx))
+        factors, both_zero = [], np.ones(len(case2), dtype=bool)
+        for di in state.basis():
+            e = ctx.frobenius(di, d)
+            beta = blocks.LinearTable([ctx.mul(e, 1 << j) for j in range(ctx.m)])(c)
+            factors.append(blocks.signed_parity_sums(subfield, masks(beta)))
+            both_zero &= rel(beta) == 0
+        bad = ((full_sum != (1 << d) * tz_sum) | (tz_sum != factors[0] * factors[1])
+               | both_zero | (tz_sum != 0))
+        return _case2_row("case2-factorization", case2, bad, note,
+                          lambda a: check_case2_factorization(ctx, a, state))
+
+    return _timed(run)
+
+
+def _case2_row(name: str, case2: list[int], bad: np.ndarray, note: str | None,
+               check) -> CheckResult:
+    """The pass row, or check(a) for the first failing a in list order, which must agree."""
+    if not bad.any():
+        return CheckResult(name, "pass", count=len(case2), note=note)
+    got = check(case2[int(np.argmax(bad))])
+    assert not got.passed, f"{name}: the batched and the single-a check disagree"
+    got.note = note
+    return got
 
 
 def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
@@ -509,10 +612,8 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
                                       lambda a: find_case1_witness(ctx, a)))
 
     note = f"sampled {len(case2)} a-values" if sampled else None
-    report.checks.append(_each_case2("case2-eq23", case2, note,
-                                     lambda a: check_eq23(ctx, a, state)))
-    report.checks.append(_each_case2("case2-factorization", case2, note,
-                                     lambda a: check_case2_factorization(ctx, a, state)))
+    report.checks.append(_check_eq23_batch(state, case2, note))
+    report.checks.append(_check_factorization_batch(state, case2, note))
     return report.finish()
 
 
@@ -556,17 +657,6 @@ def verify_thm3(ctx: FieldCtx, L: LinearizedPoly, seed: int = DEFAULT_SEED,
     report.checks.append(_check_pp_exhaustive(g))
 
     case1, _, sampled = _case_split(ctx, seed, sample_n)
-    subfield = ctx.enumerate_subfield(d)
-
-    def adapted_witness(a: int) -> int | None:
-        r = ctx.rel_trace(a, d)
-        for y in subfield:
-            ly = L(y)
-            if not ctx.in_subfield(ly, d):
-                return None
-            if ctx.subfield_trace(ctx.mul(ly, r), d) == 1:
-                return y
-        return None
-
-    report.checks.append(_check_case1(g, case1, sampled, adapted_witness))
+    report.checks.append(_check_case1(g, case1, sampled, lambda a: adapted_witness(ctx, L, a)))
     return report.finish()
+

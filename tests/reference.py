@@ -7,14 +7,17 @@ irreducibility test, kernel-basis subfield enumeration, Walsh-spectrum
 character sums, popcount parity kernel, image-table map formulas and
 vectorized collision search.  The `*_block_direct` oracles reuse the
 linear-table and multiply kernels, which are pinned on their own, but
-multiply on every x instead of once per image element.
+multiply on every x instead of once per image element.  The `*_per_a`
+oracles are the case loops as verify ran them before batching: one
+full-table sweep of the single-a check per a.
 """
 
 import numpy as np
 
-from ppverify import binpoly, blocks
+from ppverify import binpoly, blocks, char_sum, shift_check
 from ppverify.constructions import s2k
 from ppverify.linearized import LinearizedPoly
+from ppverify.proofchecks import CheckResult
 
 
 def trial_division_irreducible(f: int) -> bool:
@@ -121,3 +124,30 @@ def first_collision(values):
             return first[y], x
         first[y] = x
     return None
+
+
+def case1_per_a(g, case1, witness_for) -> CheckResult:
+    """The case1-shift-witness row by one shift_check sweep and one char_sum per a."""
+    def fail(why):
+        return CheckResult("case1-shift-witness", "fail", count=len(case1), counterexample=why)
+
+    for a in case1:
+        y = witness_for(a)
+        if y is None:
+            return fail(f"a={a:#x}: no shift witness in the subfield")
+        const = shift_check(g, a, y)
+        if const != 1:
+            return fail(f"a={a:#x}, y={y:#x}: "
+                        f"difference {'not constant' if const is None else const}")
+        if char_sum(g, a) != 0:
+            return fail(f"a={a:#x}: constant-1 shift but nonzero character sum")
+    return CheckResult("case1-shift-witness", "pass", count=len(case1))
+
+
+def case2_per_a(name, case2, check) -> CheckResult:
+    """A Case-2 row: check(a) for each a in turn, the first failure standing for all."""
+    for a in case2:
+        got = check(a)
+        if not got.passed:
+            return got
+    return CheckResult(name, "pass", count=len(case2))

@@ -1,9 +1,11 @@
-"""ImageTable: a function of a linear map's value, tabled once on the map's image."""
+"""ImageTable, LinearTable, span bases and trace masks: the table kernels of `blocks`."""
+
+import random
 
 import numpy as np
 import pytest
 
-from ppverify import FieldCtx, LinearizedPoly, blocks
+from ppverify import FieldCtx, LinearizedPoly, blocks, gf2linalg
 from ppverify.constructions import build_L1, s2k
 
 
@@ -57,3 +59,64 @@ def test_image_product_is_cached_per_poly_and_exponents():
     assert blocks.image_product(S, (1, 2)) is first
     assert blocks.image_product(S, (3, 4)) is not first
     assert blocks.image_product(LinearizedPoly.identity(ctx), (1, 2)) is not first
+
+
+@pytest.mark.parametrize("n_in, width", [(5, 6), (13, 21), (24, 24), (48, 48)])
+def test_linear_table_is_the_xor_of_its_columns(n_in, width):
+    rng = random.Random(n_in * 100 + width)
+    cols = [rng.getrandbits(width) for _ in range(n_in)]
+    table = blocks.LinearTable(cols)
+    assert all(t.size <= 1 << 12 for t in table.tables)
+    xs = [0, (1 << n_in) - 1] + [rng.getrandbits(n_in) for _ in range(3000)]
+    got = table(np.array(xs, dtype=np.uint64 if n_in > 32 else np.uint32))
+    assert got.dtype == (np.uint64 if width > 32 else np.uint32)
+    want = []
+    for x in xs:
+        acc = 0
+        for i, col in enumerate(cols):
+            if (x >> i) & 1:
+                acc ^= col
+        want.append(acc)
+    assert got.tolist() == want
+
+
+def _blocks_of(values, size):
+    return (values[i:i + size] for i in range(0, len(values), size))
+
+
+@pytest.mark.parametrize("rank, late", [(0, False), (1, True), (9, False), (30, True)])
+def test_span_basis_is_the_reduced_echelon_basis_of_the_span(rank, late):
+    # late: the first blocks hold only zeros, so every vector comes from a later block
+    rng = random.Random(rank)
+    width = 40
+    gens = [rng.getrandbits(width) for _ in range(rank)]
+    vectors = []
+    for _ in range(3000):
+        v = 0
+        for g in gens:
+            if rng.getrandbits(1):
+                v ^= g
+        vectors.append(v)
+    if late:
+        vectors = [0] * 2000 + vectors
+    values = np.array(vectors, dtype=np.uint64)
+    basis = blocks.span_basis(_blocks_of(values, 700), width)
+    pivots, _ = gf2linalg._rref(vectors)
+    assert basis == sorted(img for img, _ in pivots.values())
+    assert len(basis) == len(gf2linalg.kernel_image(gens)[1])
+
+
+def test_trace_masks_are_cached_and_linear():
+    ctx = FieldCtx.from_tower(2, 2)
+    masks = blocks.trace_masks(ctx)
+    assert blocks.trace_masks(ctx) is masks
+    assert masks(blocks.domain(ctx)).tolist() == [ctx.trace_mask(a) for a in ctx.elements()]
+
+
+def test_signed_parity_sums_match_the_definition_across_blocks():
+    # 300 values put 218 masks in a block, so the 1000 masks span five blocks
+    rng = random.Random(7)
+    values = np.array([rng.getrandbits(24) for _ in range(300)], dtype=np.int64)
+    masks = np.array([rng.getrandbits(24) for _ in range(1000)], dtype=np.uint32)
+    want = [sum(1 - 2 * ((int(mask) & int(v)).bit_count() & 1) for v in values) for mask in masks]
+    assert blocks.signed_parity_sums(values, masks).tolist() == want

@@ -10,7 +10,7 @@ from ppverify import (FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note
                       find_case1_witness, is_permutation_exhaustive, pp_verdict_charsum,
                       shift_check)
 from ppverify.maps import FieldMap
-from ppverify.pptest import PPVerdict, _char_sums
+from ppverify.pptest import PPVerdict, _char_sums, shift_checks
 
 from reference import char_sum_definitional, char_sums_masked, first_collision
 
@@ -336,3 +336,39 @@ def test_exhaustive_witness_matches_dict_scan(case):
         assert verdict.verdict == "not-permutation"
         assert verdict.witness == pair
         assert verdict.checks == pair[1] + 1
+
+
+def _as_checks(values):
+    return [-1 if v is None else v for v in values]
+
+
+def test_shift_checks_match_shift_check_for_every_a_and_y_at_m6():
+    ctx = FieldCtx.from_tower(2, 1)
+    g = build_g_thm1(ctx)
+    rng = random.Random(6)
+    noise = FieldMap.from_table("noise", ctx, [rng.randrange(64) for _ in range(64)])
+    a_values = list(ctx.elements())
+    for fmap in (g, one_collision_mutant(g, 3, 50), noise):
+        for y in ctx.elements():
+            assert shift_checks(fmap, a_values, y).tolist() == \
+                _as_checks(shift_check(fmap, a, y) for a in a_values)
+
+
+def test_char_sum_takes_an_array_of_a():
+    ctx = FieldCtx.from_tower(2, 2)
+    g = one_collision_mutant(build_g_thm1(ctx), 10, 20)
+    a_values = np.arange(ctx.order)
+    sums = char_sum(g, a_values)
+    assert sums.shape == (ctx.order,)
+    assert sums.tolist() == [char_sum(g, int(a)) for a in a_values]
+    assert isinstance(char_sum(g, 5), int)
+
+
+@pytest.mark.parametrize("y", [5, 1 << 18, (1 << 19) - 1])
+def test_shift_checks_at_m19_across_blocks(y):
+    # the collision sits past the first 2^16 x: only the span's later blocks see it
+    collide = collision_map_m19(7, (1 << 18) + 3)
+    rng = random.Random(y)
+    a_values = [1, 0x2b, (1 << 19) - 1] + [rng.randrange(1, 1 << 19) for _ in range(20)]
+    assert shift_checks(collide, a_values, y).tolist() == \
+        _as_checks(shift_check(collide, a, y) for a in a_values)

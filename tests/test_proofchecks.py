@@ -259,6 +259,18 @@ def test_verify_thm1_k3_full_battery():
     assert "sampled" in by_name["case1-shift-witness"].note
 
 
+def test_verify_thm1_k4_full_battery():
+    # m = 24: every row of the battery on 2^24-entry tables, the per-a rows batched
+    report = verify_thm1(FieldCtx.from_tower(2, 4))
+    assert report.passed
+    counts = {c.name: c.count for c in report.checks}
+    assert counts == {"eq22": 1 << 24, "kernel-image": (1 << 8) + (1 << 16),
+                      "pp-exhaustive": 1 << 24, "pp-charsum-sample": 128,
+                      "case1-shift-witness": 128, "case2-eq23": 128,
+                      "case2-factorization": 128}
+    assert report.millis < 15_000
+
+
 def test_verify_thm1_mutation_is_caught():
     ctx = FieldCtx.from_tower(2, 1)
     table = build_g_thm1(ctx).table().tolist()
