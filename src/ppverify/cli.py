@@ -51,15 +51,15 @@ def _parse_range(text: str, name: str) -> list[int]:
         raise ConfigError(f"--{name} expects N or LO..HI, got {text!r}") from None
 
 
-def _parse_mode(text: str) -> tuple[str, int, int]:
-    """'all' or 'sample:N[:SEED]' -> (mode, n, seed)."""
+def _parse_mode(text: str, seed: int) -> tuple[str, int, int]:
+    """'all' or 'sample:N[:SEED]' -> (mode, n, seed); seed applies where no SEED is written."""
     if text == "all":
-        return "all", DEFAULT_SAMPLES, DEFAULT_SEED
+        return "all", DEFAULT_SAMPLES, seed
     if text.startswith("sample"):
         parts = text.split(":")
         try:
             n = int(parts[1]) if len(parts) > 1 else DEFAULT_SAMPLES
-            seed = int(parts[2]) if len(parts) > 2 else DEFAULT_SEED
+            seed = int(parts[2]) if len(parts) > 2 else seed
             if len(parts) > 3 or n < 1:
                 raise ValueError
             return "sample", n, seed
@@ -87,10 +87,6 @@ def _build_ctx(args, t: int | None = None, k: int | None = None) -> FieldCtx:
     m_flag = getattr(args, "m", None)
     try:
         if t is not None and k is not None:
-            if isinstance(t, list):
-                t = t[0]
-            if isinstance(k, list):
-                k = k[0]
             m = 3 * t * k
             return FieldCtx.from_tower(t, k, _modulus_for(m, args.modulus_file))
         if m_flag is not None:
@@ -195,19 +191,14 @@ def _cmd_verify(args) -> int:
         if 3 * t * k > 24:
             raise ConfigError(f"tower (t={t}, k={k}) needs degree {3 * t * k} > 24")
 
-    mode = _parse_mode(args.mode) if args.mode else None
+    mode, n, seed = (_parse_mode(args.mode, args.seed) if args.mode
+                     else (None, DEFAULT_SAMPLES, args.seed))
     for theorem, t, k in jobs:
         ctx = _build_ctx(args, t=t, k=k)
         if theorem == "thm1":
-            if mode is None:
-                report = verify_thm1(ctx, seed=args.seed)
-            else:
-                report = verify_thm1(ctx, seed=mode[2], sample_n=mode[1],
-                                     charsum_mode=mode[0])
+            reports.append(verify_thm1(ctx, seed=seed, sample_n=n, charsum_mode=mode))
         else:
-            L = _parse_L(args.L, ctx)
-            report = verify_thm3(ctx, L, seed=args.seed)
-        reports.append(report)
+            reports.append(verify_thm3(ctx, _parse_L(args.L, ctx), seed=seed))
 
     _emit_reports(reports, args.format, args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
@@ -234,9 +225,8 @@ def _cmd_pptest(args) -> int:
         _atomic_write(args.export, "\n".join(format_table_lines(fmap)) + "\n")
         print(f"exported table to {args.export}")
 
-    mode, n, seed = _parse_mode(args.mode) if args.mode else (
-        ("all", DEFAULT_SAMPLES, args.seed) if fmap.ctx.m <= CHARSUM_ALL_LIMIT_M
-        else ("sample", DEFAULT_SAMPLES, args.seed))
+    mode, n, seed = _parse_mode(args.mode, args.seed) if args.mode else (
+        "all" if fmap.ctx.m <= CHARSUM_ALL_LIMIT_M else "sample", DEFAULT_SAMPLES, args.seed)
     verdicts = []
     if args.method in ("exhaustive", "both"):
         verdicts.append(is_permutation_exhaustive(fmap))

@@ -15,7 +15,9 @@ is linear in a too, so the masks of any number of a are one table lookup.
 The shift-difference lemma is checked the same way for many a at once:
 Tr(a*(f(x+y) + f(x))) is constant in x iff M_a annihilates the span of
 the differences, so one pass over the table per shift y decides every a
-(`shift_checks`); `shift_check` is the one-a sweep.
+(`shift_checks`); one pass over L(F_{q^k}) finds the Case-1 shift y of
+every relative trace (`case1_witnesses`).  `shift_check` and
+`find_case1_witness` are their one-element calls.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks
+from .constructions import build_L1
 from .field import FieldCtx
 from .linearized import LinearizedPoly
 from .maps import FieldMap
@@ -138,10 +141,8 @@ def shift_check(f: FieldMap, a: int, y: int) -> int | None:
     lets the caller conclude char_sum(f, a) = 0 (shift-difference
     lemma); verify runs cross-check that implication wherever it fires.
     """
-    par = blocks.parity(f.table() & f.ctx.trace_mask(a))
-    bits = par ^ par[blocks.domain(f.ctx) ^ y]
-    lo, hi = int(bits.min()), int(bits.max())
-    return lo if lo == hi else None
+    const = int(shift_checks(f, [a], y)[0])
+    return None if const < 0 else const
 
 
 def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
@@ -165,6 +166,25 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
     return const
 
 
+def case1_witnesses(ctx: FieldCtx, L: LinearizedPoly, r_values) -> np.ndarray:
+    """For each relative trace r, the first y in F_{q^k} with Tr_{q^k/2}(L(y) r) = 1, as int64.
+
+    -1 where no y qualifies, or where L maps a y met on the way outside
+    F_{q^k}.  There Tr_{q^k/2} is the absolute trace (m/d = 3 is odd), so
+    the test is parity(M_r & L(y)), one masked pass over L(F_{q^k}).  g1 is
+    g3 with L1, which is the identity on F_{q^k}: one search serves both.
+    """
+    t, k = ctx.require_tower()
+    d = t * k
+    ys = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
+    ly = blocks.linear_table(L)(ys)
+    inside = np.logical_and.accumulate(
+        blocks.linear_table(LinearizedPoly.frobenius_power(ctx, d))(ly) == ly)
+    masks = blocks.trace_masks(ctx)(np.asarray(r_values, dtype=np.int64))
+    hit = (blocks.parity(masks[:, None] & ly) == 1) & inside
+    return np.where(hit.any(axis=1), ys[hit.argmax(axis=1)], -1)
+
+
 def find_case1_witness(ctx: FieldCtx, a: int) -> int:
     """First y in F_{q^k} (enumeration order) with Tr_{q^k/2}(y * rel_trace(a)) = 1.
 
@@ -172,28 +192,7 @@ def find_case1_witness(ctx: FieldCtx, a: int) -> int:
     the subfield is nondegenerate, so a witness always exists.
     """
     t, k = ctx.require_tower()
-    d = t * k
-    r = ctx.rel_trace(a, d)
+    r = ctx.rel_trace(a, t * k)
     if r == 0:
         raise ValueError(f"a={a:#x} has zero relative trace; it belongs to Case 2")
-    for y in ctx.enumerate_subfield(d):
-        if ctx.subfield_trace(ctx.mul(y, r), d) == 1:
-            return y
-    raise AssertionError("nondegenerate trace form yielded no witness")
-
-
-def adapted_witness(ctx: FieldCtx, L: LinearizedPoly, a: int) -> int | None:
-    """First y in F_{q^k} with Tr_{q^k/2}[L(y) rel_trace(a)] = 1, the Case-1 shift of g3.
-
-    None if no y qualifies, or if L maps a y met on the way outside F_{q^k}.
-    """
-    t, k = ctx.require_tower()
-    d = t * k
-    r = ctx.rel_trace(a, d)
-    for y in ctx.enumerate_subfield(d):
-        ly = L(y)
-        if not ctx.in_subfield(ly, d):
-            return None
-        if ctx.subfield_trace(ctx.mul(ly, r), d) == 1:
-            return y
-    return None
+    return int(case1_witnesses(ctx, build_L1(ctx), [r])[0])

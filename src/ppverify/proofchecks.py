@@ -14,13 +14,15 @@ Each per-a row is decided for its whole a list in one batch, exactly,
 by GF(2) linear algebra over the tables: the trace conditions are linear
 in the masks M_a, so a row costs one pass per table (the span of the
 values a condition must annihilate) plus a few array operations over a.
-The first failing a in list order is reported, with the message of the
-one-a check (`check_eq23`, `check_case2_factorization`), which is rerun
-on that a.
+The first failing a in list order is reported, its message built from
+the row's own arrays; eq23 finds its x by one parity sweep of that a.
+The one-a checks (`check_eq23`, `check_case2_factorization`) are
+one-element calls of the batched rows.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -28,14 +30,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import blocks, gf2linalg
-from .constructions import build_g_thm1, build_g_thm3, rel_trace_poly, s2k
+from . import binpoly, blocks, gf2linalg
+from .constructions import (build_g_thm1, build_g_thm3, build_L1, condition_ii_sides,
+                            rel_trace_poly, s2k)
 from .field import FieldCtx
 from .linearized import LinearizedPoly, format_linpoly, subfield_permutation_check
 from .maps import FieldMap, linearized_map
 from .pptest import (CHARSUM_ALL_LIMIT_M, DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run,
-                     adapted_witness, char_sum, find_case1_witness, is_permutation_exhaustive,
-                     shift_checks)
+                     case1_witnesses, char_sum, is_permutation_exhaustive, shift_checks)
 
 PER_A_FULL_LIMIT_M = 12   # per-a case loops cover every a up to here
 
@@ -132,17 +134,22 @@ class VerificationReport:
 CSV_HEADER = "theorem,t,k,overall,millis"
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    result.millis = (time.perf_counter() - start) * 1000.0
-    return result
+def _timed(check):
+    """check with the wall time of each call recorded in its CheckResult's millis."""
+    @functools.wraps(check)
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        result = check(*args, **kwargs)
+        result.millis = (time.perf_counter() - start) * 1000.0
+        return result
+    return timed
 
 
 # ---------------------------------------------------------------------------
 # individual identity checks
 # ---------------------------------------------------------------------------
 
+@_timed
 def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None) -> CheckResult:
     """S + S^(q^k) + S^(q^(2k)) reduces to the zero map, twice over.
 
@@ -152,20 +159,16 @@ def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None) -> CheckResu
     t, k = ctx.require_tower()
     S = s_poly if s_poly is not None else s2k(ctx)
     total = S + S.then_frobenius(k * t) + S.then_frobenius(2 * k * t)
-
-    def run():
-        if not total.is_zero():
-            bad = next(i for i, c in enumerate(total.coeffs) if c)
-            return CheckResult("eq22", "fail", count=0,
-                               counterexample=f"coefficient {total.coeffs[bad]:#x} at index {bad}")
-        values = linearized_map(total, "eq22-sum").table()
-        if values.any():
-            x = int(np.argmax(values != 0))
-            return CheckResult("eq22", "fail", count=ctx.order,
-                               counterexample=f"sum = {total(x):#x} at x={x:#x}")
-        return CheckResult("eq22", "pass", count=ctx.order)
-
-    return _timed(run)
+    if not total.is_zero():
+        bad = next(i for i, c in enumerate(total.coeffs) if c)
+        return CheckResult("eq22", "fail", count=0,
+                           counterexample=f"coefficient {total.coeffs[bad]:#x} at index {bad}")
+    values = linearized_map(total, "eq22-sum").table()
+    if values.any():
+        x = int(np.argmax(values != 0))
+        return CheckResult("eq22", "fail", count=ctx.order,
+                           counterexample=f"sum = {total(x):#x} at x={x:#x}")
+    return CheckResult("eq22", "pass", count=ctx.order)
 
 
 def tracezero_set(ctx: FieldCtx) -> list[int]:
@@ -177,53 +180,45 @@ def tracezero_set(ctx: FieldCtx) -> list[int]:
     return gf2linalg.span(kernel)
 
 
+@_timed
 def check_kernel_image(ctx: FieldCtx) -> CheckResult:
     """Kernel and image of S match the subfield and the trace-zero set.
 
     Asserts: kernel(S) = F_{q^k} as a set, image(S) = trace-zero set as
     a set (so |image| = q^{2k}), and the gcd identity
     gcd(1 + x + ... + x^(2k-1), x^(3k) + 1) = x^k + 1 over GF(2).
-    Sets come from F2 bases, which is exact at any m here.
+    Sets come from F2 bases, which is exact at any m here.  S vanishing
+    on F_{q^k}, the literal subfield reading, is the kernel claim's subcase.
     """
-    from . import binpoly
-
     t, k = ctx.require_tower()
     d = t * k
     S = s2k(ctx)
-
-    def run():
-        note = ("image computed over the full field domain; on the literal "
-                "subfield reading (domain meets F_{q^{2k}} in F_{q^k}) S vanishes, "
-                "a subcase of the kernel claim")
-        kernel, image = S.kernel_image()
-        kernel_set = gf2linalg.span(kernel)
-        subfield = ctx.enumerate_subfield(d)
-        if kernel_set != subfield:
-            return CheckResult("kernel-image", "fail", count=len(kernel_set),
-                               counterexample="kernel differs from the subfield "
-                               f"(dim {len(kernel)} vs {d})")
-        image_set = gf2linalg.span(image)
-        tz = tracezero_set(ctx)
-        if image_set != tz:
-            return CheckResult("kernel-image", "fail", count=len(image_set),
-                               counterexample="image differs from the trace-zero set")
-        if len(image_set) != 1 << (2 * d):
-            return CheckResult("kernel-image", "fail", count=len(image_set),
-                               counterexample=f"image size {len(image_set)} != q^(2k)")
-        got = binpoly.gcd(binpoly.all_ones(2 * k), (1 << (3 * k)) | 1)
-        want = (1 << k) | 1
-        if got != want:
-            return CheckResult("kernel-image", "fail", count=0,
-                               counterexample=f"gcd = {binpoly.pretty(got)}, "
-                               f"expected {binpoly.pretty(want)}")
-        # literal subcase: S is zero on the intersection subfield
-        if any(S(z) != 0 for z in subfield):
-            return CheckResult("kernel-image", "fail", count=len(subfield),
-                               counterexample="S does not vanish on F_{q^k}")
-        return CheckResult("kernel-image", "pass",
-                           count=len(kernel_set) + len(image_set), note=note)
-
-    return _timed(run)
+    note = ("image computed over the full field domain; on the literal "
+            "subfield reading (domain meets F_{q^{2k}} in F_{q^k}) S vanishes, "
+            "a subcase of the kernel claim")
+    kernel, image = S.kernel_image()
+    kernel_set = gf2linalg.span(kernel)
+    subfield = ctx.enumerate_subfield(d)
+    if kernel_set != subfield:
+        return CheckResult("kernel-image", "fail", count=len(kernel_set),
+                           counterexample="kernel differs from the subfield "
+                           f"(dim {len(kernel)} vs {d})")
+    image_set = gf2linalg.span(image)
+    tz = tracezero_set(ctx)
+    if image_set != tz:
+        return CheckResult("kernel-image", "fail", count=len(image_set),
+                           counterexample="image differs from the trace-zero set")
+    if len(image_set) != 1 << (2 * d):
+        return CheckResult("kernel-image", "fail", count=len(image_set),
+                           counterexample=f"image size {len(image_set)} != q^(2k)")
+    got = binpoly.gcd(binpoly.all_ones(2 * k), (1 << (3 * k)) | 1)
+    want = (1 << k) | 1
+    if got != want:
+        return CheckResult("kernel-image", "fail", count=0,
+                           counterexample=f"gcd = {binpoly.pretty(got)}, "
+                           f"expected {binpoly.pretty(want)}")
+    return CheckResult("kernel-image", "pass",
+                       count=len(kernel_set) + len(image_set), note=note)
 
 
 def decompose_a(ctx: FieldCtx, a: int) -> int:
@@ -233,25 +228,9 @@ def decompose_a(ctx: FieldCtx, a: int) -> int:
     map is the trace-zero set).  The solution coset is c + F_{q^k}; no
     member lies in F_{q^k} because a is nonzero.
     """
-    coset = decomposition_coset(ctx, a)
-    c = coset[0]
-    t, k = ctx.require_tower()
-    assert c ^ ctx.frobenius(c, t * k) == a
-    return c
-
-
-def decomposition_coset(ctx: FieldCtx, a: int) -> list[int]:
-    """All q^k solutions of c + c^(q^k) = a, sorted ascending."""
-    t, k = ctx.require_tower()
-    d = t * k
     if a == 0:
         raise ValueError("a must be nonzero")
-    if ctx.rel_trace(a, d) != 0:
-        raise ValueError(
-            f"a={a:#x} has nonzero relative trace, so it is outside the image of "
-            f"c -> c + c^(q^k); it belongs to Case 1")
-    _, particular, kernel = _decomposition(ctx)
-    return sorted((int(particular(a)) ^ kernel).tolist())
+    return int(least_decompositions(ctx, [a])[0])
 
 
 def least_decompositions(ctx: FieldCtx, a_values) -> np.ndarray:
@@ -259,12 +238,17 @@ def least_decompositions(ctx: FieldCtx, a_values) -> np.ndarray:
 
     One lookup of the particular solution (it is linear in a), the least
     member of its coset over the q^k-element kernel, and an exact check
-    that every c solves c + c^(q^k) = a.
+    that every c solves c + c^(q^k) = a: a ValueError names the first a
+    outside the map's image.
     """
     phi, particular, kernel = _decomposition(ctx)
     a_values = np.asarray(a_values, dtype=np.int64)
     c = (particular(a_values)[:, None] ^ kernel).min(axis=1)
-    assert np.array_equal(phi(c), a_values), "every Case-2 a must be reachable"
+    missed = phi(c) != a_values
+    if missed.any():
+        raise ValueError(
+            f"a={int(a_values[np.argmax(missed)]):#x} has nonzero relative trace, so it is "
+            f"outside the image of c -> c + c^(q^k); it belongs to Case 1")
     return c
 
 
@@ -298,29 +282,23 @@ class _Thm1State:
         # the block function holds ctx, not self: a reference cycle would keep
         # this state's tables alive after the run, until the next garbage collection
         self.s_power = FieldMap("S^E", ctx, blocks.ImageTable(s2k(ctx), lambda v: _power_e(ctx, v)))
-        self._basis: tuple[int, int] | None = None
-        self._tz_powers: np.ndarray | None = None
-        self._eq23_basis: list[int] | None = None
 
+    @functools.cached_property
     def tz_powers(self) -> np.ndarray:
-        if self._tz_powers is None:
-            self._tz_powers = _power_e(self.ctx, np.array(tracezero_set(self.ctx), dtype=np.int64))
-        return self._tz_powers
+        return _power_e(self.ctx, np.array(tracezero_set(self.ctx), dtype=np.int64))
 
+    @functools.cached_property
     def basis(self) -> tuple[int, int]:
-        if self._basis is None:
-            self._basis = tracezero_basis(self.ctx)
-        return self._basis
+        return tracezero_basis(self.ctx)
 
+    @functools.cached_property
     def eq23_basis(self) -> list[int]:
         """Basis of the span of z(x) = g(x) + S^E(x) * 2^m (2m-bit vectors) over every x."""
-        if self._eq23_basis is None:
-            g, se, m = self.g.table(), self.s_power.table(), self.ctx.m
-            step = blocks.BLOCK
-            packed = (np.left_shift(se[i:i + step], m, dtype=np.uint64) | g[i:i + step]
-                      for i in range(0, g.size, step))
-            self._eq23_basis = blocks.span_basis(packed, 2 * m)
-        return self._eq23_basis
+        g, se, m = self.g.table(), self.s_power.table(), self.ctx.m
+        step = blocks.BLOCK
+        packed = (np.left_shift(se[i:i + step], m, dtype=np.uint64) | g[i:i + step]
+                  for i in range(0, g.size, step))
+        return blocks.span_basis(packed, 2 * m)
 
 
 def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None) -> CheckResult:
@@ -330,23 +308,9 @@ def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None) -> CheckR
     rewrite cancels S^q against S^4.  For g = g1 that makes it a q = 4
     identity (the t=2 towers), and it fails pointwise at other q; for g3,
     condition (ii) supplies the cancellation at every q.  Every x is
-    checked, through the tables of g and S^E.
+    checked, through the tables of g and S^E.  The count is 1, the one a.
     """
-    if state is None:
-        state = _Thm1State(ctx)
-
-    def run():
-        c = decompose_a(ctx, a)
-        left = blocks.parity(state.g.table() & ctx.trace_mask(a))
-        right = blocks.parity(state.s_power.table() & ctx.trace_mask(c))
-        diff = left ^ right
-        if diff.any():
-            x = int(np.argmax(diff))
-            return CheckResult("case2-eq23", "fail", count=ctx.order,
-                               counterexample=f"a={a:#x}, x={x:#x}")
-        return CheckResult("case2-eq23", "pass", count=ctx.order)
-
-    return _timed(run)
+    return _check_eq23_batch(state if state is not None else _Thm1State(ctx), [a], None)
 
 
 def tracezero_basis(ctx: FieldCtx) -> tuple[int, int]:
@@ -381,45 +345,9 @@ def check_case2_factorization(ctx: FieldCtx, a: int,
           (-1)^Tr(c di^(q^k) u),
       (c) rel_trace(c d1^(q^k)) and rel_trace(c d2^(q^k)) are not both 0,
       (d) T = 0.
+    The count is 1, the one a.
     """
-    if state is None:
-        state = _Thm1State(ctx)
-
-    def run():
-        t, k = ctx.require_tower()
-        d = t * k
-        c = decompose_a(ctx, a)
-        mask_c = ctx.trace_mask(c)
-        tz_powers = state.tz_powers()
-        odd = int(blocks.parity(tz_powers & mask_c).sum(dtype=np.int64))
-        tz_sum = len(tz_powers) - 2 * odd
-        full_sum = char_sum(state.g, a)
-        count = ctx.order + len(tz_powers)
-        if full_sum != (1 << d) * tz_sum:
-            return CheckResult("case2-factorization", "fail", count=count,
-                               counterexample=f"a={a:#x}: full sum {full_sum} != "
-                               f"q^k * {tz_sum} (eq. restriction step)")
-        d1, d2 = state.basis()
-        subfield = ctx.enumerate_subfield(d)
-        factors = []
-        for di in (d1, d2):
-            beta = ctx.mul(c, ctx.frobenius(di, d))
-            mask_b = ctx.trace_mask(beta)
-            factors.append(sum(1 - 2 * ((mask_b & u).bit_count() & 1) for u in subfield))
-        if tz_sum != factors[0] * factors[1]:
-            return CheckResult("case2-factorization", "fail", count=count,
-                               counterexample=f"a={a:#x}: trace-zero sum {tz_sum} != "
-                               f"{factors[0]} * {factors[1]} (product step)")
-        rts = [ctx.rel_trace(ctx.mul(c, ctx.frobenius(di, d)), d) for di in (d1, d2)]
-        if rts[0] == 0 and rts[1] == 0:
-            return CheckResult("case2-factorization", "fail", count=count,
-                               counterexample=f"a={a:#x}: both basis traces vanish")
-        if tz_sum != 0:
-            return CheckResult("case2-factorization", "fail", count=count,
-                               counterexample=f"a={a:#x}: trace-zero sum {tz_sum} != 0")
-        return CheckResult("case2-factorization", "pass", count=count)
-
-    return _timed(run)
+    return _check_factorization_batch(state if state is not None else _Thm1State(ctx), [a], None)
 
 
 # ---------------------------------------------------------------------------
@@ -449,136 +377,138 @@ def _case_split(ctx: FieldCtx, seed: int, sample_n: int) -> tuple[list[int], lis
     return case1, case2, True
 
 
-def _check_case1(g: FieldMap, case1: list[int], sampled: bool,
-                 witness_for) -> CheckResult:
+@_timed
+def _check_case1(g: FieldMap, L: LinearizedPoly, case1: list[int], sampled: bool) -> CheckResult:
     """Shift-difference lemma hypothesis for every Case-1 a, decided in one batch.
 
-    witness_for(a) picks the shift y and depends on a only through
-    rel_trace(a), so it runs once per distinct relative trace; each
-    distinct y is then decided for all its a by `shift_checks`.  The check
-    asserts the difference bit is the constant 1 and cross-checks the
-    implied vanishing sum; the first failing a in list order is reported.
+    The shift y depends on a only through rel_trace(a), so
+    `case1_witnesses` finds it once per distinct relative trace, and
+    `shift_checks` decides each distinct y for all its a.  The check asserts
+    the difference bit is the constant 1 and cross-checks the implied
+    vanishing sum; the first failing a in list order is reported.
     """
     ctx = g.ctx
 
-    def run():
-        note = f"sampled {len(case1)} a-values" if sampled else None
-        a_values = np.array(case1, dtype=np.int64)
-        rel = blocks.linear_table(rel_trace_poly(ctx))(a_values)
-        _, first, inverse = np.unique(rel, return_index=True, return_inverse=True)
-        found = [witness_for(case1[i]) for i in first]
-        ys = np.array([-1 if y is None else y for y in found], dtype=np.int64)[inverse]
-        const = np.zeros(len(case1), dtype=np.int8)
-        for y in np.unique(ys[ys >= 0]).tolist():
-            const[ys == y] = shift_checks(g, a_values[ys == y], y)
-        sums = char_sum(g, a_values)
-        bad = (ys < 0) | (const != 1) | (sums != 0)
-        if not bad.any():
-            return CheckResult("case1-shift-witness", "pass", count=len(case1), note=note)
-        i = int(np.argmax(bad))
+    a_values = np.array(case1, dtype=np.int64)
+    rel = blocks.linear_table(rel_trace_poly(ctx))(a_values)
+    r_values, inverse = np.unique(rel, return_inverse=True)
+    ys = case1_witnesses(ctx, L, r_values)[inverse]
+    const = np.zeros(len(case1), dtype=np.int8)
+    for y in np.unique(ys[ys >= 0]).tolist():
+        const[ys == y] = shift_checks(g, a_values[ys == y], y)
+    sums = char_sum(g, a_values)
+
+    def why(i):
         a, y = case1[i], int(ys[i])
         if y < 0:
-            why = f"a={a:#x}: no shift witness in the subfield"
-        elif const[i] != 1:
-            why = f"a={a:#x}, y={y:#x}: difference {'not constant' if const[i] < 0 else const[i]}"
-        else:
-            why = f"a={a:#x}: constant-1 shift but nonzero character sum"
-        return CheckResult("case1-shift-witness", "fail", count=len(case1),
-                           counterexample=why, note=note)
+            return f"a={a:#x}: no shift witness in the subfield"
+        if const[i] != 1:
+            return f"a={a:#x}, y={y:#x}: difference {'not constant' if const[i] < 0 else const[i]}"
+        return f"a={a:#x}: constant-1 shift but nonzero character sum"
 
-    return _timed(run)
+    note = f"sampled {len(case1)} a-values" if sampled else None
+    return _row("case1-shift-witness", case1, (ys < 0) | (const != 1) | (sums != 0), note, why)
 
 
+@_timed
 def _check_pp_exhaustive(g: FieldMap) -> CheckResult:
-    def run():
-        verdict = is_permutation_exhaustive(g)
-        if verdict.verdict != "permutation":
-            x1, x2 = verdict.witness
-            return CheckResult("pp-exhaustive", "fail", count=verdict.checks,
-                               counterexample=f"g({x1:#x}) = g({x2:#x})")
-        return CheckResult("pp-exhaustive", "pass", count=verdict.checks)
-    return _timed(run)
+    verdict = is_permutation_exhaustive(g)
+    if verdict.verdict != "permutation":
+        x1, x2 = verdict.witness
+        return CheckResult("pp-exhaustive", "fail", count=verdict.checks,
+                           counterexample=f"g({x1:#x}) = g({x2:#x})")
+    return CheckResult("pp-exhaustive", "pass", count=verdict.checks)
 
 
+@_timed
 def _check_charsum(g: FieldMap, mode: str, sample_n: int, seed: int) -> CheckResult:
-    def run():
-        verdict, by_a = _charsum_run(g, mode=mode, n=sample_n, seed=seed)
-        name = f"pp-charsum-{mode}"
-        sums = {f"{a:x}": s for a, s in by_a.items()} if mode == "sample" else None
-        if verdict.verdict == "not-permutation":
-            a, s = verdict.witness
-            return CheckResult(name, "fail", count=verdict.checks,
-                               counterexample=f"char_sum(a={a:#x}) = {s}", sums=sums)
-        return CheckResult(name, "pass", count=verdict.checks, sums=sums)
-
-    return _timed(run)
+    verdict, by_a = _charsum_run(g, mode=mode, n=sample_n, seed=seed)
+    name = f"pp-charsum-{mode}"
+    sums = {f"{a:x}": s for a, s in by_a.items()} if mode == "sample" else None
+    if verdict.verdict == "not-permutation":
+        a, s = verdict.witness
+        return CheckResult(name, "fail", count=verdict.checks,
+                           counterexample=f"char_sum(a={a:#x}) = {s}", sums=sums)
+    return CheckResult(name, "pass", count=verdict.checks, sums=sums)
 
 
+@_timed
 def _check_eq23_batch(state: _Thm1State, case2: list[int], note: str | None) -> CheckResult:
     """check_eq23 for every Case-2 a at once.
 
     Tr(a g(x)) = Tr(c S^E(x)) at every x iff the mask pair (M_a, M_c)
     annihilates the span of (g(x), S^E(x)) over every x, whose basis
-    `eq23_basis` finds in one pass over the two tables.
+    `eq23_basis` finds in one pass over the two tables.  A failing a gets
+    its least differing x from one parity sweep of that a.
     """
     ctx = state.ctx
 
-    def run():
-        a_values = np.array(case2, dtype=np.int64)
-        masks = blocks.trace_masks(ctx)
-        mask_a, mask_c = masks(a_values), masks(least_decompositions(ctx, a_values))
-        bad = np.zeros(len(case2), dtype=bool)
-        for z in state.eq23_basis():
-            bad |= (blocks.parity(mask_a & (z & (ctx.order - 1)))
-                    != blocks.parity(mask_c & (z >> ctx.m)))
-        return _case2_row("case2-eq23", case2, bad, note, lambda a: check_eq23(ctx, a, state))
+    a_values = np.array(case2, dtype=np.int64)
+    masks = blocks.trace_masks(ctx)
+    mask_a, mask_c = masks(a_values), masks(least_decompositions(ctx, a_values))
+    bad = np.zeros(len(case2), dtype=bool)
+    for z in state.eq23_basis:
+        bad |= (blocks.parity(mask_a & (z & (ctx.order - 1)))
+                != blocks.parity(mask_c & (z >> ctx.m)))
 
-    return _timed(run)
+    def why(i):
+        diff = (blocks.parity(state.g.table() & mask_a[i])
+                != blocks.parity(state.s_power.table() & mask_c[i]))
+        return f"a={case2[i]:#x}, x={int(np.argmax(diff)):#x}"
+
+    return _row("case2-eq23", case2, bad, note, why)
 
 
+@_timed
 def _check_factorization_batch(state: _Thm1State, case2: list[int],
                                note: str | None) -> CheckResult:
     """check_case2_factorization for every Case-2 a at once, its sums as arrays over a.
 
     full_sum is one spectrum gather, the trace-zero sum and the two
     factors are exact signed parity sums, and beta_i = c * d_i^(q^k) is a
-    fixed-multiplier linear table.
+    fixed-multiplier linear table.  An a is reported at its first failing step.
     """
     ctx = state.ctx
 
-    def run():
-        t, k = ctx.require_tower()
-        d = t * k
-        a_values = np.array(case2, dtype=np.int64)
-        c = least_decompositions(ctx, a_values)
-        masks = blocks.trace_masks(ctx)
-        tz_sum = blocks.signed_parity_sums(state.tz_powers(), masks(c))
-        full_sum = char_sum(state.g, a_values)
-        subfield = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
-        rel = blocks.linear_table(rel_trace_poly(ctx))
-        factors, both_zero = [], np.ones(len(case2), dtype=bool)
-        for di in state.basis():
-            e = ctx.frobenius(di, d)
-            beta = blocks.LinearTable([ctx.mul(e, 1 << j) for j in range(ctx.m)])(c)
-            factors.append(blocks.signed_parity_sums(subfield, masks(beta)))
-            both_zero &= rel(beta) == 0
-        bad = ((full_sum != (1 << d) * tz_sum) | (tz_sum != factors[0] * factors[1])
-               | both_zero | (tz_sum != 0))
-        return _case2_row("case2-factorization", case2, bad, note,
-                          lambda a: check_case2_factorization(ctx, a, state))
+    t, k = ctx.require_tower()
+    d = t * k
+    a_values = np.array(case2, dtype=np.int64)
+    c = least_decompositions(ctx, a_values)
+    masks = blocks.trace_masks(ctx)
+    tz_sum = blocks.signed_parity_sums(state.tz_powers, masks(c))
+    full_sum = char_sum(state.g, a_values)
+    subfield = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
+    rel = blocks.linear_table(rel_trace_poly(ctx))
+    factors, both_zero = [], np.ones(len(case2), dtype=bool)
+    for di in state.basis:
+        e = ctx.frobenius(di, d)
+        beta = blocks.LinearTable([ctx.mul(e, 1 << j) for j in range(ctx.m)])(c)
+        factors.append(blocks.signed_parity_sums(subfield, masks(beta)))
+        both_zero &= rel(beta) == 0
+    restriction = full_sum != (1 << d) * tz_sum
+    product = tz_sum != factors[0] * factors[1]
 
-    return _timed(run)
+    def why(i):
+        a = case2[i]
+        if restriction[i]:
+            return f"a={a:#x}: full sum {full_sum[i]} != q^k * {tz_sum[i]} (eq. restriction step)"
+        if product[i]:
+            return (f"a={a:#x}: trace-zero sum {tz_sum[i]} != "
+                    f"{factors[0][i]} * {factors[1][i]} (product step)")
+        if both_zero[i]:
+            return f"a={a:#x}: both basis traces vanish"
+        return f"a={a:#x}: trace-zero sum {tz_sum[i]} != 0"
+
+    bad = restriction | product | both_zero | (tz_sum != 0)
+    return _row("case2-factorization", case2, bad, note, why)
 
 
-def _case2_row(name: str, case2: list[int], bad: np.ndarray, note: str | None,
-               check) -> CheckResult:
-    """The pass row, or check(a) for the first failing a in list order, which must agree."""
+def _row(name: str, a_list: list[int], bad: np.ndarray, note: str | None, why) -> CheckResult:
+    """The pass row, or the fail row with why(i) for the first failing a in list order."""
     if not bad.any():
-        return CheckResult(name, "pass", count=len(case2), note=note)
-    got = check(case2[int(np.argmax(bad))])
-    assert not got.passed, f"{name}: the batched and the single-a check disagree"
-    got.note = note
-    return got
+        return CheckResult(name, "pass", count=len(a_list), note=note)
+    return CheckResult(name, "fail", count=len(a_list), counterexample=why(int(np.argmax(bad))),
+                       note=note)
 
 
 def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
@@ -608,8 +538,7 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
     report.checks.append(_check_charsum(g, charsum_mode, sample_n, seed))
 
     case1, case2, sampled = _case_split(ctx, seed, sample_n)
-    report.checks.append(_check_case1(g, case1, sampled,
-                                      lambda a: find_case1_witness(ctx, a)))
+    report.checks.append(_check_case1(g, build_L1(ctx), case1, sampled))
 
     note = f"sampled {len(case2)} a-values" if sampled else None
     report.checks.append(_check_eq23_batch(state, case2, note))
@@ -633,22 +562,22 @@ def verify_thm3(ctx: FieldCtx, L: LinearizedPoly, seed: int = DEFAULT_SEED,
     d = t * k
     report = VerificationReport("thm3", t, k, ctx.m, f"{ctx.modulus:x}", seed)
 
-    def run_i():
+    @_timed
+    def condition_i():
         ok, reason = subfield_permutation_check(L, d)
-        if not ok:
-            return CheckResult("condition-i", "fail", count=1 << d, counterexample=reason)
-        return CheckResult("condition-i", "pass", count=1 << d)
+        return CheckResult("condition-i", "pass" if ok else "fail", count=1 << d,
+                           counterexample=reason)
 
-    def run_ii():
-        from .constructions import condition_ii_sides
+    @_timed
+    def condition_ii():
         left, right = condition_ii_sides(ctx, L)
         if left != right:
             return CheckResult("condition-ii", "fail", count=ctx.m,
                                counterexample=f"{format_linpoly(left)} != {format_linpoly(right)}")
         return CheckResult("condition-ii", "pass", count=ctx.m)
 
-    report.checks.append(_timed(run_i))
-    report.checks.append(_timed(run_ii))
+    report.checks.append(condition_i())
+    report.checks.append(condition_ii())
     report.hypothesis_failure = not all(c.passed for c in report.checks)
     if report.hypothesis_failure and skip_conclusion_on_hypothesis_failure:
         return report.finish()
@@ -657,6 +586,6 @@ def verify_thm3(ctx: FieldCtx, L: LinearizedPoly, seed: int = DEFAULT_SEED,
     report.checks.append(_check_pp_exhaustive(g))
 
     case1, _, sampled = _case_split(ctx, seed, sample_n)
-    report.checks.append(_check_case1(g, case1, sampled, lambda a: adapted_witness(ctx, L, a)))
+    report.checks.append(_check_case1(g, L, case1, sampled))
     return report.finish()
 

@@ -8,13 +8,15 @@ character sums, popcount parity kernel, image-table map formulas and
 vectorized collision search.  The `*_block_direct` oracles reuse the
 linear-table and multiply kernels, which are pinned on their own, but
 multiply on every x instead of once per image element.  The `*_per_a`
-oracles are the case loops as verify ran them before batching: one
-full-table sweep of the single-a check per a.
+oracles are the case loops as verify ran them before batching, and they
+hold the one-a sweeps the package replaced by its batched rows: one
+full-table sweep of the single-a check per a, the Case-1 witness by a
+scalar loop over F_{q^k}, and c from a filter of the whole domain.
 """
 
 import numpy as np
 
-from ppverify import binpoly, blocks, char_sum, shift_check
+from ppverify import binpoly, blocks, char_sum
 from ppverify.constructions import s2k
 from ppverify.linearized import LinearizedPoly
 from ppverify.proofchecks import CheckResult
@@ -126,8 +128,96 @@ def first_collision(values):
     return None
 
 
+def shift_check_sweep(f, a: int, y: int) -> int | None:
+    """The constant bit of Tr(a*f(x+y)) + Tr(a*f(x)) over all x, or None: one masked sweep."""
+    par = blocks.parity(f.table() & f.ctx.trace_mask(a))
+    bits = par ^ par[blocks.domain(f.ctx) ^ y]
+    lo, hi = int(bits.min()), int(bits.max())
+    return lo if lo == hi else None
+
+
+def find_case1_witness_scalar(ctx, a: int) -> int:
+    """First y in F_{q^k} (enumeration order) with Tr_{q^k/2}(y * rel_trace(a)) = 1, by scalar ops."""
+    t, k = ctx.require_tower()
+    d = t * k
+    r = ctx.rel_trace(a, d)
+    if r == 0:
+        raise ValueError(f"a={a:#x} has zero relative trace; it belongs to Case 2")
+    for y in ctx.enumerate_subfield(d):
+        if ctx.subfield_trace(ctx.mul(y, r), d) == 1:
+            return y
+    raise AssertionError("nondegenerate trace form yielded no witness")
+
+
+def adapted_witness(ctx, L, a: int) -> int | None:
+    """First y in F_{q^k} with Tr_{q^k/2}[L(y) rel_trace(a)] = 1, the Case-1 shift of g3.
+
+    None if no y qualifies, or if L maps a y met on the way outside F_{q^k}.
+    """
+    t, k = ctx.require_tower()
+    d = t * k
+    r = ctx.rel_trace(a, d)
+    for y in ctx.enumerate_subfield(d):
+        ly = L(y)
+        if not ctx.in_subfield(ly, d):
+            return None
+        if ctx.subfield_trace(ctx.mul(ly, r), d) == 1:
+            return y
+    return None
+
+
+def decomposition_cosets(ctx, a_values) -> list[list[int]]:
+    """For each a, every c with c + c^(q^k) = a, ascending: a filter of the whole domain."""
+    t, k = ctx.require_tower()
+    xs = blocks.domain(ctx)
+    phi = xs ^ blocks.linear_table(LinearizedPoly.frobenius_power(ctx, t * k))(xs)
+    return [np.flatnonzero(phi == a).tolist() for a in a_values]
+
+
+def eq23_one_a(state, a: int, c: int) -> str | None:
+    """Tr(a*g(x)) = Tr(c*S(x)^E) at every x, by one parity sweep per side; the counterexample or None."""
+    ctx = state.ctx
+    left = blocks.parity(state.g.table() & ctx.trace_mask(a))
+    right = blocks.parity(state.s_power.table() & ctx.trace_mask(c))
+    diff = left ^ right
+    if diff.any():
+        x = int(np.argmax(diff))
+        return f"a={a:#x}, x={x:#x}"
+    return None
+
+
+def factorization_one_a(state, a: int, c: int) -> str | None:
+    """The Case-2 chain for one a, with scalar factor sums; the counterexample or None."""
+    ctx = state.ctx
+    t, k = ctx.require_tower()
+    d = t * k
+    mask_c = ctx.trace_mask(c)
+    tz_powers = state.tz_powers
+    odd = int(blocks.parity(tz_powers & mask_c).sum(dtype=np.int64))
+    tz_sum = len(tz_powers) - 2 * odd
+    full_sum = char_sum(state.g, a)
+    if full_sum != (1 << d) * tz_sum:
+        return f"a={a:#x}: full sum {full_sum} != q^k * {tz_sum} (eq. restriction step)"
+    d1, d2 = state.basis
+    subfield = ctx.enumerate_subfield(d)
+    factors = []
+    for di in (d1, d2):
+        beta = ctx.mul(c, ctx.frobenius(di, d))
+        mask_b = ctx.trace_mask(beta)
+        factors.append(sum(1 - 2 * ((mask_b & u).bit_count() & 1) for u in subfield))
+    if tz_sum != factors[0] * factors[1]:
+        return (f"a={a:#x}: trace-zero sum {tz_sum} != "
+                f"{factors[0]} * {factors[1]} (product step)")
+    rts = [ctx.rel_trace(ctx.mul(c, ctx.frobenius(di, d)), d) for di in (d1, d2)]
+    if rts[0] == 0 and rts[1] == 0:
+        return f"a={a:#x}: both basis traces vanish"
+    if tz_sum != 0:
+        return f"a={a:#x}: trace-zero sum {tz_sum} != 0"
+    return None
+
+
 def case1_per_a(g, case1, witness_for) -> CheckResult:
-    """The case1-shift-witness row by one shift_check sweep and one char_sum per a."""
+    """The case1-shift-witness row by one shift_check_sweep and one char_sum per a."""
     def fail(why):
         return CheckResult("case1-shift-witness", "fail", count=len(case1), counterexample=why)
 
@@ -135,7 +225,7 @@ def case1_per_a(g, case1, witness_for) -> CheckResult:
         y = witness_for(a)
         if y is None:
             return fail(f"a={a:#x}: no shift witness in the subfield")
-        const = shift_check(g, a, y)
+        const = shift_check_sweep(g, a, y)
         if const != 1:
             return fail(f"a={a:#x}, y={y:#x}: "
                         f"difference {'not constant' if const is None else const}")
@@ -144,10 +234,13 @@ def case1_per_a(g, case1, witness_for) -> CheckResult:
     return CheckResult("case1-shift-witness", "pass", count=len(case1))
 
 
-def case2_per_a(name, case2, check) -> CheckResult:
-    """A Case-2 row: check(a) for each a in turn, the first failure standing for all."""
-    for a in case2:
-        got = check(a)
-        if not got.passed:
-            return got
+def case2_per_a(name, state, case2, check) -> CheckResult:
+    """A Case-2 row: check(state, a, c) for each a in turn, c its least decomposition.
+
+    The first failure stands for all; the row counts the whole a list, pass or fail.
+    """
+    for a, coset in zip(case2, decomposition_cosets(state.ctx, case2)):
+        why = check(state, a, coset[0])
+        if why is not None:
+            return CheckResult(name, "fail", count=len(case2), counterexample=why)
     return CheckResult(name, "pass", count=len(case2))

@@ -4,6 +4,8 @@ verify decides each Case-1 and Case-2 row for its whole a list at once,
 by GF(2) linear algebra over the map tables.  Every row here must equal
 the row the one-sweep-per-a loop of `reference` gives: same status, same
 count and, on a failure, the same first failing a and counterexample.
+The Case-1 shifts of every relative trace (`case1_witnesses`) are pinned
+against the scalar witness loops of `reference` the same way.
 """
 
 import random
@@ -12,14 +14,16 @@ import numpy as np
 import pytest
 
 from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_thm3,
-                      build_L_note, check_case2_factorization, check_eq23, find_case1_witness)
+                      build_L_note, search_L_candidates)
+from ppverify.constructions import build_L1
 from ppverify.maps import FieldMap
-from ppverify.pptest import adapted_witness
+from ppverify.pptest import case1_witnesses
 from ppverify.proofchecks import (_case_split, _check_case1, _check_eq23_batch,
                                   _check_factorization_batch, _Thm1State, decompose_a,
                                   least_decompositions)
 
-from reference import case1_per_a, case2_per_a
+from reference import (adapted_witness, case1_per_a, case2_per_a, decomposition_cosets,
+                       eq23_one_a, factorization_one_a, find_case1_witness_scalar)
 
 SMALL_TOWERS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
 
@@ -28,20 +32,18 @@ def _row(check):
     return check.name, check.status, check.count, check.counterexample
 
 
-def _witnesses(ctx, L):
-    if L is None:
-        return lambda a: find_case1_witness(ctx, a)
-    return lambda a: adapted_witness(ctx, L, a)
+def _assert_rows_match(g, L, case1, case2, state):
+    """Case-1, eq23 and factorization rows, batched against per a; returns the oracle rows.
 
-
-def _assert_rows_match(g, witness_for, case1, case2, state):
-    """Case-1, eq23 and factorization rows, batched against per a; returns the oracle rows."""
+    L is g's linear part, None for g1, whose Case-1 witness is the L1-free scalar loop.
+    """
     ctx = g.ctx
+    witness_for = ((lambda a: find_case1_witness_scalar(ctx, a)) if L is None
+                   else (lambda a: adapted_witness(ctx, L, a)))
     want = [case1_per_a(g, case1, witness_for),
-            case2_per_a("case2-eq23", case2, lambda a: check_eq23(ctx, a, state)),
-            case2_per_a("case2-factorization", case2,
-                        lambda a: check_case2_factorization(ctx, a, state))]
-    got = [_check_case1(g, case1, False, witness_for),
+            case2_per_a("case2-eq23", state, case2, eq23_one_a),
+            case2_per_a("case2-factorization", state, case2, factorization_one_a)]
+    got = [_check_case1(g, build_L1(ctx) if L is None else L, case1, False),
            _check_eq23_batch(state, case2, None),
            _check_factorization_batch(state, case2, None)]
     assert [_row(c) for c in got] == [_row(c) for c in want]
@@ -64,7 +66,7 @@ def test_every_a_matches_oracle_up_to_m12(t, k, which):
     g = build_g_thm1(ctx) if L is None else build_g_thm3(ctx, L)
     case1, case2, sampled = _case_split(ctx, 1729, 128)
     assert not sampled and len(case1) + len(case2) == ctx.order - 1
-    rows = _assert_rows_match(g, _witnesses(ctx, L), case1, case2, _Thm1State(ctx, g))
+    rows = _assert_rows_match(g, L, case1, case2, _Thm1State(ctx, g))
     if which == "g3" or t == 2:
         assert all(row.passed for row in rows)
     else:
@@ -73,11 +75,13 @@ def test_every_a_matches_oracle_up_to_m12(t, k, which):
 
 @pytest.mark.parametrize("t,k", [(1, 1), (2, 1), (1, 3), (2, 2), (1, 4), (2, 3)], ids=str)
 def test_least_decompositions_match_decompose_a(t, k):
-    # the least member of each coset, which the Case-2 rows and their messages use
+    # the least member of each coset, which the Case-2 rows and their messages use;
+    # decompose_a is the one-a call, and both must equal the least c found by a domain filter
     ctx = FieldCtx.from_tower(t, k)
     _, case2, _ = _case_split(ctx, 1729, 128)
-    got = least_decompositions(ctx, case2)
-    assert got.tolist() == [decompose_a(ctx, a) for a in case2]
+    want = [coset[0] for coset in decomposition_cosets(ctx, case2)]
+    assert least_decompositions(ctx, case2).tolist() == want
+    assert [decompose_a(ctx, a) for a in case2] == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -88,7 +92,7 @@ def test_random_L_matches_oracle(seed):
     L = LinearizedPoly(ctx, [rng.randrange(ctx.order) for _ in range(ctx.m)])
     g = build_g_thm3(ctx, L)
     case1, case2, _ = _case_split(ctx, 1729, 128)
-    _assert_rows_match(g, _witnesses(ctx, L), case1, case2, _Thm1State(ctx, g))
+    _assert_rows_match(g, L, case1, case2, _Thm1State(ctx, g))
 
 
 @pytest.mark.parametrize("x0, bit, passed", [
@@ -100,7 +104,7 @@ def test_flipped_g_entry_fails_like_oracle_at_m12(x0, bit, passed):
     ctx = FieldCtx.from_tower(2, 2)
     g = _flipped(build_g_thm1(ctx), x0, bit)
     case1, case2, _ = _case_split(ctx, 1729, 128)
-    rows = _assert_rows_match(g, _witnesses(ctx, None), case1, case2, _Thm1State(ctx, g))
+    rows = _assert_rows_match(g, None, case1, case2, _Thm1State(ctx, g))
     assert [row.passed for row in rows] == passed
 
 
@@ -111,9 +115,67 @@ def test_flipped_s_power_entry_fails_like_oracle_at_m12(x0, bit):
     state = _Thm1State(ctx, g)
     state.s_power = _flipped(state.s_power, x0, bit)
     case1, case2, _ = _case_split(ctx, 1729, 128)
-    rows = _assert_rows_match(g, _witnesses(ctx, None), case1, case2, state)
+    rows = _assert_rows_match(g, None, case1, case2, state)
     assert [row.passed for row in rows] == [True, False, True]
     assert rows[1].counterexample.endswith(f"x={x0:#x}")
+
+
+@pytest.mark.parametrize("zero_g", [False, True])
+def test_broken_trace_zero_basis_fails_like_oracle_at_m12(zero_g):
+    # d2 = d1 spans one line only, so the product step fails; with g and every w^E
+    # zeroed as well, the restriction step holds and the basis-trace step fails first
+    ctx = FieldCtx.from_tower(2, 2)
+    g = FieldMap.from_table("zero", ctx, [0] * ctx.order) if zero_g else build_g_thm1(ctx)
+    state = _Thm1State(ctx, g)
+    state.basis = (state.basis[0],) * 2
+    if zero_g:
+        state.tz_powers = np.zeros_like(state.tz_powers)
+    _, case2, _ = _case_split(ctx, 1729, 128)
+    want = case2_per_a("case2-factorization", state, case2, factorization_one_a)
+    assert _row(_check_factorization_batch(state, case2, None)) == _row(want)
+    assert want.counterexample.endswith("both basis traces vanish" if zero_g else "(product step)")
+
+
+def _assert_witnesses_match(ctx, L):
+    """case1_witnesses against the scalar loop on every nonzero relative trace; returns them.
+
+    An r in F_{q^k} is its own relative trace (r + r + r = r), so it serves as its own a.
+    """
+    rs = ctx.enumerate_subfield(ctx.t * ctx.k)[1:]
+    got = case1_witnesses(ctx, L, rs).tolist()
+    assert got == [-1 if y is None else y for y in (adapted_witness(ctx, L, r) for r in rs)]
+    return got
+
+
+@pytest.mark.parametrize("t,k", SMALL_TOWERS, ids=str)
+def test_case1_witnesses_match_scalar_loops_up_to_m12(t, k):
+    ctx = FieldCtx.from_tower(t, k)
+    subfield = ctx.enumerate_subfield(t * k)
+    # L1 is the identity on F_{q^k} (S vanishes there), so g1's own loop gives the same shifts
+    assert _assert_witnesses_match(ctx, build_L1(ctx)) == \
+        [find_case1_witness_scalar(ctx, r) for r in subfield[1:]]
+    for L in [build_L_note(ctx)] + [c.poly for c in search_L_candidates(ctx, 8)[:3]]:
+        assert -1 not in _assert_witnesses_match(ctx, L)
+    # arbitrary coefficients map F_{q^k} outside itself; coefficients in F_{q^k} keep it,
+    # and a singular such L leaves some r without a y
+    missed_inside = set()
+    for seed in range(3):
+        rng = random.Random(seed)
+        for coeffs in ([rng.randrange(ctx.order) for _ in range(ctx.m)],
+                       [rng.choice(subfield) for _ in range(ctx.m)]):
+            L = LinearizedPoly(ctx, coeffs)
+            if -1 in _assert_witnesses_match(ctx, L):
+                missed_inside.add(all(ctx.in_subfield(L(y), t * k) for y in subfield))
+    assert missed_inside == {False, True}
+
+
+@pytest.mark.parametrize("t,k", [(1, 6), (2, 3), (3, 2), (6, 1), (2, 4), (1, 8)], ids=str)
+def test_case1_witnesses_match_scalar_loops_at_m18_and_m24(t, k):
+    ctx = FieldCtx.from_tower(t, k)
+    rs = ctx.enumerate_subfield(t * k)[1:]
+    assert _assert_witnesses_match(ctx, build_L1(ctx)) == \
+        [find_case1_witness_scalar(ctx, r) for r in rs]
+    assert -1 not in _assert_witnesses_match(ctx, build_L_note(ctx))
 
 
 @pytest.fixture(scope="module")
@@ -127,11 +189,11 @@ def m18():
 
 def test_seeded_a_match_oracle_at_m18(m18):
     ctx, g, state, case1, case2 = m18
-    rows = _assert_rows_match(g, _witnesses(ctx, None), case1, case2, state)
+    rows = _assert_rows_match(g, None, case1, case2, state)
     assert all(row.passed for row in rows)
     L = build_L_note(ctx)
     g3 = build_g_thm3(ctx, L)
-    rows = _assert_rows_match(g3, _witnesses(ctx, L), case1, case2, _Thm1State(ctx, g3))
+    rows = _assert_rows_match(g3, L, case1, case2, _Thm1State(ctx, g3))
     assert all(row.passed for row in rows)
 
 
@@ -139,12 +201,12 @@ def test_mutants_beyond_the_first_block_fail_like_oracle_at_m18(m18):
     # the flips sit past the first 2^16 x, where only the span's residual pass sees them
     ctx, g, state, case1, case2 = m18
     mutant = _flipped(g, 0x2b4e1, 5)
-    rows = _assert_rows_match(mutant, _witnesses(ctx, None), case1, case2,
+    rows = _assert_rows_match(mutant, None, case1, case2,
                               _Thm1State(ctx, mutant))
     assert not any(row.passed for row in rows)
     bad_state = _Thm1State(ctx, g)
     bad_state.s_power = _flipped(state.s_power, 0x3fffe, 16)
-    rows = _assert_rows_match(g, _witnesses(ctx, None), case1, case2, bad_state)
+    rows = _assert_rows_match(g, None, case1, case2, bad_state)
     assert [row.passed for row in rows] == [True, False, True]
     assert rows[1].counterexample.endswith("x=0x3fffe")
 
@@ -159,11 +221,11 @@ def m24():
 
 def test_seeded_a_and_a_mutant_match_oracle_at_m24(m24):
     ctx, g, state, case1, case2 = m24
-    rows = _assert_rows_match(g, _witnesses(ctx, None), case1, case2, state)
+    rows = _assert_rows_match(g, None, case1, case2, state)
     assert all(row.passed for row in rows)
     bad_state = _Thm1State(ctx, g)
     bad_state.s_power = _flipped(state.s_power, 0xd00d1e, 20)   # only eq23 reads S^E
-    want = case2_per_a("case2-eq23", case2, lambda a: check_eq23(ctx, a, bad_state))
+    want = case2_per_a("case2-eq23", bad_state, case2, eq23_one_a)
     assert not want.passed and want.counterexample.endswith("x=0xd00d1e")
     assert _row(_check_eq23_batch(bad_state, case2, None)) == _row(want)
 

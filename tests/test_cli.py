@@ -1,6 +1,7 @@
 """CLI contracts: exit codes, formats, overrides, reproducibility."""
 
 import json
+import random
 
 import pytest
 
@@ -139,6 +140,48 @@ def test_pptest_sampled_mode_on_large_field(capsys):
     assert run(["pptest", "--t", "2", "--k", "3", "--map", "builtin:g-thm1",
                 "--method", "charsum", "--mode", "sample:16:42"]) == 0
     assert "probable-permutation" in capsys.readouterr().out
+
+
+def _verify_json(tmp_path, argv):
+    out = tmp_path / "reports.json"
+    assert run(["verify"] + argv + ["--format", "json", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    for r in reports:
+        for c in r["checks"]:
+            del c["millis"]
+        del r["millis"]
+    return reports
+
+
+@pytest.mark.parametrize("mode, seed", [("sample:8", 5), ("all", 5), ("sample:8:7", 7)])
+def test_verify_seed_flag_applies_under_mode(tmp_path, mode, seed):
+    # a SEED written in the mode wins; otherwise --seed applies
+    got = _verify_json(tmp_path, ["thm1", "--k", "1", "--seed", "5", "--mode", mode])
+    assert [r["seed"] for r in got] == [seed]
+
+
+def test_verify_mode_seed_and_seed_flag_draw_the_same_sample(tmp_path):
+    flag = _verify_json(tmp_path, ["thm1", "--k", "1", "--seed", "5", "--mode", "sample:8"])
+    written = _verify_json(tmp_path, ["thm1", "--k", "1", "--mode", "sample:8:5"])
+    assert flag == written
+    assert flag[0]["checks"][3]["name"] == "pp-charsum-sample"
+
+
+def test_verify_smoke_suite_reports_one_seed_under_mode(tmp_path):
+    got = _verify_json(tmp_path, ["--seed", "5", "--mode", "sample:8"])
+    assert {r["theorem"] for r in got} == {"thm1", "thm3"}
+    assert {r["seed"] for r in got} == {5}
+
+
+@pytest.mark.parametrize("argv, seed", [(["--seed", "5"], 5), (["--seed", "5", "--mode", "sample:8"], 5),
+                                        (["--seed", "5", "--mode", "sample:8:7"], 7)])
+def test_pptest_seed_flag_applies_under_mode(tmp_path, capsys, argv, seed):
+    # every sum of the zero map is 2^m, so the witness is the first a drawn from the seed
+    table = tmp_path / "zero.txt"
+    table.write_text("".join(f"{x:x}:0\n" for x in range(1 << 15)))
+    assert run(["pptest", "--map", str(table), "--method", "charsum"] + argv) == 1
+    first = random.Random(seed).randrange(1, 1 << 15)
+    assert f"witness: char_sum(a={first:x}) = {1 << 15}" in capsys.readouterr().out
 
 
 def test_pptest_charsum_all_gate(capsys):

@@ -12,7 +12,7 @@ from ppverify import (FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note
 from ppverify.maps import FieldMap
 from ppverify.pptest import PPVerdict, _char_sums, shift_checks
 
-from reference import char_sum_definitional, char_sums_masked, first_collision
+from reference import char_sum_definitional, char_sums_masked, first_collision, shift_check_sweep
 
 
 def cube_map_f4():
@@ -351,7 +351,7 @@ def test_shift_checks_match_shift_check_for_every_a_and_y_at_m6():
     for fmap in (g, one_collision_mutant(g, 3, 50), noise):
         for y in ctx.elements():
             assert shift_checks(fmap, a_values, y).tolist() == \
-                _as_checks(shift_check(fmap, a, y) for a in a_values)
+                _as_checks(shift_check_sweep(fmap, a, y) for a in a_values)
 
 
 def test_char_sum_takes_an_array_of_a():
@@ -371,4 +371,4 @@ def test_shift_checks_at_m19_across_blocks(y):
     rng = random.Random(y)
     a_values = [1, 0x2b, (1 << 19) - 1] + [rng.randrange(1, 1 << 19) for _ in range(20)]
     assert shift_checks(collide, a_values, y).tolist() == \
-        _as_checks(shift_check(collide, a, y) for a in a_values)
+        _as_checks(shift_check_sweep(collide, a, y) for a in a_values)
