@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import Iterable
 
 from . import binpoly
 from .constructions import (SEARCH_FAMILY, build_g_thm1, build_g_thm3,
@@ -131,14 +132,17 @@ def _build_map(spec: str, ctx: FieldCtx | None) -> FieldMap:
         raise ConfigError(str(exc)) from exc
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a temp file beside path; an unwritable path is a ConfigError."""
+def _atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or its chunks one by one, through a temp file beside path.
+
+    An unwritable path is a ConfigError.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ppverify-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines([text] if isinstance(text, str) else text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -222,7 +226,7 @@ def _cmd_pptest(args) -> int:
         ctx = _build_ctx(args)
     fmap = _build_map(args.map, ctx)
     if args.export:
-        _atomic_write(args.export, "\n".join(format_table_lines(fmap)) + "\n")
+        _atomic_write(args.export, format_table_lines(fmap))
         print(f"exported table to {args.export}")
 
     mode, n, seed = _parse_mode(args.mode, args.seed) if args.mode else (

@@ -29,6 +29,8 @@ class FieldCtx:
         if modulus is None:
             modulus = binpoly.find_irreducible(m)
         else:
+            if modulus < 0:
+                raise ValueError(f"modulus {modulus:#x} is negative")
             if binpoly.degree(modulus) != m:
                 raise ValueError(
                     f"modulus {binpoly.pretty(modulus)} has degree "
@@ -235,6 +237,8 @@ def load_modulus_file(path: str) -> dict[int, int]:
                 m_str, hex_str = line.split(":", 1)
                 m = int(m_str)
                 modulus = int(hex_str, 16)
+                if modulus < 0:
+                    raise ValueError
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: expected `m:hex`, got {line!r}") from exc
             table[m] = modulus

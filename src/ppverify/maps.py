@@ -7,6 +7,16 @@ way a check reads a whole map: it is filled from the block function in
 fixed blocks of 2^16 inputs and cached, with its Walsh spectrum beside it.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
+
+Tables are exchanged as hex text files, one `x:gx` line per element,
+and both ends work in blocks with whole-array passes, never per line:
+export formats 2^16 entries at a time into one text chunk, and import
+reads the file in blocks of whole lines (about 256 KB), classifies
+every byte with a translate table, finds each line's tokens and decodes
+its two fields in a few passes over the block, then scatters the values
+into one uint32 table.  Beside the table, export needs a few MB and
+import a few MB of block buffers, plus the half-size old table while
+the table grows (when m is inferred from the line count).
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import blocks
-from .field import FieldCtx
+from .field import MAX_DEGREE, FieldCtx
 from .linearized import LinearizedPoly
 
 
@@ -75,13 +85,17 @@ class FieldMap:
 
     @classmethod
     def from_table(cls, name: str, ctx: FieldCtx, values) -> "FieldMap":
-        """Wrap an explicit value table (length 2^m, entries in range), stored as uint32."""
-        table = np.asarray(values, dtype=np.int64)
+        """Wrap an explicit value table (length 2^m, entries in range), stored as uint32.
+
+        A uint32 array is taken over without a copy and made read-only.
+        """
+        uint32 = isinstance(values, np.ndarray) and values.dtype == np.uint32
+        table = values if uint32 else np.asarray(values, dtype=np.int64)
         if table.shape != (ctx.order,):
             raise ValueError(f"table must have exactly {ctx.order} entries, got {table.shape}")
         if table.size and (table.min() < 0 or table.max() >= ctx.order):
             raise ValueError("table entry out of field range")
-        table = table.astype(np.uint32)
+        table = table.astype(np.uint32, copy=False)
         table.setflags(write=False)
         fmap = cls(name, ctx, table.__getitem__)
         fmap._table = table
@@ -93,10 +107,121 @@ def linearized_map(L: LinearizedPoly, name: str) -> FieldMap:
     return FieldMap(name, L.ctx, blocks.linear_table(L))
 
 
+_HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_READ_BYTES = 1 << 18       # bytes read per block of a table file, cut back to a line end
+_UNSET = 0xFFFFFFFF         # table entry that no line has set
+_CLIPPED = 0xFFFFFFFE       # table entry of a value >= _CLIPPED, read exactly on the error path
+
+# Byte classes and nibble values of the table grammar, applied by bytes.translate.
+_WS, _HEX, _COLON, _HASH, _OTHER = range(5)
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+_CLASS = bytes(_HEX if c in _HEX_DIGITS else _COLON if c == ord(":") else
+               _HASH if c == ord("#") else _WS if c in b" \t\v\f\r\n" else _OTHER
+               for c in range(256))
+_NIBBLE = bytes(int(chr(c), 16) if c in _HEX_DIGITS else 0 for c in range(256))
+
+
 def format_table_lines(fmap: FieldMap) -> Iterator[str]:
-    """Hex table exchange format: one `x:gx` line per element, sorted by x."""
-    for x, y in enumerate(fmap.table()):
-        yield f"{x:x}:{int(y):x}"
+    """Hex table exchange format: one `x:gx` line per element, sorted by x.
+
+    Yields one text chunk of newline-terminated lines per block of
+    `blocks.BLOCK` entries: a character array filled one digit column
+    at a time by nibble lookups, then one boolean compaction that drops
+    each value's leading zero digits.
+    """
+    table = fmap.table()
+    width = (fmap.ctx.m + 3) // 4                     # hex digits of the widest value
+    for start in range(0, len(table), blocks.BLOCK):
+        ys = table[start:start + blocks.BLOCK]
+        chars = np.empty((len(ys), 2 * width + 2), dtype=np.uint8)
+        keep = np.ones(chars.shape, dtype=bool)
+        for field, values in enumerate((np.arange(start, start + len(ys), dtype=np.uint32), ys)):
+            for i in range(width):                    # digit columns, from the left
+                prefix = values >> np.uint32(4 * (width - 1 - i))
+                chars[:, field * (width + 1) + i] = _HEX_CHARS[prefix & 15]
+                keep[:, field * (width + 1) + i] = prefix != 0
+        keep[:, [width - 1, 2 * width]] = True        # zero is written as one digit
+        chars[:, [width, 2 * width + 1]] = (ord(":"), ord("\n"))
+        yield chars[keep].tobytes().decode("ascii")
+
+
+def _read_blocks(fh) -> Iterator[bytes]:
+    """About _READ_BYTES of whole lines at a time; only the last may lack a line end.
+
+    A cut never falls inside `\\r\\n`: a `\\r` ends a block only when the
+    byte after it is already read and is not `\\n`.
+    """
+    carry = b""
+    while data := fh.read(_READ_BYTES):
+        data = carry + data
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        carry = data[cut:]
+        if cut:
+            yield data[:cut]
+    if carry:
+        yield carry
+
+
+def _scan_block(data: bytes):
+    """Split one block into lines and classify them with whole-array passes.
+
+    A line's tokens are its hex runs, its bytes outside hex digits and
+    whitespace, and its line end; a table line is exactly (run, `:`,
+    run).  Returns (line_ends, malformed, rows, x_runs, y_runs): the
+    byte offset of every line's end, the in-block indices of the
+    malformed lines and of the table lines, and the [start, end) digit
+    runs of the latter's two fields.  Blank and `#` lines are neither.
+    """
+    byte = np.frombuffer(data, dtype=np.uint8)
+    cls = np.frombuffer(data.translate(_CLASS), dtype=np.uint8)
+    zero = np.int8(0)
+    edges = np.diff((cls == _HEX).view(np.int8), prepend=zero, append=zero)   # +1 at a run, -1 past it
+    is_end = byte == ord("\n")
+    if b"\r" in data:                                 # `\r` alone ends a line, as `\r\n` does
+        is_end |= (byte == ord("\r")) & np.append(byte[1:] != ord("\n"), True)
+    pos = np.flatnonzero((edges[:-1] == 1) | (cls > _HEX) | is_end)
+    kind = cls[pos]                                   # a line end reads _WS
+    if not is_end[-1]:                                # the file's last line, unterminated
+        pos, kind = np.append(pos, len(data)), np.append(kind, _WS)
+    ends = np.flatnonzero(kind == _WS)               # token index of each line end
+    count = np.diff(ends, prepend=-1) - 1
+
+    def token(back):                                  # read only where count >= back
+        return kind.take(ends - back, mode="clip")
+
+    skipped = (count == 0) | (token(count) == _HASH)
+    valid = (count == 3) & (token(3) == _HEX) & (token(2) == _COLON) & (token(1) == _HEX)
+    rows = np.flatnonzero(valid)
+    x, y = ends[rows] - 3, ends[rows] - 1             # token index of each field's run
+    run_e = np.flatnonzero(edges == -1)[np.cumsum(kind == _HEX, dtype=np.int32)[[x, y]] - 1]
+    return (pos[ends], np.flatnonzero(~(valid | skipped)), rows,
+            (pos[x], run_e[0]), (pos[y], run_e[1]))
+
+
+def _hex_values(nibbles: np.ndarray, runs) -> np.ndarray:
+    """int64 values of hex digit runs [s, e); over 8 significant digits reads 2^32.
+
+    nibbles holds each byte's digit value, 0 off the digits, plus a 0
+    past the end: the byte left of a run, read at index s - 1, is 0.
+    """
+    s, e = runs
+    values = np.zeros(len(s), dtype=np.int64)
+    pos, left = e - 1, s - 1
+    for i in range(min(8, int((e - s).max(initial=0)))):   # digit positions, from the right
+        values |= np.left_shift(nibbles[np.maximum(pos, left)], 4 * i, dtype=np.int64)
+        pos -= 1
+    long = np.flatnonzero(e - s > 8)
+    if long.size:                                     # leading zeros, or a value >= 2^32
+        nonzero = np.concatenate(([0], np.cumsum(nibbles != 0)))
+        values[long[nonzero[e[long] - 8] > nonzero[s[long]]]] = 1 << 32
+    return values
+
+
+def _grown(table: np.ndarray, size: int) -> np.ndarray:
+    """table extended to size entries, the new ones _UNSET."""
+    out = np.full(size, _UNSET, dtype=np.uint32)
+    out[:len(table)] = table
+    return out
 
 
 def parse_table_file(path: str, ctx: FieldCtx | None = None) -> FieldMap:
@@ -104,22 +229,56 @@ def parse_table_file(path: str, ctx: FieldCtx | None = None) -> FieldMap:
 
     With no ctx given, the extension degree is inferred from the line
     count (which must be a power of two) and the default modulus is used.
+    The file is read in blocks of whole lines, each decoded by
+    whole-array passes and scattered into one uint32 table.  Errors are
+    reported in the order of a line-by-line read: the first malformed or
+    duplicate line, then the entry count, the first missing x and the
+    first value outside the field.
     """
-    entries: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                x_str, y_str = line.split(":", 1)
-                x, y = int(x_str, 16), int(y_str, 16)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: expected `x:gx` hex pair, got {line!r}") from exc
-            if x in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate entry for x={x:#x}")
-            entries[x] = y
-    count = len(entries)
+    limit = ctx.order if ctx is not None else 1 << MAX_DEGREE   # no larger x is ever valid
+    table = np.full(ctx.order if ctx is not None else 0, _UNSET, dtype=np.uint32)
+    large: set[int] = set()       # the x >= limit seen so far, for the duplicate check
+    clipped = None                # (x, value) of the least x whose value reads _CLIPPED
+    count = lineno = 0
+    with open(path, "rb") as fh:
+        for data in _read_blocks(fh):
+            line_ends, malformed, rows, x_runs, y_runs = _scan_block(data)
+            nibbles = np.frombuffer(data.translate(_NIBBLE) + b"\0", dtype=np.uint8)
+            xs, ys = _hex_values(nibbles, x_runs), _hex_values(nibbles, y_runs)
+            small = xs < limit
+            sx, sy = xs[small].astype(np.intp), ys[small]
+            if sx.size and sx.max() >= len(table):
+                table = _grown(table, 1 << int(sx.max()).bit_length())
+            dup = table[sx] != _UNSET                 # set by an earlier block
+            by_x = np.argsort(sx, kind="stable")
+            dup[by_x[1:][sx[by_x[1:]] == sx[by_x[:-1]]]] = True
+            errors = []                               # (in-block line index, message)
+            if malformed.size:
+                i = malformed[0]
+                start = line_ends[i - 1] + 1 if i else 0
+                line = data[start:line_ends[i]].decode("utf-8", "backslashreplace").strip()
+                errors.append((i, f"expected `x:gx` hex pair, got {line!r}"))
+            if dup.any():
+                i = np.argmax(dup)
+                errors.append((rows[small][i], f"duplicate entry for x={int(sx[i]):#x}"))
+            for i in np.flatnonzero(~small):          # x past every table: the file must fail,
+                x = int(data[x_runs[0][i]:x_runs[1][i]], 16)   # so its lines go one by one
+                if x in large:
+                    errors.append((rows[i], f"duplicate entry for x={x:#x}"))
+                    break
+                large.add(x)
+            if errors:
+                i, message = min(errors)
+                raise ValueError(f"{path}:{lineno + i + 1}: {message}")
+            table[sx] = np.minimum(sy, _CLIPPED)
+            over = np.flatnonzero(sy >= _CLIPPED)
+            if over.size:
+                i = over[np.argmin(sx[over])]
+                if clipped is None or sx[i] < clipped[0]:
+                    j = np.flatnonzero(small)[i]
+                    clipped = int(sx[i]), int(data[y_runs[0][j]:y_runs[1][j]], 16)
+            count += len(rows)
+            lineno += len(line_ends)
     if ctx is None:
         m = count.bit_length() - 1
         if m < 1 or count != 1 << m:
@@ -127,10 +286,15 @@ def parse_table_file(path: str, ctx: FieldCtx | None = None) -> FieldMap:
         ctx = FieldCtx(m)
     if count != ctx.order:
         raise ValueError(f"{path}: expected {ctx.order} entries for m={ctx.m}, got {count}")
-    values = [entries.get(x) for x in range(count)]
-    if None in values:
-        raise ValueError(f"{path}: missing entry for x={values.index(None):#x}")
-    if any(v >> ctx.m for v in values) or min(values) < 0:
-        bad = next(x for x in range(count) if values[x] >> ctx.m or values[x] < 0)
-        raise ValueError(f"{path}: value {values[bad]:#x} at x={bad:#x} outside GF(2^{ctx.m})")
-    return FieldMap.from_table(path, ctx, values)
+    if len(table) < ctx.order:
+        table = _grown(table, ctx.order)
+    table = table[:ctx.order]
+    bad = np.flatnonzero(table >= ctx.order)
+    if bad.size:
+        unset = bad[table[bad] == _UNSET]
+        if unset.size:
+            raise ValueError(f"{path}: missing entry for x={int(unset[0]):#x}")
+        x = int(bad[0])
+        value = clipped[1] if table[x] == _CLIPPED else int(table[x])
+        raise ValueError(f"{path}: value {value:#x} at x={x:#x} outside GF(2^{ctx.m})")
+    return FieldMap.from_table(path, ctx, table)

@@ -12,11 +12,16 @@ oracles are the case loops as verify ran them before batching, and they
 hold the one-a sweeps the package replaced by its batched rows: one
 full-table sweep of the single-a check per a, the Case-1 witness by a
 scalar loop over F_{q^k}, and c from a filter of the whole domain.
+`format_table_lines` and `parse_table_file` are the hex table I/O as it
+was before the blocked numpy passes: one formatted line per entry, and
+a line-by-line text read with `int(s, 16)` into a dict.
 """
+
+from typing import Iterator
 
 import numpy as np
 
-from ppverify import binpoly, blocks, char_sum
+from ppverify import FieldCtx, FieldMap, binpoly, blocks, char_sum
 from ppverify.constructions import s2k
 from ppverify.linearized import LinearizedPoly
 from ppverify.proofchecks import CheckResult
@@ -244,3 +249,46 @@ def case2_per_a(name, state, case2, check) -> CheckResult:
         if why is not None:
             return CheckResult(name, "fail", count=len(case2), counterexample=why)
     return CheckResult(name, "pass", count=len(case2))
+
+
+def format_table_lines(fmap: FieldMap) -> Iterator[str]:
+    """Hex table exchange format: one `x:gx` line per element, sorted by x."""
+    for x, y in enumerate(fmap.table()):
+        yield f"{x:x}:{int(y):x}"
+
+
+def parse_table_file(path: str, ctx: FieldCtx | None = None) -> FieldMap:
+    """Read a hex table file back into a FieldMap.
+
+    With no ctx given, the extension degree is inferred from the line
+    count (which must be a power of two) and the default modulus is used.
+    """
+    entries: dict[int, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                x_str, y_str = line.split(":", 1)
+                x, y = int(x_str, 16), int(y_str, 16)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: expected `x:gx` hex pair, got {line!r}") from exc
+            if x in entries:
+                raise ValueError(f"{path}:{lineno}: duplicate entry for x={x:#x}")
+            entries[x] = y
+    count = len(entries)
+    if ctx is None:
+        m = count.bit_length() - 1
+        if m < 1 or count != 1 << m:
+            raise ValueError(f"{path}: entry count {count} is not a power of two >= 2")
+        ctx = FieldCtx(m)
+    if count != ctx.order:
+        raise ValueError(f"{path}: expected {ctx.order} entries for m={ctx.m}, got {count}")
+    values = [entries.get(x) for x in range(count)]
+    if None in values:
+        raise ValueError(f"{path}: missing entry for x={values.index(None):#x}")
+    if any(v >> ctx.m for v in values) or min(values) < 0:
+        bad = next(x for x in range(count) if values[x] >> ctx.m or values[x] < 0)
+        raise ValueError(f"{path}: value {values[bad]:#x} at x={bad:#x} outside GF(2^{ctx.m})")
+    return FieldMap.from_table(path, ctx, values)

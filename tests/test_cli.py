@@ -96,6 +96,14 @@ def test_reducible_modulus_override_is_config_error(tmp_path, capsys):
     assert "reducible" in capsys.readouterr().err
 
 
+def test_negative_modulus_override_is_config_error(tmp_path, capsys):
+    # int("-43", 16) is accepted, and a negative modulus made the multiply loop spin
+    override = tmp_path / "moduli.txt"
+    override.write_text("6:-43\n")
+    assert run(["field-info", "--m", "6", "--modulus-file", str(override)]) == 2
+    assert f"{override}:1: expected `m:hex`, got '6:-43'" in capsys.readouterr().err
+
+
 def test_pptest_builtin_both_methods(capsys):
     assert run(["pptest", "--t", "2", "--k", "1", "--map", "builtin:g-thm1",
                 "--method", "both"]) == 0

@@ -68,7 +68,7 @@ def test_explicit_and_parsed_tables_are_read_only_uint32(tmp_path):
     squares = [ctx.sqr(x) for x in ctx.elements()]
     fmap = FieldMap.from_table("x^2", ctx, squares)
     path = tmp_path / "sq.txt"
-    path.write_text("\n".join(format_table_lines(fmap)) + "\n")
+    path.write_text("".join(format_table_lines(fmap)))
     for table in (fmap.table(), parse_table_file(str(path)).table()):
         assert table.dtype == np.uint32 and not table.flags.writeable
         assert table.tolist() == squares

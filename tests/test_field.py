@@ -36,6 +36,11 @@ def test_wrong_degree_modulus_rejected():
         FieldCtx.from_tower(2, 1, modulus=0b1011)
 
 
+def test_negative_modulus_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        FieldCtx(6, -0x43)
+
+
 def test_tower_dimension_bound():
     with pytest.raises(ValueError):
         FieldCtx.from_tower(3, 3)  # m = 27 > 24
