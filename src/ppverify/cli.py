@@ -21,9 +21,10 @@ from .constructions import (SEARCH_FAMILY, build_g_thm1, build_g_thm3,
 from .field import FieldCtx, load_modulus_file
 from .linearized import LinearizedPoly, format_linpoly, parse_linpoly
 from .maps import FieldMap, format_table_lines, linearized_map, parse_table_file
-from .pptest import (CHARSUM_ALL_LIMIT_M, DEFAULT_SAMPLES, DEFAULT_SEED, char_sum,
-                     is_permutation_exhaustive, pp_verdict_charsum)
-from .proofchecks import CSV_HEADER, VerificationReport, verify_thm1, verify_thm3
+from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, char_sum, is_permutation_exhaustive,
+                     pp_verdict_charsum)
+from .proofchecks import (CHARSUM_ALL_LIMIT_M, CSV_HEADER, VerificationReport, verify_thm1,
+                          verify_thm3)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -135,12 +136,16 @@ def _build_map(spec: str, ctx: FieldCtx | None) -> FieldMap:
 def _atomic_write(path: str, text: str | Iterable[str]) -> None:
     """Write text, or its chunks one by one, through a temp file beside path.
 
-    An unwritable path is a ConfigError.
+    The file gets the mode a plain open(path, "w") would give it.  An
+    unwritable path is a ConfigError.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ppverify-")
         try:
+            os.fchmod(fd, 0o666 & ~umask)   # mkstemp's 0600 would outlive os.replace
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.writelines([text] if isinstance(text, str) else text)
             os.replace(tmp, path)
@@ -229,17 +234,12 @@ def _cmd_pptest(args) -> int:
         _atomic_write(args.export, format_table_lines(fmap))
         print(f"exported table to {args.export}")
 
-    mode, n, seed = _parse_mode(args.mode, args.seed) if args.mode else (
-        "all" if fmap.ctx.m <= CHARSUM_ALL_LIMIT_M else "sample", DEFAULT_SAMPLES, args.seed)
+    mode, n, seed = _parse_mode(args.mode, args.seed)
     verdicts = []
     if args.method in ("exhaustive", "both"):
         verdicts.append(is_permutation_exhaustive(fmap))
     if args.method in ("charsum", "both"):
-        try:
-            verdicts.append(pp_verdict_charsum(fmap, mode=mode, n=n, seed=seed,
-                                               allow_large=args.allow_large))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        verdicts.append(pp_verdict_charsum(fmap, mode=mode, n=n, seed=seed))
 
     for v in verdicts:
         for line in _verdict_lines(fmap.name, v):
@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ctx_flags(p, ranged=True)
     p.add_argument("--L", default="builtin:L-note",
                    help="linearized map for thm3 (builtin:L-note or lin[i:hex,...])")
-    p.add_argument("--mode", default=None, help="charsum mode: all or sample:N[:SEED]")
+    p.add_argument("--mode", default=None, help="thm1's charsum row: all or sample:N[:SEED] "
+                   f"(default all up to m = {CHARSUM_ALL_LIMIT_M}, sample:{DEFAULT_SAMPLES} above)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", default=None, help="write reports here (atomic)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -338,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True,
                    help="builtin:g-thm1 | builtin:L-note | builtin:g-thm3(L) | table file")
     p.add_argument("--method", choices=["exhaustive", "charsum", "both"], default="both")
-    p.add_argument("--mode", default=None, help="charsum mode: all or sample:N[:SEED]")
-    p.add_argument("--allow-large", action="store_true",
-                   help=f"lift the m<={CHARSUM_ALL_LIMIT_M} gate on charsum mode=all")
+    p.add_argument("--mode", default="all",
+                   help="charsum mode: all (every nonzero a, the default) or sample:N[:SEED]")
     p.add_argument("--export", default=None, help="also export the map as a hex table")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_pptest)

@@ -32,8 +32,6 @@ from .field import FieldCtx
 from .linearized import LinearizedPoly, permutes, s_polynomial
 from .maps import FieldMap
 
-SEARCH_LIMIT_M = 18
-
 
 def s2k(ctx: FieldCtx) -> LinearizedPoly:
     """The 2k-term sum S for this tower; its support never wraps mod m."""
@@ -148,8 +146,9 @@ def _family_members(ctx: FieldCtx, budget: int):
 
 
 def search_L_candidates(ctx: FieldCtx, budget: int) -> list[LCandidate]:
-    """Enumerate the declared family of L candidates and keep the ones that
-    pass both hypotheses; each survivor is then PP-verified exhaustively.
+    """Examine the first `budget` members of the declared family of L and keep
+    the ones that pass both hypotheses; each survivor is then PP-verified
+    exhaustively, through one L table and the image table all candidates share.
 
     Duplicated coefficient vectors (the family parametrization repeats
     itself) are reported once, at their first index.
@@ -157,10 +156,6 @@ def search_L_candidates(ctx: FieldCtx, budget: int) -> list[LCandidate]:
     from .pptest import is_permutation_exhaustive  # local import, avoids a cycle
 
     t, k = ctx.require_tower()
-    if ctx.m > SEARCH_LIMIT_M:
-        raise ValueError(
-            f"search needs per-candidate exhaustive verification; m={ctx.m} "
-            f"exceeds the limit {SEARCH_LIMIT_M}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     base = build_L_note(ctx)

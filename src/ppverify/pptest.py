@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blocks
-from .constructions import build_L1
+from .constructions import build_L1, rel_trace_poly
 from .field import FieldCtx
 from .linearized import LinearizedPoly
 from .maps import FieldMap
 
-CHARSUM_ALL_LIMIT_M = 14
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 128
 
@@ -96,42 +95,47 @@ def _char_sums(f: FieldMap, a_values) -> list[int]:
 
 
 def pp_verdict_charsum(f: FieldMap, mode: str = "all", n: int = DEFAULT_SAMPLES,
-                       seed: int = DEFAULT_SEED, allow_large: bool = False) -> PPVerdict:
+                       seed: int = DEFAULT_SEED) -> PPVerdict:
     """Permutation verdict from character sums.
 
-    mode="all" checks every nonzero a (exact both ways) and is gated at
-    m <= CHARSUM_ALL_LIMIT_M unless allow_large is set; mode="sample"
-    checks n seeded pseudo-random nonzero a and can only return
-    probable-permutation or not-permutation.  The witness is the first a
-    (in check order) with a nonzero sum.
+    mode="all" checks every nonzero a, at every m (exact both ways);
+    mode="sample" checks n seeded pseudo-random nonzero a and can only
+    return probable-permutation or not-permutation.  The witness is the
+    first a (in check order) with a nonzero sum.
     """
-    return _charsum_run(f, mode, n, seed, allow_large)[0]
+    return _charsum_run(f, mode, n, seed)[0]
 
 
-def _charsum_run(f: FieldMap, mode: str, n: int, seed: int,
-                 allow_large: bool = False) -> tuple[PPVerdict, dict[int, int]]:
-    """pp_verdict_charsum's verdict plus every checked a's sum, from one computation."""
+def _charsum_run(f: FieldMap, mode: str, n: int,
+                 seed: int) -> tuple[PPVerdict, dict[int, int] | None]:
+    """pp_verdict_charsum's verdict plus, in sample mode, every drawn a's sum (also past a witness).
+
+    The a go through the spectrum in blocks of blocks.BLOCK, made by np.arange
+    in mode all, and the pass stops at the first nonzero sum.
+    """
     ctx = f.ctx
     if mode == "all":
-        if ctx.m > CHARSUM_ALL_LIMIT_M and not allow_large:
-            raise ValueError(
-                f"mode=all reports 2^m-1 sums, one per nonzero a; m={ctx.m} exceeds "
-                f"{CHARSUM_ALL_LIMIT_M} (pass allow_large to override)")
-        a_values = list(range(1, ctx.order))
-        clean_verdict = PERMUTATION
+        a_blocks = (np.arange(lo, min(lo + blocks.BLOCK, ctx.order), dtype=np.int64)
+                    for lo in range(1, ctx.order, blocks.BLOCK))
+        clean_verdict, by_a = PERMUTATION, None
     elif mode == "sample":
         rng = random.Random(seed)
-        a_values = [rng.randrange(1, ctx.order) for _ in range(n)]
-        clean_verdict = PROBABLE
+        drawn = np.array([rng.randrange(1, ctx.order) for _ in range(n)], dtype=np.int64)
+        a_blocks = (drawn[lo:lo + blocks.BLOCK] for lo in range(0, n, blocks.BLOCK))
+        clean_verdict, by_a = PROBABLE, dict(zip(drawn.tolist(), char_sum(f, drawn).tolist()))
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'all' or 'sample'")
 
-    sums = _char_sums(f, a_values)
-    by_a = dict(zip(a_values, sums))
-    for checked, (a, s) in enumerate(zip(a_values, sums), 1):
-        if s != 0:
-            return PPVerdict(NOT_PERMUTATION, f"charsum-{mode}", checked, witness=(a, s)), by_a
-    return PPVerdict(clean_verdict, f"charsum-{mode}", len(a_values)), by_a
+    checked = 0
+    for a in a_blocks:
+        sums = char_sum(f, a)
+        bad = np.flatnonzero(sums)
+        if bad.size:
+            i = int(bad[0])
+            return PPVerdict(NOT_PERMUTATION, f"charsum-{mode}", checked + i + 1,
+                             witness=(int(a[i]), int(sums[i]))), by_a
+        checked += a.size
+    return PPVerdict(clean_verdict, f"charsum-{mode}", checked), by_a
 
 
 def shift_check(f: FieldMap, a: int, y: int) -> int | None:
@@ -191,8 +195,7 @@ def find_case1_witness(ctx: FieldCtx, a: int) -> int:
     Only defined for a with nonzero relative trace; the trace form on
     the subfield is nondegenerate, so a witness always exists.
     """
-    t, k = ctx.require_tower()
-    r = ctx.rel_trace(a, t * k)
+    r = int(blocks.linear_table(rel_trace_poly(ctx))(a))
     if r == 0:
         raise ValueError(f"a={a:#x} has zero relative trace; it belongs to Case 2")
     return int(case1_witnesses(ctx, build_L1(ctx), [r])[0])

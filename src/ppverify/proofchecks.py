@@ -36,10 +36,11 @@ from .constructions import (build_g_thm1, build_g_thm3, build_L1, condition_ii_s
 from .field import FieldCtx
 from .linearized import LinearizedPoly, format_linpoly, subfield_permutation_check
 from .maps import FieldMap, linearized_map
-from .pptest import (CHARSUM_ALL_LIMIT_M, DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run,
-                     case1_witnesses, char_sum, is_permutation_exhaustive, shift_checks)
+from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run, case1_witnesses,
+                     char_sum, is_permutation_exhaustive, shift_checks)
 
 PER_A_FULL_LIMIT_M = 12   # per-a case loops cover every a up to here
+CHARSUM_ALL_LIMIT_M = 14  # verify_thm1 reports every character sum up to here
 
 
 @dataclass
@@ -173,10 +174,7 @@ def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None) -> CheckResu
 
 def tracezero_set(ctx: FieldCtx) -> list[int]:
     """The relative-trace-zero subspace as a sorted element list (size q^{2k})."""
-    t, k = ctx.require_tower()
-    d = t * k
-    cols = gf2linalg.columns_of_map(ctx.m, lambda v: ctx.rel_trace(v, d))
-    kernel, _ = gf2linalg.kernel_image(cols)
+    kernel, _ = rel_trace_poly(ctx).kernel_image()
     return gf2linalg.span(kernel)
 
 
@@ -354,26 +352,24 @@ def check_case2_factorization(ctx: FieldCtx, a: int,
 # theorem-level drivers
 # ---------------------------------------------------------------------------
 
-def _case_split(ctx: FieldCtx, seed: int, sample_n: int) -> tuple[list[int], list[int], bool]:
-    """(case1 a's, case2 a's, sampled?) honoring the per-a sweep threshold."""
-    t, k = ctx.require_tower()
-    d = t * k
+def _case_split(ctx: FieldCtx, seed: int) -> tuple[list[int], list[int], bool]:
+    """(case1 a's, case2 a's, sampled?): all a up to PER_A_FULL_LIMIT_M, else 128 seeded a each."""
+    rel = blocks.linear_table(rel_trace_poly(ctx))
     case2 = [a for a in tracezero_set(ctx) if a != 0]
     if ctx.m <= PER_A_FULL_LIMIT_M:
-        values = blocks.linear_table(rel_trace_poly(ctx))(blocks.domain(ctx))
-        case1 = [int(a) for a in np.nonzero(values)[0] if a != 0]
+        case1 = [int(a) for a in np.nonzero(rel(blocks.domain(ctx)))[0] if a != 0]
         return case1, case2, False
     rng = random.Random(f"{seed}:cases")
     case1: list[int] = []
     seen: set[int] = set()
-    while len(case1) < sample_n:
+    while len(case1) < DEFAULT_SAMPLES:
         a = rng.randrange(1, ctx.order)
         if a in seen:
             continue
         seen.add(a)
-        if ctx.rel_trace(a, d) != 0:
+        if rel(a) != 0:
             case1.append(a)
-    case2 = sorted(rng.sample(case2, min(sample_n, len(case2))))
+    case2 = sorted(rng.sample(case2, min(DEFAULT_SAMPLES, len(case2))))
     return case1, case2, True
 
 
@@ -517,9 +513,9 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
     """Full battery for the q=4 construction g1 on one tower context.
 
     Runs eq22, kernel/image, the exhaustive bijection check, the
-    character-sum criterion (all a for m <= CHARSUM_ALL_LIMIT_M, seeded
-    sample above), the Case-1 shift-witness sweep and the Case-2 identity
-    chain.
+    character-sum criterion (the one row charsum_mode and sample_n set; by
+    default all a up to m = CHARSUM_ALL_LIMIT_M, a seeded sample above),
+    the Case-1 shift-witness sweep and the Case-2 identity chain.
     Rejects t != 2: the statement is specific to q = 4.
     """
     t, k = ctx.require_tower()
@@ -537,7 +533,7 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
         charsum_mode = "all" if ctx.m <= CHARSUM_ALL_LIMIT_M else "sample"
     report.checks.append(_check_charsum(g, charsum_mode, sample_n, seed))
 
-    case1, case2, sampled = _case_split(ctx, seed, sample_n)
+    case1, case2, sampled = _case_split(ctx, seed)
     report.checks.append(_check_case1(g, build_L1(ctx), case1, sampled))
 
     note = f"sampled {len(case2)} a-values" if sampled else None
@@ -547,7 +543,6 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
 
 
 def verify_thm3(ctx: FieldCtx, L: LinearizedPoly, seed: int = DEFAULT_SEED,
-                sample_n: int = DEFAULT_SAMPLES,
                 skip_conclusion_on_hypothesis_failure: bool = False) -> VerificationReport:
     """Hypotheses and conclusion of the generalized construction g3 = L + S^(q^k+3).
 
@@ -585,7 +580,7 @@ def verify_thm3(ctx: FieldCtx, L: LinearizedPoly, seed: int = DEFAULT_SEED,
     g = build_g_thm3(ctx, L)
     report.checks.append(_check_pp_exhaustive(g))
 
-    case1, _, sampled = _case_split(ctx, seed, sample_n)
+    case1, _, sampled = _case_split(ctx, seed)
     report.checks.append(_check_case1(g, L, case1, sampled))
     return report.finish()
 

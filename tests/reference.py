@@ -12,18 +12,22 @@ oracles are the case loops as verify ran them before batching, and they
 hold the one-a sweeps the package replaced by its batched rows: one
 full-table sweep of the single-a check per a, the Case-1 witness by a
 scalar loop over F_{q^k}, and c from a filter of the whole domain.
+`charsum_run_lists` is the character-sum verdict as it was before the
+blocked pass: every sum in one list, then a scan for the first nonzero.
 `format_table_lines` and `parse_table_file` are the hex table I/O as it
 was before the blocked numpy passes: one formatted line per entry, and
 a line-by-line text read with `int(s, 16)` into a dict.
 """
 
+import random
 from typing import Iterator
 
 import numpy as np
 
-from ppverify import FieldCtx, FieldMap, binpoly, blocks, char_sum
+from ppverify import FieldCtx, FieldMap, binpoly, blocks, char_sum, gf2linalg
 from ppverify.constructions import s2k
 from ppverify.linearized import LinearizedPoly
+from ppverify.pptest import NOT_PERMUTATION, PERMUTATION, PROBABLE, PPVerdict, _char_sums
 from ppverify.proofchecks import CheckResult
 
 
@@ -81,6 +85,56 @@ def char_sums_masked(fmap, a_values) -> list[int]:
             v = v ^ (v >> shift)
         sums.append(ctx.order - 2 * int((v & 1).sum()))
     return sums
+
+
+def charsum_run_lists(f, mode: str, n: int, seed: int):
+    """(verdict, {a: sum}) from every checked a's sum as one Python list and dict.
+
+    The character-sum verdict as it was before the blocked pass: all
+    2^m - 1 sums (or the n seeded ones) are gathered at once, then scanned
+    in order for the first nonzero one.
+    """
+    ctx = f.ctx
+    if mode == "all":
+        a_values = list(range(1, ctx.order))
+        clean_verdict = PERMUTATION
+    elif mode == "sample":
+        rng = random.Random(seed)
+        a_values = [rng.randrange(1, ctx.order) for _ in range(n)]
+        clean_verdict = PROBABLE
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'all' or 'sample'")
+
+    sums = _char_sums(f, a_values)
+    by_a = dict(zip(a_values, sums))
+    for checked, (a, s) in enumerate(zip(a_values, sums), 1):
+        if s != 0:
+            return PPVerdict(NOT_PERMUTATION, f"charsum-{mode}", checked, witness=(a, s)), by_a
+    return PPVerdict(clean_verdict, f"charsum-{mode}", len(a_values)), by_a
+
+
+def tracezero_set_scalar(ctx) -> list[int]:
+    """The relative-trace-zero subspace, spanned by the kernel of the scalar rel_trace's columns."""
+    t, k = ctx.require_tower()
+    cols = gf2linalg.columns_of_map(ctx.m, lambda v: ctx.rel_trace(v, t * k))
+    return gf2linalg.span(gf2linalg.kernel_image(cols)[0])
+
+
+def case_split_scalar(ctx, seed: int, n: int = 128) -> tuple[list[int], list[int]]:
+    """verify's seeded (case1, case2) a-samples, drawn with one scalar rel_trace per a."""
+    t, k = ctx.require_tower()
+    rng = random.Random(f"{seed}:cases")
+    case1: list[int] = []
+    seen: set[int] = set()
+    while len(case1) < n:
+        a = rng.randrange(1, ctx.order)
+        if a in seen:
+            continue
+        seen.add(a)
+        if ctx.rel_trace(a, t * k) != 0:
+            case1.append(a)
+    case2 = [a for a in tracezero_set_scalar(ctx) if a != 0]
+    return case1, sorted(rng.sample(case2, min(n, len(case2))))
 
 
 def kernel_by_sweep(L) -> set[int]:

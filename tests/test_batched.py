@@ -20,10 +20,11 @@ from ppverify.maps import FieldMap
 from ppverify.pptest import case1_witnesses
 from ppverify.proofchecks import (_case_split, _check_case1, _check_eq23_batch,
                                   _check_factorization_batch, _Thm1State, decompose_a,
-                                  least_decompositions)
+                                  least_decompositions, tracezero_set)
 
-from reference import (adapted_witness, case1_per_a, case2_per_a, decomposition_cosets,
-                       eq23_one_a, factorization_one_a, find_case1_witness_scalar)
+from reference import (adapted_witness, case1_per_a, case2_per_a, case_split_scalar,
+                       decomposition_cosets, eq23_one_a, factorization_one_a,
+                       find_case1_witness_scalar, tracezero_set_scalar)
 
 SMALL_TOWERS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
 
@@ -64,7 +65,7 @@ def test_every_a_matches_oracle_up_to_m12(t, k, which):
     ctx = FieldCtx.from_tower(t, k)
     L = None if which == "g1" else build_L_note(ctx)
     g = build_g_thm1(ctx) if L is None else build_g_thm3(ctx, L)
-    case1, case2, sampled = _case_split(ctx, 1729, 128)
+    case1, case2, sampled = _case_split(ctx, 1729)
     assert not sampled and len(case1) + len(case2) == ctx.order - 1
     rows = _assert_rows_match(g, L, case1, case2, _Thm1State(ctx, g))
     if which == "g3" or t == 2:
@@ -78,7 +79,7 @@ def test_least_decompositions_match_decompose_a(t, k):
     # the least member of each coset, which the Case-2 rows and their messages use;
     # decompose_a is the one-a call, and both must equal the least c found by a domain filter
     ctx = FieldCtx.from_tower(t, k)
-    _, case2, _ = _case_split(ctx, 1729, 128)
+    _, case2, _ = _case_split(ctx, 1729)
     want = [coset[0] for coset in decomposition_cosets(ctx, case2)]
     assert least_decompositions(ctx, case2).tolist() == want
     assert [decompose_a(ctx, a) for a in case2] == want
@@ -91,7 +92,7 @@ def test_random_L_matches_oracle(seed):
     rng = random.Random(seed)
     L = LinearizedPoly(ctx, [rng.randrange(ctx.order) for _ in range(ctx.m)])
     g = build_g_thm3(ctx, L)
-    case1, case2, _ = _case_split(ctx, 1729, 128)
+    case1, case2, _ = _case_split(ctx, 1729)
     _assert_rows_match(g, L, case1, case2, _Thm1State(ctx, g))
 
 
@@ -103,7 +104,7 @@ def test_random_L_matches_oracle(seed):
 def test_flipped_g_entry_fails_like_oracle_at_m12(x0, bit, passed):
     ctx = FieldCtx.from_tower(2, 2)
     g = _flipped(build_g_thm1(ctx), x0, bit)
-    case1, case2, _ = _case_split(ctx, 1729, 128)
+    case1, case2, _ = _case_split(ctx, 1729)
     rows = _assert_rows_match(g, None, case1, case2, _Thm1State(ctx, g))
     assert [row.passed for row in rows] == passed
 
@@ -114,7 +115,7 @@ def test_flipped_s_power_entry_fails_like_oracle_at_m12(x0, bit):
     g = build_g_thm1(ctx)
     state = _Thm1State(ctx, g)
     state.s_power = _flipped(state.s_power, x0, bit)
-    case1, case2, _ = _case_split(ctx, 1729, 128)
+    case1, case2, _ = _case_split(ctx, 1729)
     rows = _assert_rows_match(g, None, case1, case2, state)
     assert [row.passed for row in rows] == [True, False, True]
     assert rows[1].counterexample.endswith(f"x={x0:#x}")
@@ -130,7 +131,7 @@ def test_broken_trace_zero_basis_fails_like_oracle_at_m12(zero_g):
     state.basis = (state.basis[0],) * 2
     if zero_g:
         state.tz_powers = np.zeros_like(state.tz_powers)
-    _, case2, _ = _case_split(ctx, 1729, 128)
+    _, case2, _ = _case_split(ctx, 1729)
     want = case2_per_a("case2-factorization", state, case2, factorization_one_a)
     assert _row(_check_factorization_batch(state, case2, None)) == _row(want)
     assert want.counterexample.endswith("both basis traces vanish" if zero_g else "(product step)")
@@ -182,7 +183,7 @@ def test_case1_witnesses_match_scalar_loops_at_m18_and_m24(t, k):
 def m18():
     ctx = FieldCtx.from_tower(2, 3)
     g = build_g_thm1(ctx)
-    case1, case2, sampled = _case_split(ctx, 1729, 128)
+    case1, case2, sampled = _case_split(ctx, 1729)
     assert sampled
     return ctx, g, _Thm1State(ctx, g), case1, case2
 
@@ -211,12 +212,20 @@ def test_mutants_beyond_the_first_block_fail_like_oracle_at_m18(m18):
     assert rows[1].counterexample.endswith("x=0x3fffe")
 
 
+@pytest.mark.parametrize("t,k,seed", [(2, 3, 1729), (1, 6, 5), (2, 4, 1729), (1, 8, 24)])
+def test_sampled_case_split_matches_scalar_draw(t, k, seed):
+    ctx = FieldCtx.from_tower(t, k)
+    assert tracezero_set(ctx) == tracezero_set_scalar(ctx)
+    case1, case2, sampled = _case_split(ctx, seed)
+    assert sampled and (case1, case2) == case_split_scalar(ctx, seed)
+
+
 @pytest.fixture(scope="module")
 def m24():
     ctx = FieldCtx.from_tower(2, 4)
     g = build_g_thm1(ctx)
-    case1, case2, _ = _case_split(ctx, 1729, 4)   # the oracle sweeps 2^24 x per a
-    return ctx, g, _Thm1State(ctx, g), case1, case2
+    case1, case2, _ = _case_split(ctx, 1729)
+    return ctx, g, _Thm1State(ctx, g), case1[:4], case2[:4]   # the oracle sweeps 2^24 x per a
 
 
 def test_seeded_a_and_a_mutant_match_oracle_at_m24(m24):
@@ -224,7 +233,9 @@ def test_seeded_a_and_a_mutant_match_oracle_at_m24(m24):
     rows = _assert_rows_match(g, None, case1, case2, state)
     assert all(row.passed for row in rows)
     bad_state = _Thm1State(ctx, g)
-    bad_state.s_power = _flipped(state.s_power, 0xd00d1e, 20)   # only eq23 reads S^E
+    # only eq23 reads S^E; the flipped bit has Tr(c * 2^bit) = 1 for the first a's c
+    mask = ctx.trace_mask(decompose_a(ctx, case2[0]))
+    bad_state.s_power = _flipped(state.s_power, 0xd00d1e, (mask & -mask).bit_length() - 1)
     want = case2_per_a("case2-eq23", bad_state, case2, eq23_one_a)
     assert not want.passed and want.counterexample.endswith("x=0xd00d1e")
     assert _row(_check_eq23_batch(bad_state, case2, None)) == _row(want)

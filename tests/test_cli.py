@@ -1,7 +1,9 @@
 """CLI contracts: exit codes, formats, overrides, reproducibility."""
 
 import json
+import os
 import random
+import stat
 
 import pytest
 
@@ -184,18 +186,24 @@ def test_verify_smoke_suite_reports_one_seed_under_mode(tmp_path):
 @pytest.mark.parametrize("argv, seed", [(["--seed", "5"], 5), (["--seed", "5", "--mode", "sample:8"], 5),
                                         (["--seed", "5", "--mode", "sample:8:7"], 7)])
 def test_pptest_seed_flag_applies_under_mode(tmp_path, capsys, argv, seed):
-    # every sum of the zero map is 2^m, so the witness is the first a drawn from the seed
+    # every sum of the zero map is 2^m, so the witness is the first a checked: the first
+    # drawn from the seed under sample, and a = 1 with no --mode, which checks every a
     table = tmp_path / "zero.txt"
     table.write_text("".join(f"{x:x}:0\n" for x in range(1 << 15)))
     assert run(["pptest", "--map", str(table), "--method", "charsum"] + argv) == 1
-    first = random.Random(seed).randrange(1, 1 << 15)
+    first = random.Random(seed).randrange(1, 1 << 15) if "--mode" in argv else 1
     assert f"witness: char_sum(a={first:x}) = {1 << 15}" in capsys.readouterr().out
 
 
-def test_pptest_charsum_all_gate(capsys):
-    assert run(["pptest", "--t", "1", "--k", "5", "--map", "builtin:L-note",
-                "--method", "charsum", "--mode", "all"]) == 2
-    assert "allow_large" in capsys.readouterr().err
+def test_pptest_charsum_all_above_m14(capsys):
+    # every m <= 24 checks all 2^m - 1 sums, with or without --mode; the override flag is gone
+    for mode in ([], ["--mode", "all"]):
+        assert run(["pptest", "--t", "1", "--k", "5", "--map", "builtin:L-note",
+                    "--method", "charsum"] + mode) == 0
+        assert "permutation (method=charsum-all, checks=32767)" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run(["pptest", "--t", "1", "--k", "5", "--map", "builtin:L-note", "--allow-large"])
+    assert exc.value.code == 2
 
 
 def test_pptest_export_roundtrip(tmp_path, capsys):
@@ -207,6 +215,18 @@ def test_pptest_export_roundtrip(tmp_path, capsys):
     assert lines[0].startswith("0:")
     assert run(["pptest", "--t", "2", "--k", "1", "--map", str(exported),
                 "--method", "both"]) == 0
+
+
+def test_output_files_get_the_mode_of_a_plain_write(tmp_path):
+    table, report = tmp_path / "g.txt", tmp_path / "r.json"
+    old = os.umask(0o022)
+    try:
+        assert run(["pptest", "--t", "2", "--k", "1", "--map", "builtin:g-thm1",
+                    "--method", "exhaustive", "--export", str(table)]) == 0
+        assert run(["verify", "thm1", "--k", "1", "--format", "json", "--out", str(report)]) == 0
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (table, report)] == [0o644, 0o644]
 
 
 def test_table_file_names_the_first_missing_entry(tmp_path):
@@ -243,8 +263,11 @@ def test_search_output_is_pinned(capsys):
     ]
 
 
-def test_search_respects_size_gate(capsys):
-    assert run(["search-L", "--t", "2", "--k", "4"]) == 2
+def test_search_at_m24_within_budget(capsys):
+    # no size gate: the budget bounds the work at every m <= 24
+    assert run(["search-L", "--t", "2", "--k", "4", "--budget", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "budget: 2, accepted: " in out and "PP-FAILED" not in out
 
 
 def test_search_candidates_written_to_file(tmp_path):

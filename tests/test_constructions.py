@@ -254,8 +254,7 @@ def test_search_budget_bounds_work():
     ctx = FieldCtx.from_tower(1, 1)
     with pytest.raises(ValueError):
         search_L_candidates(ctx, 0)
-    with pytest.raises(ValueError):
-        search_L_candidates(FieldCtx.from_tower(2, 4), 16)  # m = 24 gate
+    assert all(cand.index < 3 for cand in search_L_candidates(ctx, 3))
 
 
 def test_from_table_validation():

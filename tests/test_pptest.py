@@ -124,21 +124,14 @@ def test_charsum_sample_is_deterministic():
     assert bad.verdict == "not-permutation"
 
 
-def test_charsum_all_cost_gate():
-    ctx = FieldCtx.from_tower(1, 5)  # m = 15
-    g = FieldMap("id", ctx, lambda xs: xs)
-    with pytest.raises(ValueError, match="allow_large"):
-        pp_verdict_charsum(g, mode="all")
-    verdict = pp_verdict_charsum(g, mode="sample", n=8, seed=1)
-    assert verdict.verdict == "probable-permutation"
-
-
-def test_charsum_all_gate_override():
-    ctx = FieldCtx(15)
+def test_charsum_all_runs_above_m14():
+    # mode all has no size gate: at m = 15 it checks every nonzero a
+    ctx = FieldCtx.from_tower(1, 5)
     ident = FieldMap("id", ctx, lambda xs: xs)
-    verdict = pp_verdict_charsum(ident, mode="all", allow_large=True)
-    assert verdict.verdict == "permutation"
-    assert verdict.checks == (1 << 15) - 1
+    assert pp_verdict_charsum(ident, mode="all") == PPVerdict("permutation", "charsum-all",
+                                                              (1 << 15) - 1)
+    verdict = pp_verdict_charsum(ident, mode="sample", n=8, seed=1)
+    assert verdict.verdict == "probable-permutation"
 
 
 def test_charsum_rejects_unknown_mode():
