@@ -124,14 +124,27 @@ def test_charsum_sample_is_deterministic():
     assert bad.verdict == "not-permutation"
 
 
-def test_charsum_all_runs_above_m14():
-    # mode all has no size gate: at m = 15 it checks every nonzero a
-    ctx = FieldCtx.from_tower(1, 5)
-    ident = FieldMap("id", ctx, lambda xs: xs)
-    assert pp_verdict_charsum(ident, mode="all") == PPVerdict("permutation", "charsum-all",
-                                                              (1 << 15) - 1)
-    verdict = pp_verdict_charsum(ident, mode="sample", n=8, seed=1)
+def test_charsum_all_cost_gate():
+    # the blocked pass removed the m > 14 cost gate: at m = 15 mode all
+    # runs with no override and mode sample still works beside it
+    ctx = FieldCtx.from_tower(1, 5)  # m = 15
+    g = FieldMap("id", ctx, lambda xs: xs)
+    assert pp_verdict_charsum(g, mode="all") == PPVerdict("permutation", "charsum-all",
+                                                          (1 << 15) - 1)
+    verdict = pp_verdict_charsum(g, mode="sample", n=8, seed=1)
     assert verdict.verdict == "probable-permutation"
+
+
+def test_charsum_all_gate_override():
+    # the allow_large override is gone; the m = 15 all-a verdict and count
+    # it used to unlock come from a plain mode-all call
+    ctx = FieldCtx(15)
+    ident = FieldMap("id", ctx, lambda xs: xs)
+    with pytest.raises(TypeError):
+        pp_verdict_charsum(ident, mode="all", allow_large=True)
+    verdict = pp_verdict_charsum(ident, mode="all")
+    assert verdict.verdict == "permutation"
+    assert verdict.checks == (1 << 15) - 1
 
 
 def test_charsum_rejects_unknown_mode():
