@@ -9,7 +9,11 @@ map that is nonlinear only through a linear map's value is tabled on that
 map's image (`ImageTable`), so products run once per image element, never
 once per input.  `span_basis` finds the F2-span of a table's worth of
 vectors in one blocked pass, which lets a per-a check be decided for every
-a at once.  The scalar paths in `field` stay the reference.
+a at once.  `walsh_transform` is the exact int32 Walsh-Hadamard transform
+behind every character sum: cache blocking keeps its low 16 levels on
+2^16-entry blocks, the first five of them on one reused 256 KB transposed
+buffer so that no inner loop is shorter than 2^11 entries.  The scalar
+paths in `field` stay the reference.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .linearized import LinearizedPoly
 
 BLOCK = 1 << 16    # inputs per block of a pass over a whole table
 _CHUNK_BITS = 12   # input bits per LinearTable chunk: 4096-entry tables
+_WALSH_BITS = 16   # index bits per cache-resident block of walsh_transform
+_WALSH_LOW_BITS = 5   # index bits run on walsh_transform's transposed buffer
 
 
 def parity(values: np.ndarray) -> np.ndarray:
@@ -39,6 +45,45 @@ def signed_parity_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
         odd = parity(masks[i:i + step, None] & values).sum(axis=1, dtype=np.int64)
         out[i:i + step] = len(values) - 2 * odd
     return out
+
+
+def walsh_transform(w: np.ndarray) -> None:
+    """In-place exact Walsh-Hadamard transform of a length-2^m integer array.
+
+    Level i maps each pair (lo, hi) at stride 2^i to (lo + hi, lo - hi).
+    Levels 0-15 run block by block, each block (2^16 entries, 256 KB of
+    int32; the whole array for m <= 16) while it is in cache: the block is
+    copied transposed into one reused buffer of the same size, so its 5 low
+    index bits become the row index and levels 0-4 run over rows of 2^11
+    entries; then it is copied back and levels 5-15 run on it in place.
+    The levels above run over the whole array.  No full-size temporary is
+    made.
+    """
+    m = len(w).bit_length() - 1
+    bits = min(m, _WALSH_BITS)
+    low = min(bits, _WALSH_LOW_BITS)
+    rows, cols = 1 << low, 1 << (bits - low)
+    buf = np.empty((rows, cols), dtype=w.dtype)
+    flat = buf.reshape(-1)
+    for start in range(0, len(w), 1 << bits):
+        block = w[start:start + (1 << bits)]
+        np.copyto(buf, block.reshape(cols, rows).T)
+        for i in range(low):                  # index bit i is now bit i of the row
+            _butterfly(flat, cols << i)
+        np.copyto(block.reshape(cols, rows), buf.T)
+        for i in range(low, bits):
+            _butterfly(block, 1 << i)
+    for i in range(bits, m):
+        _butterfly(w, 1 << i)
+
+
+def _butterfly(w: np.ndarray, stride: int) -> None:
+    """(lo, hi) -> (lo + hi, lo - hi) in place, for every pair of entries stride apart."""
+    pairs = w.reshape(-1, 2, stride)
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    lo += hi
+    hi *= -2
+    hi += lo
 
 
 def mul_block(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,9 +14,15 @@ after construction.
 
 from __future__ import annotations
 
+import re
+
 from . import binpoly, gf2linalg
 
 MAX_DEGREE = 24
+
+# `d:h` with d decimal and h hex, ASCII digits only, padded by space, \t, \v or \f
+_PAIR = re.compile(r"[ \t\v\f]*([0-9]+)[ \t\v\f]*:[ \t\v\f]*([0-9a-fA-F]+)[ \t\v\f]*")
+BLANKS = " \t\v\f\r\n"   # the ASCII whitespace the text grammars strip
 
 
 class FieldCtx:
@@ -143,6 +149,19 @@ class FieldCtx:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.pow(a, self.order - 2)
 
+    def frobenius_images(self) -> list[list[int]]:
+        """images[i][j] = (x^j)^(2^i): the basis under every Frobenius power, cached.
+
+        m^2 squarings, once per context; a linearized polynomial's columns
+        are XORs of these rows (`LinearizedPoly.matrix_columns`).
+        """
+        if "frobenius-images" not in self._cache:
+            images = [[1 << j for j in range(self.m)]]
+            while len(images) < self.m:
+                images.append([self.sqr(v) for v in images[-1]])
+            self._cache["frobenius-images"] = images
+        return self._cache["frobenius-images"]
+
     def frobenius(self, a: int, i: int) -> int:
         """a^(2^i) by repeated squaring; i is reduced mod m."""
         for _ in range(i % self.m):
@@ -221,25 +240,39 @@ class FieldCtx:
             raise ValueError(f"subfield degree {d} does not divide m={self.m}")
 
 
-def load_modulus_file(path: str) -> dict[int, int]:
-    """Parse a modulus override file: one `m:hex` entry per line.
+def parse_pair(text: str) -> tuple[int, int]:
+    """The decimal and hex values of one `d:h` pair; ValueError if text is not one.
 
-    Blank lines and lines starting with '#' are ignored.  Values are
-    validated lazily by FieldCtx when actually used.
+    Only ASCII digits count: no sign, `0x` prefix, `_` separator or
+    non-ASCII digit, as in the table file grammar.
     """
+    match = _PAIR.fullmatch(text)
+    if match is None:
+        raise ValueError(f"expected `decimal:hex`, got {text!r}")
+    return int(match[1]), int(match[2], 16)
+
+
+def load_modulus_file(path: str) -> dict[int, int]:
+    """Parse a modulus override file: one `m:hex` entry per line (see `parse_pair`).
+
+    The file must be UTF-8; blank lines and lines whose first non-blank
+    character is '#' are ignored.  Values are validated lazily by
+    FieldCtx when actually used.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     table: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                m_str, hex_str = line.split(":", 1)
-                m = int(m_str)
-                modulus = int(hex_str, 16)
-                if modulus < 0:
-                    raise ValueError
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: expected `m:hex`, got {line!r}") from exc
-            table[m] = modulus
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        line = raw.strip(BLANKS)
+        if not line or line.startswith("#"):
+            continue
+        try:
+            m, modulus = parse_pair(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: expected `m:hex`, got {line!r}") from exc
+        table[m] = modulus
     return table

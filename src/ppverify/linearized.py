@@ -13,7 +13,7 @@ import re
 from typing import Iterable
 
 from . import gf2linalg
-from .field import FieldCtx
+from .field import BLANKS, FieldCtx, parse_pair
 
 
 class LinearizedPoly:
@@ -118,8 +118,19 @@ class LinearizedPoly:
     # -- linear-algebra views ----------------------------------------------------
 
     def matrix_columns(self) -> list[int]:
-        """Column i is the encoding of the image of the basis element x^i."""
-        return gf2linalg.columns_of_map(self.ctx.m, self.__call__)
+        """Column j is the encoding of the image of the basis element x^j.
+
+        Column j is the sum of c_i * (x^j)^(2^i): an XOR of the context's
+        cached Frobenius images, with a product only where c_i is not 0 or 1.
+        """
+        ctx = self.ctx
+        cols = [0] * ctx.m
+        for c, images in zip(self.coeffs, ctx.frobenius_images()):
+            if c == 1:
+                cols = [col ^ v for col, v in zip(cols, images)]
+            elif c:
+                cols = [col ^ ctx.mul(c, v) for col, v in zip(cols, images)]
+        return cols
 
     def kernel_image(self) -> tuple[list[int], list[int]]:
         """F2 bases of the kernel and the image (dim kernel + dim image = m)."""
@@ -162,7 +173,7 @@ def permutes(L: LinearizedPoly, d: int) -> bool:
     return ok
 
 
-_LIN_RE = re.compile(r"^lin\[(.*)\]$")
+_LIN_RE = re.compile(r"lin\[(.*)\]")
 
 
 def format_linpoly(L: LinearizedPoly) -> str:
@@ -172,17 +183,20 @@ def format_linpoly(L: LinearizedPoly) -> str:
 
 
 def parse_linpoly(ctx: FieldCtx, text: str) -> LinearizedPoly:
-    """Inverse of format_linpoly; indices are reduced mod m."""
-    match = _LIN_RE.match(text.strip())
+    """Inverse of format_linpoly; indices are reduced mod m.
+
+    Each term is a decimal index and a hex coefficient in ASCII digits
+    (`field.parse_pair`).
+    """
+    match = _LIN_RE.fullmatch(text.strip(BLANKS))
     if match is None:
         raise ValueError(f"expected lin[i:hex,...], got {text!r}")
-    body = match.group(1).strip()
+    body = match.group(1).strip(BLANKS)
     pairs = []
     if body:
         for part in body.split(","):
             try:
-                idx_str, coef_str = part.split(":", 1)
-                pairs.append((int(idx_str), int(coef_str, 16)))
+                pairs.append(parse_pair(part))
             except ValueError as exc:
                 raise ValueError(f"bad linearized term {part!r}") from exc
     return LinearizedPoly.from_pairs(ctx, pairs)

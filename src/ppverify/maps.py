@@ -5,6 +5,9 @@ evaluation path; calling it on a single element evaluates a one-element
 block.  The full 2^m value table, uint32 (64 MB at m = 24), is the only
 way a check reads a whole map: it is filled from the block function in
 fixed blocks of 2^16 inputs and cached, with its Walsh spectrum beside it.
+The spectrum is the int32 histogram of the table transformed in place by
+`blocks.walsh_transform`, cache-blocked on 2^16-entry blocks through one
+reused 256 KB buffer, so it needs nothing full-size beside itself.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
 
@@ -66,19 +69,16 @@ class FieldMap:
     def spectrum(self) -> np.ndarray:
         """Walsh spectrum W[M] = sum_x (-1)^popcount(M & f(x)), cached beside the table.
 
-        One in-place fast Walsh-Hadamard transform of the preimage counts,
-        which are accumulated straight into int32 (no int64 histogram);
-        every |W[M]| <= 2^m, so int32 is exact.
+        The preimage counts are accumulated straight into int32 (no int64
+        histogram) and transformed in place by `blocks.walsh_transform`:
+        the low 16 levels block by block while each 2^16-entry block is in
+        cache, through one reused 256 KB buffer, and the levels above over
+        the whole array.  Every |W[M]| <= 2^m, so int32 is exact.
         """
         if self._spectrum is None:
             w = np.zeros(self.ctx.order, dtype=np.int32)
             np.add.at(w, self.table(), np.int32(1))   # an int32 increment keeps the fast path
-            for i in range(self.ctx.m):
-                pairs = w.reshape(-1, 2, 1 << i)
-                lo, hi = pairs[:, 0], pairs[:, 1]
-                lo += hi          # (lo, hi) -> (lo + hi, lo - hi)
-                hi *= -2
-                hi += lo
+            blocks.walsh_transform(w)
             w.setflags(write=False)
             self._spectrum = w
         return self._spectrum

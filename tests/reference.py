@@ -12,6 +12,8 @@ oracles are the case loops as verify ran them before batching, and they
 hold the one-a sweeps the package replaced by its batched rows: one
 full-table sweep of the single-a check per a, the Case-1 witness by a
 scalar loop over F_{q^k}, and c from a filter of the whole domain.
+`walsh_spectrum_levels` is the spectrum as it was before the cache-blocked
+transform, one whole-array butterfly pass per level.
 `charsum_run_lists` is the character-sum verdict as it was before the
 blocked pass: every sum in one list, then a scan for the first nonzero.
 `format_table_lines` and `parse_table_file` are the hex table I/O as it
@@ -66,6 +68,20 @@ def mul_via_polymod(ctx, a: int, b: int) -> int:
 def subfield_by_filter(ctx, d: int) -> list[int]:
     """Exhaustive filter of the frobenius fixed-point condition."""
     return [a for a in ctx.elements() if ctx.frobenius(a, d) == a]
+
+
+def walsh_spectrum_levels(fmap) -> np.ndarray:
+    """The int32 Walsh spectrum as `FieldMap.spectrum` built it before cache
+    blocking: preimage counts, then one butterfly pass per level over the
+    whole array."""
+    w = np.bincount(fmap.table(), minlength=fmap.ctx.order).astype(np.int32)
+    for i in range(fmap.ctx.m):
+        pairs = w.reshape(-1, 2, 1 << i)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi          # (lo, hi) -> (lo + hi, lo - hi)
+        hi *= -2
+        hi += lo
+    return w
 
 
 def char_sum_definitional(fmap, a: int) -> int:

@@ -6,7 +6,7 @@ import pytest
 
 from ppverify import FieldCtx, LinearizedPoly, format_linpoly, parse_linpoly, permutes, s_polynomial
 from ppverify.constructions import build_L_note
-from ppverify.gf2linalg import span
+from ppverify.gf2linalg import columns_of_map, span
 from ppverify.linearized import subfield_permutation_check
 from ppverify.proofchecks import tracezero_set
 
@@ -212,6 +212,15 @@ def test_permutes_L_note():
     assert permutes(build_L_note(ctx), 2)
     ctx11 = FieldCtx.from_tower(1, 1)
     assert permutes(build_L_note(ctx11), 1)
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_matrix_columns_match_evaluation_at_the_basis(m):
+    ctx = FieldCtx(m)
+    rng = random.Random(m)
+    for _ in range(4):
+        L = LinearizedPoly(ctx, [rng.choice((0, 1, rng.randrange(ctx.order))) for _ in range(m)])
+        assert L.matrix_columns() == columns_of_map(m, L.__call__)
 
 
 def test_textual_roundtrip():

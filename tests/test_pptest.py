@@ -12,7 +12,8 @@ from ppverify import (FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note
 from ppverify.maps import FieldMap
 from ppverify.pptest import PPVerdict, _char_sums, shift_checks
 
-from reference import char_sum_definitional, char_sums_masked, first_collision, shift_check_sweep
+from reference import (char_sum_definitional, char_sums_masked, first_collision, shift_check_sweep,
+                       walsh_spectrum_levels)
 
 
 def cube_map_f4():
@@ -241,6 +242,31 @@ def test_spectrum_is_exact_int32_and_read_only():
     assert not w.flags.writeable
     # Parseval: the squared spectrum sums to 2^m * sum of squared preimage counts
     assert int((w.astype(np.int64) ** 2).sum()) == ctx.order * ctx.order
+
+
+def _walsh_maps(m):
+    """g (g1 where m = 3k, else x^3), its one-collision mutant and a constant map."""
+    ctx = FieldCtx.from_tower(1, m // 3) if m % 3 == 0 else FieldCtx(m)
+    if ctx.tower:
+        g = build_g_thm1(ctx)
+    else:
+        g = FieldMap("x^3", ctx, lambda xs: blocks.frobenius_product(ctx, xs, [1]))
+    constant = FieldMap.from_table("constant", ctx,
+                                   np.full(ctx.order, ctx.order - 1, dtype=np.uint32))
+    return g, one_collision_mutant(g, 0, ctx.order - 1), constant
+
+
+@pytest.mark.parametrize("m", range(1, 21))   # one short block (m < 16), one (16), two (17), more
+def test_spectrum_matches_per_level_butterfly(m):
+    g, mutant, constant = _walsh_maps(m)
+    for fmap in (g, mutant, constant):
+        assert np.array_equal(fmap.spectrum(), walsh_spectrum_levels(fmap)), fmap.name
+    assert (np.abs(constant.spectrum()) == 1 << m).all()   # the int32 extreme at every M
+
+
+def test_spectrum_matches_per_level_butterfly_at_m24():
+    g1 = build_g_thm1(FieldCtx.from_tower(2, 4))
+    assert np.array_equal(g1.spectrum(), walsh_spectrum_levels(g1))
 
 
 def test_parity_matches_bit_count():
