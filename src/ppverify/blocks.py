@@ -4,16 +4,18 @@ The multiply computes in int64 (products before reduction reach 2m-1 <
 48 bits) and accepts any integer array, such as the uint32 map tables of
 `maps`.  Linear maps get split-table lookups built from their columns,
 uint32 and cached per coefficient vector; the trace masks a -> M_a are one
-of them.  General products use a vectorized shift-and-XOR multiply, and a
-map that is nonlinear only through a linear map's value is tabled on that
-map's image (`ImageTable`), so products run once per image element, never
-once per input.  `span_basis` finds the F2-span of a table's worth of
-vectors in one blocked pass, which lets a per-a check be decided for every
-a at once.  `walsh_transform` is the exact int32 Walsh-Hadamard transform
-behind every character sum: cache blocking keeps its low 16 levels on
-2^16-entry blocks, the first five of them on one reused 256 KB transposed
-buffer so that no inner loop is shorter than 2^11 entries.  The scalar
-paths in `field` stay the reference.
+of them.  A map table is filled one aligned block x = start ^ i (i < n,
+start a multiple of n) at a time, and there a linear map is one cached
+low table XOR L(start) (`LinearTable.coset`).  General products use a
+vectorized shift-and-XOR multiply, and a map that is nonlinear only
+through a linear map's value is tabled on that map's image (`ImageTable`),
+so products run once per image element, never once per input.
+`span_basis` finds the F2-span of a table's worth of vectors in one
+blocked pass, which lets a per-a check be decided for every a at once.
+`walsh_transform` is the exact int32 Walsh-Hadamard transform behind
+every character sum: cache blocking keeps its low 16 levels on
+2^16-entry blocks, each level at a stride of at least 2^12 entries.  The
+scalar paths in `field` stay the reference.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .linearized import LinearizedPoly
 BLOCK = 1 << 16    # inputs per block of a pass over a whole table
 _CHUNK_BITS = 12   # input bits per LinearTable chunk: 4096-entry tables
 _WALSH_BITS = 16   # index bits per cache-resident block of walsh_transform
-_WALSH_LOW_BITS = 5   # index bits run on walsh_transform's transposed buffer
+_WALSH_ROUND_BITS = 4   # levels per round of walsh_transform, then the index rotates
 
 
 def parity(values: np.ndarray) -> np.ndarray:
@@ -50,30 +52,32 @@ def signed_parity_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def walsh_transform(w: np.ndarray) -> None:
     """In-place exact Walsh-Hadamard transform of a length-2^m integer array.
 
-    Level i maps each pair (lo, hi) at stride 2^i to (lo + hi, lo - hi).
-    Levels 0-15 run block by block, each block (2^16 entries, 256 KB of
-    int32; the whole array for m <= 16) while it is in cache: the block is
-    copied transposed into one reused buffer of the same size, so its 5 low
-    index bits become the row index and levels 0-4 run over rows of 2^11
-    entries; then it is copied back and levels 5-15 run on it in place.
-    The levels above run over the whole array.  No full-size temporary is
-    made.
+    Level i maps each pair (lo, hi) at stride 2^i to (lo + hi, lo - hi);
+    the levels commute, so they may run in any order.  For m < 16 they all
+    run in place.  Otherwise levels 0-15 run block by block, each block
+    (2^16 entries, 256 KB of int32) while it is in cache, in four rounds:
+    levels 12-15 in place, then a (4096, 16) transpose into one reused
+    buffer of the block's size, which rotates the index right by 4 bits
+    and so brings the next 4 index bits up to 12-15.  Four rotations
+    restore the order, and the block ends where it began.  Every low level
+    thus runs at a stride of at least 2^12; the levels above run over the
+    whole array.  No full-size temporary is made.
     """
     m = len(w).bit_length() - 1
-    bits = min(m, _WALSH_BITS)
-    low = min(bits, _WALSH_LOW_BITS)
-    rows, cols = 1 << low, 1 << (bits - low)
-    buf = np.empty((rows, cols), dtype=w.dtype)
-    flat = buf.reshape(-1)
-    for start in range(0, len(w), 1 << bits):
-        block = w[start:start + (1 << bits)]
-        np.copyto(buf, block.reshape(cols, rows).T)
-        for i in range(low):                  # index bit i is now bit i of the row
-            _butterfly(flat, cols << i)
-        np.copyto(block.reshape(cols, rows), buf.T)
-        for i in range(low, bits):
-            _butterfly(block, 1 << i)
-    for i in range(bits, m):
+    if m < _WALSH_BITS:
+        for i in range(m):
+            _butterfly(w, 1 << i)
+        return
+    size, cols = 1 << _WALSH_BITS, 1 << _WALSH_ROUND_BITS
+    buf = np.empty(size, dtype=w.dtype)
+    for start in range(0, len(w), size):
+        src, dst = w[start:start + size], buf
+        for _ in range(_WALSH_BITS // _WALSH_ROUND_BITS):
+            for i in range(_WALSH_BITS - _WALSH_ROUND_BITS, _WALSH_BITS):
+                _butterfly(src, 1 << i)
+            np.copyto(dst.reshape(cols, -1), src.reshape(-1, cols).T)
+            src, dst = dst, src
+    for i in range(_WALSH_BITS, m):
         _butterfly(w, 1 << i)
 
 
@@ -123,17 +127,21 @@ class LinearTable:
 
     The input bits are cut into equal chunks of at most _CHUNK_BITS, one
     table per chunk, and a lookup XORs one gather per chunk.  Tables are
-    uint32, or uint64 for images wider than 32 bits; index arrays are used
-    as given, with no int64 copy.
+    uint32, or uint64 for images wider than 32 bits, unless a dtype is
+    given; index arrays are used as given, with no int64 copy.  On an
+    aligned block, `coset` needs no gather at all.
     """
 
-    def __init__(self, images: list[int]):
+    def __init__(self, images: list[int], dtype=None):
         pieces = max(1, -(-len(images) // _CHUNK_BITS))
         self.bits = -(-len(images) // pieces)
         self.mask = (1 << self.bits) - 1
-        dtype = np.uint32 if max(images, default=0) >> 32 == 0 else np.uint64
+        if dtype is None:
+            dtype = np.uint32 if max(images, default=0) >> 32 == 0 else np.uint64
+        self.images = images
         self.tables = [_span_table(images[i:i + self.bits], dtype)
                        for i in range(0, len(images), self.bits)]
+        self._low: dict[int, np.ndarray] = {}   # n -> the map on range(n), for coset
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         last = len(self.tables) - 1
@@ -143,9 +151,22 @@ class LinearTable:
             out ^= self.tables[j][part & self.mask if j < last else part]
         return out
 
+    def coset(self, start: int, n: int) -> np.ndarray:
+        """The map at start ^ i for i < n: its cached table on range(n), XOR its value at start.
+
+        n must be a power of two and start a multiple of it (then start ^ i
+        = start + i); otherwise ValueError.
+        """
+        if n < 1 or n & (n - 1) or start % n:
+            raise ValueError(f"block (start={start:#x}, n={n}) is not aligned: "
+                             "n must be a power of two and start a multiple of n")
+        if n not in self._low:   # filled in place: no n-entry temporaries beside it
+            self._low[n] = _span_table(self.images[:n.bit_length() - 1], self.tables[0].dtype)
+        return self._low[n] ^ self(np.array([start], dtype=np.int64))
+
 
 def image_product(poly: LinearizedPoly, exponents) -> "ImageTable":
-    """xs -> frobenius_product(poly(xs), exponents) through poly's image, cached on its context."""
+    """x -> frobenius_product(poly(x), exponents) through poly's image, cached on its context."""
     key = ("image-product", poly.coeffs, tuple(exponents))
     if key not in poly.ctx._cache:
         poly.ctx._cache[key] = ImageTable(
@@ -153,33 +174,49 @@ def image_product(poly: LinearizedPoly, exponents) -> "ImageTable":
     return poly.ctx._cache[key]
 
 
-class ImageTable:
-    """The block function xs -> fn(poly(xs)), with fn evaluated once per image element.
+def image_coords(poly: LinearizedPoly) -> tuple[LinearTable, list[int]]:
+    """x -> the coordinates of poly(x) in an image basis, as intp, and that basis; cached.
 
     The reduced row-echelon form of poly's columns gives an image basis in
     which each basis vector holds its own pivot bit and no other, so the
-    pivot bits of y = poly(x) are y's coordinates.  `coords` maps x to
-    them (a LinearTable from m to r = rank bits, built from the same
-    columns), `values[c]` is fn at the image element with coordinates c,
-    and a block is one gather, values[coords(xs)].
+    pivot bits of y = poly(x) are y's coordinates.  The coordinate table
+    (m to r = rank bits, built from the same columns) is intp, so gathers
+    through it need no index conversion, and one is shared by every
+    ImageTable of poly.
     """
-
-    def __init__(self, poly: LinearizedPoly, fn: Callable[[np.ndarray], np.ndarray]):
+    key = ("image-coords", poly.coeffs)
+    if key not in poly.ctx._cache:
         cols = poly.matrix_columns()
         pivots, _ = gf2linalg._rref(cols)
         bits = sorted(pivots)
-        self.coords = LinearTable([sum(((col >> b) & 1) << j for j, b in enumerate(bits))
-                                   for col in cols])
-        self.values = fn(_span_table([pivots[b][0] for b in bits])).astype(np.uint32)
+        coords = LinearTable([sum(((col >> b) & 1) << j for j, b in enumerate(bits))
+                              for col in cols], dtype=np.intp)
+        poly.ctx._cache[key] = coords, [pivots[b][0] for b in bits]
+    return poly.ctx._cache[key]
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        return self.values[self.coords(xs)]
+
+class ImageTable:
+    """The map x -> fn(poly(x)), with fn evaluated once per image element.
+
+    `coords` maps x to the coordinates c of poly(x) (`image_coords`) and
+    `values[c]` is fn at the image element with coordinates c, so the map
+    on an aligned block is one gather, values[coords.coset(start, n)].
+    """
+
+    def __init__(self, poly: LinearizedPoly, fn: Callable[[np.ndarray], np.ndarray]):
+        self.coords, basis = image_coords(poly)
+        self.values = fn(_span_table(basis)).astype(np.uint32)
+
+    def coset(self, start: int, n: int) -> np.ndarray:
+        """The map at start ^ i for i < n, with start a multiple of the power of two n."""
+        return self.values[self.coords.coset(start, n)]
 
 
 def _span_table(images: list[int], dtype=np.uint32) -> np.ndarray:
+    """The XOR of the images selected by each index's bits, for every index, filled in place."""
     table = np.zeros(1 << len(images), dtype=dtype)
     for i, img in enumerate(images):
-        table[1 << i:2 << i] = table[:1 << i] ^ img
+        np.bitwise_xor(table[:1 << i], img, out=table[1 << i:2 << i])
     return table
 
 

@@ -367,6 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_option_values(args) -> None:
+    """Reject an option written as `--X=--`, which argparse parses as an empty list.
+
+    No option of the parser takes a list, so a list is always this case;
+    it would otherwise crash the command or be taken as the option unset.
+    """
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            flag = {"tee": "t", "kay": "k"}.get(dest, dest).replace("_", "-")
+            raise ConfigError(f"--{flag} expects a value, got '--'")
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -374,6 +386,7 @@ def run(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
+        _check_option_values(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

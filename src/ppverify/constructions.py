@@ -83,7 +83,7 @@ def build_g_thm3(ctx: FieldCtx, L: LinearizedPoly) -> FieldMap:
 
 
 def _g_map(ctx: FieldCtx, L: LinearizedPoly, name: str) -> FieldMap:
-    """L(x) + P(x) with P(x) = s * s^2 * s^(q^k): a lookup for L, a gather for P.
+    """L(x) + P(x) with P(x) = s * s^2 * s^(q^k): per block, a coset of L and a gather for P.
 
     P depends on x only through s = S(x), so its products run once per
     element of S's q^(2k)-element image; that value table is cached on the
@@ -92,7 +92,7 @@ def _g_map(ctx: FieldCtx, L: LinearizedPoly, name: str) -> FieldMap:
     t, k = ctx.require_tower()
     l_tab = blocks.linear_table(L)
     p_tab = blocks.image_product(s2k(ctx), (1, t * k))
-    return FieldMap(name, ctx, lambda xs: l_tab(xs) ^ p_tab(xs))
+    return FieldMap(name, ctx, lambda start, n: l_tab.coset(start, n) ^ p_tab.coset(start, n))
 
 
 def rel_trace_poly(ctx: FieldCtx) -> LinearizedPoly:

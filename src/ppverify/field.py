@@ -256,8 +256,8 @@ def load_modulus_file(path: str) -> dict[int, int]:
     """Parse a modulus override file: one `m:hex` entry per line (see `parse_pair`).
 
     The file must be UTF-8; blank lines and lines whose first non-blank
-    character is '#' are ignored.  Values are validated lazily by
-    FieldCtx when actually used.
+    character is '#' are ignored.  A second line for one degree is an
+    error.  Values are validated lazily by FieldCtx when actually used.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -274,5 +274,7 @@ def load_modulus_file(path: str) -> dict[int, int]:
             m, modulus = parse_pair(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: expected `m:hex`, got {line!r}") from exc
+        if m in table:
+            raise ValueError(f"{path}:{lineno}: duplicate entry for m={m}")
         table[m] = modulus
     return table

@@ -1,13 +1,17 @@
 """Named evaluators from field elements to field elements.
 
-A FieldMap is defined by one vectorized block function, its only
-evaluation path; calling it on a single element evaluates a one-element
-block.  The full 2^m value table, uint32 (64 MB at m = 24), is the only
-way a check reads a whole map: it is filled from the block function in
-fixed blocks of 2^16 inputs and cached, with its Walsh spectrum beside it.
-The spectrum is the int32 histogram of the table transformed in place by
-`blocks.walsh_transform`, cache-blocked on 2^16-entry blocks through one
-reused 256 KB buffer, so it needs nothing full-size beside itself.
+A FieldMap is defined by one block function, its only evaluation path:
+block_fn(start, n) returns the map's values at x = start ^ i for i < n,
+where n = min(2^16, 2^m) and start is a multiple of n.  The paper's maps
+are linear maps plus functions of a linear map's value, and on such a
+coset a linear map is one cached low table XOR one value
+(`blocks.LinearTable.coset`), so no block needs the x themselves.  Only
+`table()` calls the block function: the full 2^m value table, uint32
+(64 MB at m = 24), filled block by block and cached, is the way every
+check reads a map, down to a single value g(x).  Its Walsh spectrum is
+cached beside it: the int32 histogram of the table transformed in place
+by `blocks.walsh_transform`, cache-blocked on 2^16-entry blocks through
+one reused 256 KB buffer, so it needs nothing full-size beside itself.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
 
@@ -34,9 +38,14 @@ from .linearized import LinearizedPoly
 
 
 class FieldMap:
-    """A named, pure map on GF(2^m) element encodings."""
+    """A named, pure map on GF(2^m) element encodings, read through its value table.
 
-    def __init__(self, name: str, ctx: FieldCtx, block_fn: Callable[[np.ndarray], np.ndarray]):
+    block_fn(start, n) gives the values at start ^ i for i < n, as any
+    integer array; `table()` calls it on the aligned blocks start = 0, n,
+    2n, ... with n = min(blocks.BLOCK, 2^m), and nothing else calls it.
+    """
+
+    def __init__(self, name: str, ctx: FieldCtx, block_fn: Callable[[int, int], np.ndarray]):
         self.name = name
         self.ctx = ctx
         self._block_fn = block_fn
@@ -44,24 +53,19 @@ class FieldMap:
         self._spectrum: np.ndarray | None = None
 
     def __call__(self, x: int) -> int:
-        return int(self.eval_block(np.array([x], dtype=np.int64))[0])
+        return int(self.table()[x])
 
     def __repr__(self) -> str:
         return f"FieldMap({self.name!r}, m={self.ctx.m})"
-
-    def eval_block(self, xs: np.ndarray) -> np.ndarray:
-        if self._table is not None:
-            return self._table[xs]
-        return self._block_fn(xs)
 
     def table(self) -> np.ndarray:
         """The full 2^m value table as read-only uint32, filled block by block and cached."""
         if self._table is None:
             order = self.ctx.order
+            n = min(blocks.BLOCK, order)
             table = np.empty(order, dtype=np.uint32)
-            for start in range(0, order, blocks.BLOCK):
-                stop = min(start + blocks.BLOCK, order)
-                table[start:stop] = self._block_fn(np.arange(start, stop, dtype=np.int64))
+            for start in range(0, order, n):
+                table[start:start + n] = self._block_fn(start, n)
             table.setflags(write=False)
             self._table = table
         return self._table
@@ -97,14 +101,14 @@ class FieldMap:
             raise ValueError("table entry out of field range")
         table = table.astype(np.uint32, copy=False)
         table.setflags(write=False)
-        fmap = cls(name, ctx, table.__getitem__)
+        fmap = cls(name, ctx, lambda start, n: table[start:start + n])
         fmap._table = table
         return fmap
 
 
 def linearized_map(L: LinearizedPoly, name: str) -> FieldMap:
-    """View a linearized polynomial as a FieldMap through its cached lookup table."""
-    return FieldMap(name, L.ctx, blocks.linear_table(L))
+    """View a linearized polynomial as a FieldMap, filled from its cached lookup table's cosets."""
+    return FieldMap(name, L.ctx, blocks.linear_table(L).coset)
 
 
 _HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)

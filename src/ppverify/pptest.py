@@ -62,13 +62,16 @@ class PPVerdict:
 def is_permutation_exhaustive(f: FieldMap) -> PPVerdict:
     """Scatter the whole table; permutation iff every value is hit.
 
-    On a collision the witness is the first colliding pair in
-    enumeration order: the least x2 whose value already appeared,
-    paired with that value's first preimage.
+    The scatter runs on blocks of `blocks.BLOCK` values, each cast to
+    intp (numpy would convert uint32 indices itself, more slowly), so no
+    full-size index copy is made.  On a collision the witness is the
+    first colliding pair in enumeration order: the least x2 whose value
+    already appeared, paired with that value's first preimage.
     """
     table = f.table()
     seen = np.zeros(f.ctx.order, dtype=bool)
-    seen[table] = True
+    for start in range(0, table.size, blocks.BLOCK):
+        seen[table[start:start + blocks.BLOCK].astype(np.intp)] = True
     if np.count_nonzero(seen) == f.ctx.order:
         return PPVerdict(PERMUTATION, "exhaustive", f.ctx.order)
     # first[v] = the least preimage of v; x2 is the least x that is not its value's first

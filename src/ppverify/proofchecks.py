@@ -279,7 +279,8 @@ class _Thm1State:
         self.exponent = 1 + (1 << (t * k + 1)) + (1 << (2 * t * k))
         # the block function holds ctx, not self: a reference cycle would keep
         # this state's tables alive after the run, until the next garbage collection
-        self.s_power = FieldMap("S^E", ctx, blocks.ImageTable(s2k(ctx), lambda v: _power_e(ctx, v)))
+        self.s_power = FieldMap("S^E", ctx,
+                                blocks.ImageTable(s2k(ctx), lambda v: _power_e(ctx, v)).coset)
 
     @functools.cached_property
     def tz_powers(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""ImageTable, LinearTable, span bases and trace masks: the table kernels of `blocks`."""
+"""ImageTable, LinearTable and their cosets, span bases and trace masks: the table kernels of `blocks`."""
 
 import random
 
@@ -16,6 +16,12 @@ def _cube(ctx):
 def _square_mod(ctx):
     """Integer squaring mod 2^m: nonlinear over F2 and cheap at m = 21."""
     return lambda v: (v * v) & (ctx.order - 1)
+
+
+def _by_blocks(coset, order):
+    """coset(start, n) on every aligned block of the field, n = min(BLOCK, order), concatenated."""
+    n = min(blocks.BLOCK, order)
+    return np.concatenate([coset(start, n) for start in range(0, order, n)])
 
 
 CASES = {
@@ -36,7 +42,7 @@ def test_image_table_matches_fn_of_poly_on_every_x(case):
     ys = blocks.linear_table(poly)(xs)
     table = blocks.ImageTable(poly, fn)
     assert table.values.dtype == np.uint32 and table.values.shape == (1 << rank,)
-    assert np.array_equal(table(xs), fn(ys))
+    assert np.array_equal(_by_blocks(table.coset, ctx.order), fn(ys))
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -46,6 +52,7 @@ def test_image_table_of_identity_reproduces_poly(case):
     xs = blocks.domain(poly.ctx)
     table = blocks.ImageTable(poly, lambda v: v)
     coords = table.coords(xs)
+    assert coords.dtype == np.intp
     assert coords.min() >= 0 and coords.max() < 1 << rank
     assert np.array_equal(table.values[coords], blocks.linear_table(poly)(xs))
     # the image has exactly 2^rank elements, one per coordinate vector
@@ -59,6 +66,9 @@ def test_image_product_is_cached_per_poly_and_exponents():
     assert blocks.image_product(S, (1, 2)) is first
     assert blocks.image_product(S, (3, 4)) is not first
     assert blocks.image_product(LinearizedPoly.identity(ctx), (1, 2)) is not first
+    # the coordinate table is shared by every image table of one poly
+    assert blocks.ImageTable(S, lambda v: v).coords is first.coords
+    assert blocks.image_product(LinearizedPoly.identity(ctx), (1, 2)).coords is not first.coords
 
 
 @pytest.mark.parametrize("n_in, width", [(5, 6), (13, 21), (24, 24), (48, 48)])
@@ -78,6 +88,26 @@ def test_linear_table_is_the_xor_of_its_columns(n_in, width):
                 acc ^= col
         want.append(acc)
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("m", [1, 12, 15, 16, 17, 19])
+def test_linear_table_coset_is_the_map_on_every_aligned_block(m):
+    rng = random.Random(m)
+    table = blocks.LinearTable([rng.getrandbits(m) for _ in range(m)])
+    n = min(blocks.BLOCK, 1 << m)
+    span = np.arange(n, dtype=np.int64)
+    for start in range(0, 1 << m, n):
+        got = table.coset(start, n)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, table(start ^ span))
+    assert table.coset(0, n) is not table.coset(0, n)   # a fresh array, never the cached one
+
+
+@pytest.mark.parametrize("start, n", [(1, 2), (4096, 1 << 16), ((1 << 16) + 1, 1 << 16), (0, 3)])
+def test_linear_table_coset_rejects_a_misaligned_block(start, n):
+    table = blocks.LinearTable([1 << i for i in range(17)])
+    with pytest.raises(ValueError, match="not aligned"):
+        table.coset(start, n)
 
 
 def _blocks_of(values, size):

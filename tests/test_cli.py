@@ -313,3 +313,26 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys, argv, where):
     assert run(argv + [str(target)]) == 2
     assert f"error: cannot write {target}: " in capsys.readouterr().err
     assert not list(tmp_path.rglob(".ppverify-*"))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "thm3", "--t", "1", "--k", "1", "--L=--"], "--L"),
+    (["pptest", "--t", "1", "--k", "1", "--map=--"], "--map"),
+    (["charsum", "--m", "6", "--map=--", "--a", "1"], "--map"),
+    (["field-info", "--m", "6", "--modulus-file=--"], "--modulus-file"),
+    (["verify", "--t=--", "--k", "1", "thm3"], "--t"),
+    (["search-L", "--t", "1", "--k", "1", "--out=--"], "--out"),
+    (["verify", "thm1", "--k", "1", "--mode=--"], "--mode"),
+    (["verify", "thm1", "--k", "1", "--seed=--"], "--seed"),
+    (["search-L", "--t", "1", "--k", "1", "--budget=--"], "--budget"),
+], ids=["verify-L", "pptest-map", "charsum-map", "field-info-modulus-file", "verify-t",
+        "search-L-out", "verify-mode", "verify-seed", "search-L-budget"])
+def test_option_value_dash_dash_is_config_error(tmp_path, capsys, monkeypatch, argv, flag):
+    # argparse parses `--X=--` as an empty list: it must neither crash (exit 70)
+    # nor be taken for the option unset (search-L printing, verify ignoring --mode)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} expects a value, got '--'\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())

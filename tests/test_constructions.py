@@ -15,7 +15,6 @@ from ppverify.proofchecks import _Thm1State
 from reference import g_block_direct, g_scalar, s_power, s_power_block_direct
 
 SIX_TOWERS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
-ALL_TOWERS_M12 = [(t, k) for t in range(1, 5) for k in range(1, 5) if 3 * t * k <= 12]
 ALL_TOWERS_M18 = [(t, k) for t in range(1, 7) for k in range(1, 7) if 3 * t * k <= 18]
 
 
@@ -45,9 +44,9 @@ def test_g1_scalar_and_block_paths_agree():
     g = build_g_thm1(ctx)
     rng = random.Random(9)
     xs = np.array([rng.randrange(ctx.order) for _ in range(500)], dtype=np.int64)
-    block = g.eval_block(xs)
+    block = g.table()[xs]
     for x, y in zip(xs, block):
-        assert g_scalar(ctx, int(x)) == int(y)
+        assert g_scalar(ctx, int(x)) == int(y) == g(int(x))
 
 
 def test_table_limit_and_on_demand_agreement():
@@ -56,11 +55,10 @@ def test_table_limit_and_on_demand_agreement():
     L = linearized_map(frob3, "frob3")
     rng = random.Random(2)
     xs = np.array([rng.randrange(ctx.order) for _ in range(200)], dtype=np.int64)
-    block = L.eval_block(xs)          # on demand: no table exists yet
-    table = L.table()                 # m = 19 is tabled like every m <= 24
+    table = L.table()                 # m = 19 is tabled like every m <= 24, eight blocks
     assert table.dtype == np.uint32 and table.shape == (ctx.order,)
-    for x, y in zip(xs, block):
-        assert frob3(int(x)) == int(y) == int(table[x])
+    for x, y in zip(xs, table[xs]):
+        assert frob3(int(x)) == int(y) == L(int(x))
 
 
 def test_explicit_and_parsed_tables_are_read_only_uint32(tmp_path):
@@ -180,8 +178,9 @@ def test_g3_scalar_and_block_paths_agree():
         assert g_scalar(ctx, x, L) == int(table[x])
 
 
-@pytest.mark.parametrize("t,k", ALL_TOWERS_M12, ids=str)
+@pytest.mark.parametrize("t,k", ALL_TOWERS_M18 + [(7, 1)], ids=str)
 def test_image_tables_match_per_x_products(t, k):
+    # every block of each table, up to 32 blocks of 2^16 at m = 21
     ctx = FieldCtx.from_tower(t, k)
     xs = blocks.domain(ctx)
     L = build_L_note(ctx)
@@ -196,9 +195,9 @@ def test_image_tables_match_scalar_oracles_above_m18(t, k):
     rng = random.Random(11)
     xs = np.array([0] + [rng.randrange(ctx.order) for _ in range(300)], dtype=np.int64)
     L = build_L_note(ctx)
-    g1 = build_g_thm1(ctx).eval_block(xs)
-    g3 = build_g_thm3(ctx, L).eval_block(xs)
-    se = _Thm1State(ctx).s_power.eval_block(xs)
+    g1 = build_g_thm1(ctx).table()[xs]
+    g3 = build_g_thm3(ctx, L).table()[xs]
+    se = _Thm1State(ctx).s_power.table()[xs]
     for i, x in enumerate(xs.tolist()):
         assert int(g1[i]) == g_scalar(ctx, x)
         assert int(g3[i]) == g_scalar(ctx, x, L)

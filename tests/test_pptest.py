@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppverify import (FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note, char_sum,
-                      find_case1_witness, is_permutation_exhaustive, pp_verdict_charsum,
-                      shift_check)
-from ppverify.maps import FieldMap
+from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_thm3, build_L_note,
+                      char_sum, find_case1_witness, is_permutation_exhaustive,
+                      pp_verdict_charsum, shift_check)
+from ppverify.maps import FieldMap, linearized_map
 from ppverify.pptest import PPVerdict, _char_sums, shift_checks
 
 from reference import (char_sum_definitional, char_sums_masked, first_collision, shift_check_sweep,
@@ -23,7 +23,7 @@ def cube_map_f4():
 
 def test_exhaustive_identity_and_squaring():
     ctx = FieldCtx(5)
-    ident = FieldMap("id", ctx, lambda xs: xs)
+    ident = linearized_map(LinearizedPoly.identity(ctx), "id")
     assert is_permutation_exhaustive(ident).verdict == "permutation"
     sq = FieldMap.from_table("x^2", ctx, [ctx.sqr(x) for x in ctx.elements()])
     assert is_permutation_exhaustive(sq).verdict == "permutation"
@@ -43,13 +43,13 @@ def test_negative_verdicts_carry_witnesses():
 
 def test_char_sum_at_zero_is_field_order():
     ctx = FieldCtx(6)
-    ident = FieldMap("id", ctx, lambda xs: xs)
+    ident = linearized_map(LinearizedPoly.identity(ctx), "id")
     assert char_sum(ident, 0) == 64
 
 
 def test_char_sum_identity_vanishes_for_nonzero_a():
     ctx = FieldCtx(6)
-    ident = FieldMap("id", ctx, lambda xs: xs)
+    ident = linearized_map(LinearizedPoly.identity(ctx), "id")
     for a in range(1, 64):
         assert char_sum(ident, a) == 0
 
@@ -129,7 +129,7 @@ def test_charsum_all_cost_gate():
     # the blocked pass removed the m > 14 cost gate: at m = 15 mode all
     # runs with no override and mode sample still works beside it
     ctx = FieldCtx.from_tower(1, 5)  # m = 15
-    g = FieldMap("id", ctx, lambda xs: xs)
+    g = linearized_map(LinearizedPoly.identity(ctx), "id")
     assert pp_verdict_charsum(g, mode="all") == PPVerdict("permutation", "charsum-all",
                                                           (1 << 15) - 1)
     verdict = pp_verdict_charsum(g, mode="sample", n=8, seed=1)
@@ -140,7 +140,7 @@ def test_charsum_all_gate_override():
     # the allow_large override is gone; the m = 15 all-a verdict and count
     # it used to unlock come from a plain mode-all call
     ctx = FieldCtx(15)
-    ident = FieldMap("id", ctx, lambda xs: xs)
+    ident = linearized_map(LinearizedPoly.identity(ctx), "id")
     with pytest.raises(TypeError):
         pp_verdict_charsum(ident, mode="all", allow_large=True)
     verdict = pp_verdict_charsum(ident, mode="all")
@@ -250,7 +250,8 @@ def _walsh_maps(m):
     if ctx.tower:
         g = build_g_thm1(ctx)
     else:
-        g = FieldMap("x^3", ctx, lambda xs: blocks.frobenius_product(ctx, xs, [1]))
+        g = FieldMap("x^3", ctx, lambda start, n: blocks.frobenius_product(
+            ctx, np.arange(start, start + n, dtype=np.int64), [1]))
     constant = FieldMap.from_table("constant", ctx,
                                    np.full(ctx.order, ctx.order - 1, dtype=np.uint32))
     return g, one_collision_mutant(g, 0, ctx.order - 1), constant
@@ -294,7 +295,12 @@ def test_shift_check_on_table_matches_definition():
 def collision_map_m19(x1, x2):
     """Identity on GF(2^19) except g(x2) = x1: cheap to tabulate."""
     ctx = FieldCtx(19)
-    return FieldMap(f"collide-{x1:x}-{x2:x}", ctx, lambda xs: np.where(xs == x2, x1, xs))
+
+    def block(start, n):
+        xs = np.arange(start, start + n, dtype=np.int64)
+        return np.where(xs == x2, x1, xs)
+
+    return FieldMap(f"collide-{x1:x}-{x2:x}", ctx, block)
 
 
 @pytest.mark.parametrize("x1, x2", [
@@ -328,7 +334,7 @@ def test_shift_check_at_m19_high_shift(y):
     x1, x2 = 7, (1 << 18) + 3
     collide = collision_map_m19(x1, x2)
     ctx = collide.ctx
-    ident = FieldMap("id", ctx, lambda xs: xs)
+    ident = linearized_map(LinearizedPoly.identity(ctx), "id")
     for a in (1, 0x2b, 0x5a5a5, (1 << 19) - 1):
         assert shift_check(ident, a, y) == ctx.abs_trace(ctx.mul(a, y))
     # only x2 and x2 + y see the changed value, where the bit moves by Tr(a*(x1+x2))
@@ -340,7 +346,7 @@ def test_shift_check_at_m19_high_shift(y):
 
 def test_exhaustive_identity_above_table_limit():
     ctx = FieldCtx(19)
-    ident = FieldMap("id", ctx, lambda xs: xs)
+    ident = linearized_map(LinearizedPoly.identity(ctx), "id")
     assert is_permutation_exhaustive(ident) == PPVerdict("permutation", "exhaustive", 1 << 19)
 
 

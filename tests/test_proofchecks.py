@@ -3,7 +3,6 @@
 import json
 import random
 
-import numpy as np
 import pytest
 
 from ppverify import (FieldCtx, LinearizedPoly, VerificationReport, build_g_thm1,
@@ -134,8 +133,9 @@ def test_eq23_checks_every_x_at_m24():
         x0 = rng.randrange(ctx.order)
         mask = ctx.trace_mask(a)
         flip = mask & -mask               # Tr(a * flip) = parity(mask & flip) = 1
-        mutant = FieldMap("flipped", ctx,
-                          lambda xs, x0=x0, flip=flip: g.eval_block(xs) ^ np.where(xs == x0, flip, 0))
+        values = g.table().copy()
+        values[x0] ^= flip
+        mutant = FieldMap.from_table("flipped", ctx, values)
         bad_state = _Thm1State(ctx, mutant)
         bad_state.s_power = state.s_power   # reuse the S^E table: only g differs
         bad = check_eq23(ctx, a, bad_state)

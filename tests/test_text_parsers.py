@@ -1,7 +1,7 @@
 """The `--L` and `--modulus-file` text grammars: ASCII digits only, ValueError only, exit 2."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ppverify import FieldCtx, LinearizedPoly, format_linpoly, load_modulus_file, parse_linpoly
 from ppverify.cli import run
@@ -60,6 +60,16 @@ def test_modulus_file_line_ends_and_blanks(tmp_path):
     assert load_modulus_file(str(path)) == {6: 0x43, 3: 0xB}
 
 
+def test_modulus_file_rejects_a_second_line_for_one_degree(tmp_path, capsys):
+    path = tmp_path / "moduli.txt"
+    path.write_text("6:43\n3:b\n# 6:49 in a comment is fine\n 6 : 49\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_modulus_file(str(path))
+    assert str(exc.value) == f"{path}:4: duplicate entry for m=6"
+    assert run(["field-info", "--m", "6", "--modulus-file", str(path)]) == 2
+    assert f"{path}:4: duplicate entry for m=6" in capsys.readouterr().err
+
+
 def test_modulus_file_that_is_not_utf8_names_the_file(tmp_path, capsys):
     path = tmp_path / "moduli.txt"
     path.write_bytes(b"6:43\n3:\xff\n")
@@ -93,6 +103,7 @@ def test_modulus_file_raises_only_value_error(modulus_path, data):
 
 @settings(max_examples=100, deadline=None)
 @given(texts)
+@example("--")   # argparse parses `--L=--` as an empty list, not the text
 def test_malformed_linpoly_exits_2(text):
     assume(text != "builtin:L-note" and _parse_or_error(text) is None)
     assert run(["verify", "thm3", "--t", "1", "--k", "1", f"--L={text}"]) == 2
