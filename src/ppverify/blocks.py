@@ -9,9 +9,12 @@ start a multiple of n) at a time, and there a linear map is one cached
 low table XOR L(start) (`LinearTable.coset`).  General products use a
 vectorized shift-and-XOR multiply, and a map that is nonlinear only
 through a linear map's value is tabled on that map's image (`ImageTable`),
-so products run once per image element, never once per input.
+so products run once per image element, never once per input; g's
+s^(q^k+3) and the Case-2 power S^E are both `image_product` tables.
+Every shared table here is kept on its context by `FieldCtx.cached`.
 `span_basis` finds the F2-span of a table's worth of vectors in one
-blocked pass, which lets a per-a check be decided for every a at once.
+blocked pass, with `gf2linalg`'s pivot insertion, which lets a per-a
+check be decided for every a at once.
 `walsh_transform` is the exact int32 Walsh-Hadamard transform behind
 every character sum: cache blocking keeps its low 16 levels on
 2^16-entry blocks, each level at a stride of at least 2^12 entries.  The
@@ -116,10 +119,7 @@ def frobenius_product(ctx: FieldCtx, v: np.ndarray, exponents) -> np.ndarray:
 
 def linear_table(poly: LinearizedPoly) -> "LinearTable":
     """The lookup table of a linearized polynomial, cached on its context by coefficients."""
-    key = ("linear", poly.coeffs)
-    if key not in poly.ctx._cache:
-        poly.ctx._cache[key] = LinearTable(poly.matrix_columns())
-    return poly.ctx._cache[key]
+    return poly.ctx.cached(("linear", poly.coeffs), lambda: LinearTable(poly.matrix_columns()))
 
 
 class LinearTable:
@@ -167,11 +167,9 @@ class LinearTable:
 
 def image_product(poly: LinearizedPoly, exponents) -> "ImageTable":
     """x -> frobenius_product(poly(x), exponents) through poly's image, cached on its context."""
-    key = ("image-product", poly.coeffs, tuple(exponents))
-    if key not in poly.ctx._cache:
-        poly.ctx._cache[key] = ImageTable(
-            poly, lambda v: frobenius_product(poly.ctx, v, exponents))
-    return poly.ctx._cache[key]
+    exponents = tuple(exponents)
+    return poly.ctx.cached(("image-product", poly.coeffs, exponents), lambda: ImageTable(
+        poly, lambda v: frobenius_product(poly.ctx, v, exponents)))
 
 
 def image_coords(poly: LinearizedPoly) -> tuple[LinearTable, list[int]]:
@@ -184,15 +182,15 @@ def image_coords(poly: LinearizedPoly) -> tuple[LinearTable, list[int]]:
     through it need no index conversion, and one is shared by every
     ImageTable of poly.
     """
-    key = ("image-coords", poly.coeffs)
-    if key not in poly.ctx._cache:
+    def build():
         cols = poly.matrix_columns()
         pivots, _ = gf2linalg._rref(cols)
         bits = sorted(pivots)
         coords = LinearTable([sum(((col >> b) & 1) << j for j, b in enumerate(bits))
                               for col in cols], dtype=np.intp)
-        poly.ctx._cache[key] = coords, [pivots[b][0] for b in bits]
-    return poly.ctx._cache[key]
+        return coords, [pivots[b][0] for b in bits]
+
+    return poly.ctx.cached(("image-coords", poly.coeffs), build)
 
 
 class ImageTable:
@@ -206,6 +204,7 @@ class ImageTable:
     def __init__(self, poly: LinearizedPoly, fn: Callable[[np.ndarray], np.ndarray]):
         self.coords, basis = image_coords(poly)
         self.values = fn(_span_table(basis)).astype(np.uint32)
+        self.values.setflags(write=False)   # cached on the context, shared by every reader
 
     def coset(self, start: int, n: int) -> np.ndarray:
         """The map at start ^ i for i < n, with start a multiple of the power of two n."""
@@ -226,9 +225,8 @@ def trace_masks(ctx: FieldCtx) -> LinearTable:
     Bit i of the mask is Tr(a * e_i) for the basis element e_i = 1 << i;
     that is linear in a, so the columns are the masks of the basis elements.
     """
-    if "trace-masks" not in ctx._cache:
-        ctx._cache["trace-masks"] = LinearTable([ctx.trace_mask(1 << i) for i in range(ctx.m)])
-    return ctx._cache["trace-masks"]
+    return ctx.cached("trace-masks",
+                      lambda: LinearTable([ctx.trace_mask(1 << i) for i in range(ctx.m)]))
 
 
 def span_basis(vector_blocks: Iterable[np.ndarray], width: int) -> list[int]:
@@ -241,30 +239,14 @@ def span_basis(vector_blocks: Iterable[np.ndarray], width: int) -> list[int]:
     block is reduced anew.  Earlier blocks lie in the old span and need no
     second look.
     """
-    pivots: dict[int, int] = {}   # pivot bit -> the one basis vector holding it
+    pivots: dict[int, tuple[int, int]] = {}   # pivot bit -> (the basis vector holding it, 0)
     reduce = None
     for vs in vector_blocks:
         residual = vs if reduce is None else reduce(vs)
         while residual.any():
             for v in residual[residual != 0][:width].tolist():
-                for bit, w in pivots.items():
-                    if (v >> bit) & 1:
-                        v ^= w
-                if v:
-                    top = v.bit_length() - 1
-                    for bit, w in pivots.items():
-                        if (w >> top) & 1:
-                            pivots[bit] = w ^ v
-                    pivots[top] = v
-            reduce = LinearTable([(1 << i) ^ pivots.get(i, 0) for i in range(width)])
+                gf2linalg.echelon_insert(pivots, v, 0)
+            reduce = LinearTable([(1 << i) ^ pivots.get(i, (0, 0))[0] for i in range(width)])
             residual = reduce(vs)
-    return [pivots[bit] for bit in sorted(pivots)]
-
-
-def domain(ctx: FieldCtx) -> np.ndarray:
-    """All 2^m encodings in order as uint32, one read-only array shared on the context."""
-    if "domain" not in ctx._cache:
-        ctx._cache["domain"] = np.arange(ctx.order, dtype=np.uint32)
-        ctx._cache["domain"].setflags(write=False)
-    return ctx._cache["domain"]
+    return [pivots[bit][0] for bit in sorted(pivots)]
 

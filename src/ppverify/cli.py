@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from typing import Iterable
@@ -258,10 +259,9 @@ def _cmd_charsum(args) -> int:
     if (args.tee is not None and args.kay is not None) or args.m is not None:
         ctx = _build_ctx(args)
     fmap = _build_map(args.map, ctx)
-    try:
-        a = int(args.a, 16)
-    except ValueError:
-        raise ConfigError(f"--a expects a hex element, got {args.a!r}") from None
+    if re.fullmatch("[0-9a-fA-F]+", args.a) is None:   # int(_, 16) also takes 0x, _, signs
+        raise ConfigError(f"--a expects a hex element in ASCII digits, got {args.a!r}")
+    a = int(args.a, 16)
     if not 0 <= a < fmap.ctx.order:
         raise ConfigError(f"--a {args.a} is outside GF(2^{fmap.ctx.m})")
     print(f"char_sum({fmap.name}, a={a:x}) = {char_sum(fmap, a)}")

@@ -25,6 +25,7 @@ part depends on x only through s, so its field products run on S's image
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import blocks
@@ -115,34 +116,19 @@ SEARCH_FAMILY = ("L = L_note + P(RelTrace(x)) with P 2-linearized over F_{q^k}: 
                  "M=0 first, then single-coefficient P, then coefficient pairs")
 
 
-def _family_members(ctx: FieldCtx, budget: int):
-    """Deterministic (label, M) sequence for the search family, M = P o RelTrace."""
+def _family_members(ctx: FieldCtx):
+    """Deterministic (label, M) sequence for the search family, M = P o RelTrace, made lazily."""
     t, k = ctx.require_tower()
     trace = rel_trace_poly(ctx)
     coeffs = ctx.enumerate_subfield(t * k)[1:]
-    produced = 0
-
-    def emit(label, M):
-        nonlocal produced
-        produced += 1
-        return label, M
-
-    yield emit("M=0", LinearizedPoly.zero(ctx))
+    yield "M=0", LinearizedPoly.zero(ctx)
     singles = [(i, c) for i in range(ctx.m) for c in coeffs]
     for i, c in singles:
-        if produced >= budget:
-            return
-        P = LinearizedPoly.from_pairs(ctx, [(i, c)])
-        yield emit(f"P={i}:{c:x}", P.compose(trace))
-    for a in range(len(singles)):
-        for b in range(a + 1, len(singles)):
-            if produced >= budget:
-                return
-            (i1, c1), (i2, c2) = singles[a], singles[b]
-            if i1 == i2:
-                continue
+        yield f"P={i}:{c:x}", LinearizedPoly.from_pairs(ctx, [(i, c)]).compose(trace)
+    for (i1, c1), (i2, c2) in itertools.combinations(singles, 2):
+        if i1 != i2:
             P = LinearizedPoly.from_pairs(ctx, [(i1, c1), (i2, c2)])
-            yield emit(f"P={i1}:{c1:x},{i2}:{c2:x}", P.compose(trace))
+            yield f"P={i1}:{c1:x},{i2}:{c2:x}", P.compose(trace)
 
 
 def search_L_candidates(ctx: FieldCtx, budget: int) -> list[LCandidate]:
@@ -161,7 +147,7 @@ def search_L_candidates(ctx: FieldCtx, budget: int) -> list[LCandidate]:
     base = build_L_note(ctx)
     accepted: list[LCandidate] = []
     seen: set[tuple] = set()
-    for index, (label, M) in enumerate(_family_members(ctx, budget)):
+    for index, (label, M) in enumerate(itertools.islice(_family_members(ctx), budget)):
         L = base + M
         if L.coeffs in seen:
             continue

@@ -100,6 +100,17 @@ class FieldCtx:
             raise ValueError("operation needs tower parameters (t, k); construct via from_tower")
         return self.tower
 
+    def cached(self, key, build):
+        """The object stored under key on this context, made by build() on the first request.
+
+        The one memo for tables and bases derived from the context: they
+        depend only on (m, modulus, tower), which never change, so each is
+        built once per context and shared, not copied.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def elements(self) -> range:
         """All 2^m element encodings in ascending order."""
         return range(self.order)
@@ -155,12 +166,13 @@ class FieldCtx:
         m^2 squarings, once per context; a linearized polynomial's columns
         are XORs of these rows (`LinearizedPoly.matrix_columns`).
         """
-        if "frobenius-images" not in self._cache:
+        def build():
             images = [[1 << j for j in range(self.m)]]
             while len(images) < self.m:
                 images.append([self.sqr(v) for v in images[-1]])
-            self._cache["frobenius-images"] = images
-        return self._cache["frobenius-images"]
+            return images
+
+        return self.cached("frobenius-images", build)
 
     def frobenius(self, a: int, i: int) -> int:
         """a^(2^i) by repeated squaring; i is reduced mod m."""
@@ -210,23 +222,19 @@ class FieldCtx:
     def enumerate_subfield(self, d: int) -> list[int]:
         """The 2^d elements fixed by x -> x^(2^d), ascending by encoding."""
         self._check_subfield_degree(d)
-        key = ("subfield", d)
-        if key not in self._cache:
+
+        def build():
             cols = gf2linalg.columns_of_map(self.m, lambda v: self.frobenius(v, d) ^ v)
             kernel, _ = gf2linalg.kernel_image(cols)
             assert len(kernel) == d
-            self._cache[key] = gf2linalg.span(kernel)
-        return list(self._cache[key])
+            return gf2linalg.span(kernel)
+
+        return list(self.cached(("subfield", d), build))
 
     def trace_mask(self, a: int) -> int:
         """Bitmask M with Tr(a*y) = parity(M & y); the fast path for character sums."""
-        key = "trace_row"
-        if key not in self._cache:
-            row = 0
-            for i in range(self.m):
-                row |= self.abs_trace(1 << i) << i
-            self._cache[key] = row
-        row = self._cache[key]
+        row = self.cached("trace-row",
+                          lambda: sum(self.abs_trace(1 << i) << i for i in range(self.m)))
         mask = 0
         ax = a
         for i in range(self.m):

@@ -16,6 +16,29 @@ def columns_of_map(m: int, fn: Callable[[int], int]) -> list[int]:
     return [fn(1 << i) for i in range(m)]
 
 
+def echelon_insert(pivots: dict[int, tuple[int, int]], v: int, pre: int) -> int | None:
+    """Reduce the pair (v, pre) by the pivots, and add it as a pivot if v survives.
+
+    pivots maps a pivot bit to an (image, preimage) pair whose image holds
+    that bit and no other pivot's bit (reduced row echelon form); every
+    XOR into an image is made into its preimage too.  A nonzero residual
+    joins under its top bit, cleared from the other images first.
+    Returns the reduced preimage if v reduces to 0, else None.
+    """
+    for bit, (img, p) in pivots.items():
+        if (v >> bit) & 1:
+            v ^= img
+            pre ^= p
+    if v == 0:
+        return pre
+    b = v.bit_length() - 1
+    for bit, (img, p) in list(pivots.items()):
+        if (img >> b) & 1:
+            pivots[bit] = (img ^ v, p ^ pre)
+    pivots[b] = (v, pre)
+    return None
+
+
 def _rref(cols: Sequence[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """Reduced row echelon form of the column set.
 
@@ -26,19 +49,9 @@ def _rref(cols: Sequence[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
     pivots: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []
     for i, col in enumerate(cols):
-        v, pre = col, 1 << i
-        for bit, (img, p) in pivots.items():
-            if (v >> bit) & 1:
-                v ^= img
-                pre ^= p
-        if v == 0:
+        pre = echelon_insert(pivots, col, 1 << i)
+        if pre is not None:
             kernel.append(pre)
-            continue
-        b = v.bit_length() - 1
-        for bit, (img, p) in list(pivots.items()):
-            if (img >> b) & 1:
-                pivots[bit] = (img ^ v, p ^ pre)
-        pivots[b] = (v, pre)
     return pivots, kernel
 
 

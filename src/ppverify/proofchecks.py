@@ -6,9 +6,12 @@ S, the gcd identity behind it, the a = c + c^(q^k) decomposition, the
 trace-zero basis claim, and the character-sum factorization that closes
 Case 2.  The nine-line trace rewrite chain is checked at its endpoint
 only (equality over all x is stronger evidence than replaying each
-rewrite).  Pointwise identities are checked at every x through the maps'
-cached tables, at every m; the per-a case checks cover every a up to
-PER_A_FULL_LIMIT_M and a seeded sample above it, as the report records.
+rewrite).  Pointwise identities are checked at every x, at every m:
+eq23 through the maps' cached tables, and eq22, a sum of linear maps, on
+the m basis elements, which is exact at every x.  The per-a case checks
+cover every a up to PER_A_FULL_LIMIT_M and a seeded sample above it, as
+the report records.  The trace-zero set, S^E on it and the decomposition
+tables are built once per context (`FieldCtx.cached`).
 
 Each per-a row is decided for its whole a list in one batch, exactly,
 by GF(2) linear algebra over the tables: the trace conditions are linear
@@ -35,7 +38,7 @@ from .constructions import (build_g_thm1, build_g_thm3, build_L1, condition_ii_s
                             rel_trace_poly, s2k)
 from .field import FieldCtx
 from .linearized import LinearizedPoly, format_linpoly, subfield_permutation_check
-from .maps import FieldMap, linearized_map
+from .maps import FieldMap
 from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run, case1_witnesses,
                      char_sum, is_permutation_exhaustive, shift_checks)
 
@@ -155,7 +158,11 @@ def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None) -> CheckResu
     """S + S^(q^k) + S^(q^(2k)) reduces to the zero map, twice over.
 
     (a) the three coefficient vectors XOR-cancel exactly; (b) the sum
-    vanishes pointwise at every x.
+    vanishes at every x, evaluated apart from (a): S's matrix columns,
+    XORed with their images under the cached Frobenius tables for q^k and
+    q^(2k).  The sum is linear, so its m basis values decide every x; a
+    failure names the least x with a nonzero sum, 1 << j for the first
+    nonzero column j.
     """
     t, k = ctx.require_tower()
     S = s_poly if s_poly is not None else s2k(ctx)
@@ -164,18 +171,24 @@ def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None) -> CheckResu
         bad = next(i for i, c in enumerate(total.coeffs) if c)
         return CheckResult("eq22", "fail", count=0,
                            counterexample=f"coefficient {total.coeffs[bad]:#x} at index {bad}")
-    values = linearized_map(total, "eq22-sum").table()
-    if values.any():
-        x = int(np.argmax(values != 0))
+    cols = np.array(S.matrix_columns(), dtype=np.int64)
+    q_k, q_2k = (blocks.linear_table(LinearizedPoly.frobenius_power(ctx, e))
+                 for e in (k * t, 2 * k * t))
+    sums = cols ^ q_k(cols) ^ q_2k(cols)
+    if sums.any():
+        j = int(np.argmax(sums != 0))
         return CheckResult("eq22", "fail", count=ctx.order,
-                           counterexample=f"sum = {total(x):#x} at x={x:#x}")
+                           counterexample=f"sum = {int(sums[j]):#x} at x={1 << j:#x}")
     return CheckResult("eq22", "pass", count=ctx.order)
 
 
 def tracezero_set(ctx: FieldCtx) -> list[int]:
-    """The relative-trace-zero subspace as a sorted element list (size q^{2k})."""
-    kernel, _ = rel_trace_poly(ctx).kernel_image()
-    return gf2linalg.span(kernel)
+    """The relative-trace-zero subspace as a sorted element list (size q^{2k}).
+
+    Spanned once per context and cached; each call gets its own copy.
+    """
+    return list(ctx.cached("tracezero",
+                           lambda: gf2linalg.span(rel_trace_poly(ctx).kernel_image()[0])))
 
 
 @_timed
@@ -254,37 +267,34 @@ def _decomposition(ctx: FieldCtx):
     """Tables of c -> c + c^(q^k), of a particular solution of it, and its kernel span; cached."""
     t, k = ctx.require_tower()
     d = t * k
-    key = ("decomposition", d)
-    if key not in ctx._cache:
+
+    def build():
         cols = gf2linalg.columns_of_map(ctx.m, lambda c: c ^ ctx.frobenius(c, d))
         particular, kernel = gf2linalg.particular_solution(cols, ctx.m)
-        ctx._cache[key] = (blocks.LinearTable(cols), blocks.LinearTable(particular),
-                           np.array(gf2linalg.span(kernel), dtype=np.uint32))
-    return ctx._cache[key]
+        return (blocks.LinearTable(cols), blocks.LinearTable(particular),
+                np.array(gf2linalg.span(kernel), dtype=np.uint32))
 
-
-def _power_e(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
-    """v^E = v * v^(2q^k) * v^(q^(2k)) elementwise over an encoding array."""
-    t, k = ctx.require_tower()
-    return blocks.frobenius_product(ctx, v, (t * k + 1, 2 * t * k))
+    return ctx.cached(("decomposition", d), build)
 
 
 class _Thm1State:
-    """Shared tables for the per-a Case-2 checks of one context."""
+    """Shared tables for the per-a Case-2 checks of one context.
+
+    S^E, E = 1 + 2q^k + q^(2k), is tabled once on S's image
+    (`blocks.image_product`, cached on the context): `s_power` reads it
+    through S's image coordinates, and `tz_powers` is its value table,
+    w^E for every w in the image, which is the trace-zero set (the
+    kernel-image row checks that), in image-coordinate order.
+    """
 
     def __init__(self, ctx: FieldCtx, g: FieldMap | None = None):
         t, k = ctx.require_tower()
         self.ctx = ctx
         self.g = g if g is not None else build_g_thm1(ctx)
         self.exponent = 1 + (1 << (t * k + 1)) + (1 << (2 * t * k))
-        # the block function holds ctx, not self: a reference cycle would keep
-        # this state's tables alive after the run, until the next garbage collection
-        self.s_power = FieldMap("S^E", ctx,
-                                blocks.ImageTable(s2k(ctx), lambda v: _power_e(ctx, v)).coset)
-
-    @functools.cached_property
-    def tz_powers(self) -> np.ndarray:
-        return _power_e(self.ctx, np.array(tracezero_set(self.ctx), dtype=np.int64))
+        image = blocks.image_product(s2k(ctx), (t * k + 1, 2 * t * k))
+        self.s_power = FieldMap("S^E", ctx, image.coset)
+        self.tz_powers = image.values
 
     @functools.cached_property
     def basis(self) -> tuple[int, int]:
@@ -358,7 +368,7 @@ def _case_split(ctx: FieldCtx, seed: int) -> tuple[list[int], list[int], bool]:
     rel = blocks.linear_table(rel_trace_poly(ctx))
     case2 = [a for a in tracezero_set(ctx) if a != 0]
     if ctx.m <= PER_A_FULL_LIMIT_M:
-        case1 = [int(a) for a in np.nonzero(rel(blocks.domain(ctx)))[0] if a != 0]
+        case1 = [int(a) for a in np.nonzero(rel(np.arange(ctx.order)))[0] if a != 0]
         return case1, case2, False
     rng = random.Random(f"{seed}:cases")
     case1: list[int] = []
@@ -543,16 +553,14 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
     return report.finish()
 
 
-def verify_thm3(ctx: FieldCtx, L: LinearizedPoly, seed: int = DEFAULT_SEED,
-                skip_conclusion_on_hypothesis_failure: bool = False) -> VerificationReport:
+def verify_thm3(ctx: FieldCtx, L: LinearizedPoly, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Hypotheses and conclusion of the generalized construction g3 = L + S^(q^k+3).
 
     Condition (i): L permutes F_{q^k}.  Condition (ii): L + L^(q^(2k))
     equals S^4 coefficient-for-coefficient.  Then the exhaustive
     bijection check and the adapted Case-1 shift sweep (y is chosen so
     Tr_{q^k/2}[L(y) rel_trace(a)] = 1).  A failed hypothesis is flagged
-    as such and the conclusion checks still run unless skipping is
-    requested.
+    as such and the conclusion checks still run.
     """
     t, k = ctx.require_tower()
     d = t * k
@@ -575,8 +583,6 @@ def verify_thm3(ctx: FieldCtx, L: LinearizedPoly, seed: int = DEFAULT_SEED,
     report.checks.append(condition_i())
     report.checks.append(condition_ii())
     report.hypothesis_failure = not all(c.passed for c in report.checks)
-    if report.hypothesis_failure and skip_conclusion_on_hypothesis_failure:
-        return report.finish()
 
     g = build_g_thm3(ctx, L)
     report.checks.append(_check_pp_exhaustive(g))

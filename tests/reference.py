@@ -206,7 +206,7 @@ def first_collision(values):
 def shift_check_sweep(f, a: int, y: int) -> int | None:
     """The constant bit of Tr(a*f(x+y)) + Tr(a*f(x)) over all x, or None: one masked sweep."""
     par = blocks.parity(f.table() & f.ctx.trace_mask(a))
-    bits = par ^ par[blocks.domain(f.ctx) ^ y]
+    bits = par ^ par[np.arange(f.ctx.order, dtype=np.uint32) ^ y]
     lo, hi = int(bits.min()), int(bits.max())
     return lo if lo == hi else None
 
@@ -244,7 +244,7 @@ def adapted_witness(ctx, L, a: int) -> int | None:
 def decomposition_cosets(ctx, a_values) -> list[list[int]]:
     """For each a, every c with c + c^(q^k) = a, ascending: a filter of the whole domain."""
     t, k = ctx.require_tower()
-    xs = blocks.domain(ctx)
+    xs = np.arange(ctx.order, dtype=np.uint32)
     phi = xs ^ blocks.linear_table(LinearizedPoly.frobenius_power(ctx, t * k))(xs)
     return [np.flatnonzero(phi == a).tolist() for a in a_values]
 

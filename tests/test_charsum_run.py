@@ -61,7 +61,7 @@ def test_witness_past_the_first_block_matches_oracle():
     # Tr(a * delta) = parity(a & M_delta) = 1, so M_delta = 1 << 17 puts the first
     # witness at a = 2^17, in the second block of a
     ctx = FieldCtx(18)
-    delta = int(np.flatnonzero(blocks.trace_masks(ctx)(blocks.domain(ctx)) == 1 << 17)[0])
+    delta = int(np.flatnonzero(blocks.trace_masks(ctx)(np.arange(ctx.order)) == 1 << 17)[0])
     table = np.arange(ctx.order, dtype=np.uint32)
     table[5 ^ delta] = 5
     mutant = FieldMap.from_table("mutant", ctx, table)

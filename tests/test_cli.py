@@ -244,6 +244,14 @@ def test_charsum_command(capsys):
                 "--a", "zz"]) == 2
 
 
+@pytest.mark.parametrize("text", ["0x7", " 7", "7 ", "1_0", "+7", "-7", "\u0663", "\uff17", ""])
+def test_charsum_a_takes_ascii_hex_digits_only(text, capsys):
+    # int(text, 16) reads all but the last, and all of those but -7 lie in GF(2^6)
+    assert run(["charsum", "--t", "2", "--k", "1", "--map", "builtin:g-thm1",
+                f"--a={text}"]) == 2
+    assert "--a expects a hex element in ASCII digits" in capsys.readouterr().err
+
+
 def test_search_small(capsys):
     assert run(["search-L", "--t", "1", "--k", "1", "--budget", "64"]) == 0
     out = capsys.readouterr().out

@@ -245,3 +245,18 @@ def test_mul_block_matches_polymod_oracle(m):
     # a scalar operand broadcasts against the array
     assert blocks.mul_block(ctx, np.array(a), np.int64(top)).tolist() == [
         mul_via_polymod(ctx, x, top) for x in a]
+
+
+def test_cached_builds_once_per_key():
+    ctx = FieldCtx(6)
+    calls = []
+
+    def build(key):
+        return lambda: calls.append(key) or [key]
+
+    first = ctx.cached("a", build("a"))
+    assert ctx.cached("a", build("a")) is first
+    assert ctx.cached(("b", 1), build("b")) == ["b"]
+    assert ctx.cached(("b", 1), build("b")) == ["b"]
+    assert calls == ["a", "b"]
+    assert FieldCtx(6).cached("a", build("c")) == ["c"]   # one memo per context

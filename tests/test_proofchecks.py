@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ppverify import (FieldCtx, LinearizedPoly, VerificationReport, build_g_thm1,
+from ppverify import (FieldCtx, LinearizedPoly, VerificationReport, blocks, build_g_thm1,
                       build_L_note, char_sum, check_case2_factorization, check_eq22,
                       check_eq23, check_kernel_image, decompose_a, is_permutation_exhaustive,
                       pp_verdict_charsum, tracezero_basis, verify_thm1, verify_thm3)
@@ -16,9 +16,39 @@ from ppverify.proofchecks import _Thm1State, tracezero_set
 from reference import decomposition_cosets, s_power
 
 
-@pytest.mark.parametrize("t,k", [(2, 1), (1, 1), (1, 2), (3, 1), (2, 2), (2, 4)], ids=str)
-def test_eq22_passes(t, k):
-    assert check_eq22(FieldCtx.from_tower(t, k)).passed
+TOWERS_M6_TO_24 = [(t, k) for t in range(1, 9) for k in range(1, 9) if 6 <= 3 * t * k <= 24]
+SMALL_TOWERS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
+
+
+@pytest.mark.parametrize("t,k", [(1, 1)] + TOWERS_M6_TO_24, ids=str)
+def test_eq22_passes(t, k, monkeypatch):
+    # step (b) evaluates the sum on the basis, which decides every x: no map table
+    def no_table(fmap):
+        raise AssertionError(f"eq22 built the table of {fmap.name}")
+
+    monkeypatch.setattr(FieldMap, "table", no_table)
+    result = check_eq22(FieldCtx.from_tower(t, k))
+    assert result.passed and result.count == 1 << (3 * t * k)
+
+
+def test_eq22_basis_step_names_the_least_nonzero_x(monkeypatch):
+    # identity tables in place of the Frobenius ones turn the sum into S itself,
+    # which vanishes at x = 1 (2k ones) but not at x = 2
+    ctx = FieldCtx.from_tower(2, 1)
+    identity = blocks.linear_table(LinearizedPoly.identity(ctx))
+    monkeypatch.setattr(blocks, "linear_table", lambda poly: identity)
+    result = check_eq22(ctx)
+    assert not result.passed and result.count == ctx.order
+    assert result.counterexample == f"sum = {s2k(ctx)(2):#x} at x=0x2"
+
+
+@pytest.mark.parametrize("t,k", SMALL_TOWERS + [(2, 3)], ids=str)
+def test_tz_powers_are_s_power_over_the_trace_zero_set(t, k):
+    # tz_powers is the value table of S^E on S's image; S permutes the trace-zero set
+    # (its kernel F_{q^k} meets it in 0), so S(w)^E over w there is the same multiset
+    ctx = FieldCtx.from_tower(t, k)
+    want = sorted(s_power(ctx, w) for w in tracezero_set(ctx))
+    assert sorted(_Thm1State(ctx).tz_powers.tolist()) == want
 
 
 def test_eq22_coefficient_cancellation_pattern():
@@ -160,6 +190,8 @@ def test_tracezero_basis_at_11():
     tz = tracezero_set(ctx)
     assert len(tz) == 4
     assert tz == [x for x in ctx.elements() if ctx.rel_trace(x, 1) == 0]
+    tz.append(1)                          # the cached set hands out copies
+    assert len(tracezero_set(ctx)) == 4
     d1, d2 = tracezero_basis(ctx)
     assert {d1 ^ 0, d2 ^ 0} <= set(tz)
 
@@ -316,14 +348,6 @@ def test_verify_thm3_identity_is_hypothesis_failure():
     # the conclusion still holds for the identity twist here; the report
     # flags the broken hypothesis, not a broken theorem
     assert by_name["pp-exhaustive"].status == "pass"
-
-
-def test_verify_thm3_can_skip_conclusion():
-    ctx = FieldCtx.from_tower(2, 1)
-    report = verify_thm3(ctx, LinearizedPoly.identity(ctx),
-                         skip_conclusion_on_hypothesis_failure=True)
-    assert [c.name for c in report.checks] == ["condition-i", "condition-ii"]
-    assert not report.passed
 
 
 def test_report_json_roundtrip():

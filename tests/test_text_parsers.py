@@ -1,4 +1,6 @@
-"""The `--L` and `--modulus-file` text grammars: ASCII digits only, ValueError only, exit 2."""
+"""The `--L`, `--modulus-file` and `charsum --a` text grammars: ASCII digits only, exit 2."""
+
+import string
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -117,3 +119,12 @@ def test_malformed_modulus_file_exits_2(modulus_path, data):
         load_modulus_file(str(modulus_path))
     except ValueError:
         assert run(["field-info", "--m", "6", "--modulus-file", str(modulus_path)]) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts)
+@example("--")
+def test_charsum_a_exits_0_only_on_ascii_hex_digits(text):
+    code = run(["charsum", "--t", "1", "--k", "1", "--map", "builtin:g-thm1", f"--a={text}"])
+    digits = text != "" and all(c in string.hexdigits for c in text)
+    assert code == (0 if digits and int(text, 16) < CTX.order else 2)
