@@ -128,8 +128,12 @@ class LinearTable:
     The input bits are cut into equal chunks of at most _CHUNK_BITS, one
     table per chunk, and a lookup XORs one gather per chunk.  Tables are
     uint32, or uint64 for images wider than 32 bits, unless a dtype is
-    given; index arrays are used as given, with no int64 copy.  On an
-    aligned block, `coset` needs no gather at all.
+    given.  A uint64 input is read through its int64 view, which is free
+    and exact (inputs are at most 48 bits wide).  Each chunk's index is
+    shifted and masked into one reused intp buffer, so every gather takes
+    numpy's fast signed-index path (its unsigned one is much slower) and
+    no other temporary is made.  On an aligned block, `coset` needs no
+    gather at all.
     """
 
     def __init__(self, images: list[int], dtype=None):
@@ -144,11 +148,19 @@ class LinearTable:
         self._low: dict[int, np.ndarray] = {}   # n -> the map on range(n), for coset
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs)
+        if xs.dtype == np.uint64:
+            xs = xs.view(np.int64)
         last = len(self.tables) - 1
-        out = self.tables[0][xs & self.mask if last else xs]
-        for j in range(1, last + 1):
-            part = xs >> (j * self.bits)
-            out ^= self.tables[j][part & self.mask if j < last else part]
+        part = np.empty(xs.shape, dtype=np.intp)   # each chunk's indices in turn
+        for j, table in enumerate(self.tables):
+            np.right_shift(xs, j * self.bits, out=part)
+            if j < last:   # the top chunk stays unmasked: too wide an input fails its gather
+                part &= self.mask
+            if j:
+                out ^= table[part]
+            else:
+                out = table[part]
         return out
 
     def coset(self, start: int, n: int) -> np.ndarray:

@@ -40,29 +40,53 @@ class ConfigError(Exception):
     """Bad flags, bad files, out-of-range parameters: exit 2 territory."""
 
 
+def _digits(text: str) -> int:
+    """A decimal number in ASCII digits only, else ValueError.
+
+    int() alone would also take a sign, `_` separators, blanks and other
+    scripts' digits.
+    """
+    if re.fullmatch("[0-9]+", text) is None:
+        raise ValueError(f"not a decimal number in ASCII digits: {text!r}")
+    return int(text)
+
+
+def _decimal(flag: str):
+    """The argparse type of a decimal option: `_digits`, or a ConfigError (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            return _digits(text)
+        except ValueError:
+            raise ConfigError(f"--{flag} expects a decimal number in ASCII digits, "
+                              f"got {text!r}") from None
+    return parse
+
+
 def _parse_range(text: str, name: str) -> list[int]:
-    """'3' -> [3]; '1..4' -> [1, 2, 3, 4]."""
+    """'3' -> [3]; '1..4' -> [1, 2, 3, 4]; ASCII digits only."""
+    lo_str, dots, hi_str = text.partition("..")
     try:
-        if ".." in text:
-            lo_str, hi_str = text.split("..", 1)
-            lo, hi = int(lo_str), int(hi_str)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo = _digits(lo_str)
+        hi = _digits(hi_str) if dots else lo
+        if hi < lo:
+            raise ValueError
+        return list(range(lo, hi + 1))
     except ValueError:
-        raise ConfigError(f"--{name} expects N or LO..HI, got {text!r}") from None
+        raise ConfigError(f"--{name} expects N or LO..HI in ASCII digits, got {text!r}") from None
 
 
 def _parse_mode(text: str, seed: int) -> tuple[str, int, int]:
-    """'all' or 'sample:N[:SEED]' -> (mode, n, seed); seed applies where no SEED is written."""
+    """'all' or 'sample:N[:SEED]' -> (mode, n, seed); seed applies where no SEED is written.
+
+    N and SEED are ASCII digits only.
+    """
     if text == "all":
         return "all", DEFAULT_SAMPLES, seed
-    if text.startswith("sample"):
-        parts = text.split(":")
+    parts = text.split(":")
+    if parts[0] == "sample":
         try:
-            n = int(parts[1]) if len(parts) > 1 else DEFAULT_SAMPLES
-            seed = int(parts[2]) if len(parts) > 2 else seed
+            n = _digits(parts[1]) if len(parts) > 1 else DEFAULT_SAMPLES
+            seed = _digits(parts[2]) if len(parts) > 2 else seed
             if len(parts) > 3 or n < 1:
                 raise ValueError
             return "sample", n, seed
@@ -186,7 +210,7 @@ def _cmd_verify(args) -> int:
         if args.kay is None:
             raise ConfigError(f"verify {args.theorem} needs --k")
         if args.theorem == "thm1":
-            ts = _parse_range(args.tee, "t") if args.tee else [2]
+            ts = _parse_range(args.tee, "t") if args.tee is not None else [2]
         else:
             if args.tee is None:
                 raise ConfigError("verify thm3 needs --t")
@@ -306,9 +330,9 @@ def _cmd_field_info(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_ctx_flags(p: argparse.ArgumentParser, ranged: bool = False) -> None:
-    p.add_argument("--t", dest="tee", type=(str if ranged else int), default=None,
+    p.add_argument("--t", dest="tee", type=(str if ranged else _decimal("t")), default=None,
                    help="tower base power t (q = 2^t)" + ("; N or LO..HI" if ranged else ""))
-    p.add_argument("--k", dest="kay", type=(str if ranged else int), default=None,
+    p.add_argument("--k", dest="kay", type=(str if ranged else _decimal("k")), default=None,
                    help="tower parameter k" + ("; N or LO..HI" if ranged else ""))
     p.add_argument("--modulus-file", default=None,
                    help="modulus override file, lines of m:hex")
@@ -330,38 +354,38 @@ def build_parser() -> argparse.ArgumentParser:
                    f"(default all up to m = {CHARSUM_ALL_LIMIT_M}, sample:{DEFAULT_SAMPLES} above)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", default=None, help="write reports here (atomic)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_decimal("seed"), default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify, m=None)
 
     p = sub.add_parser("pptest", help="test one map for the permutation property")
     _add_ctx_flags(p)
-    p.add_argument("--m", type=int, default=None, help="bare field degree (no tower)")
+    p.add_argument("--m", type=_decimal("m"), default=None, help="bare field degree (no tower)")
     p.add_argument("--map", required=True,
                    help="builtin:g-thm1 | builtin:L-note | builtin:g-thm3(L) | table file")
     p.add_argument("--method", choices=["exhaustive", "charsum", "both"], default="both")
     p.add_argument("--mode", default="all",
                    help="charsum mode: all (every nonzero a, the default) or sample:N[:SEED]")
     p.add_argument("--export", default=None, help="also export the map as a hex table")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_decimal("seed"), default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_pptest)
 
     p = sub.add_parser("charsum", help="one character sum for a single a")
     _add_ctx_flags(p)
-    p.add_argument("--m", type=int, default=None, help="bare field degree (no tower)")
+    p.add_argument("--m", type=_decimal("m"), default=None, help="bare field degree (no tower)")
     p.add_argument("--map", required=True)
     p.add_argument("--a", required=True, help="the twist element, hex")
     p.set_defaults(func=_cmd_charsum)
 
     p = sub.add_parser("search-L", help="search the declared family of alternative L")
     _add_ctx_flags(p)
-    p.add_argument("--budget", type=int, default=256,
+    p.add_argument("--budget", type=_decimal("budget"), default=256,
                    help="number of family members to examine")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_search, m=None)
 
     p = sub.add_parser("field-info", help="describe a field context")
     _add_ctx_flags(p)
-    p.add_argument("--m", type=int, default=None, help="bare field degree (no tower)")
+    p.add_argument("--m", type=_decimal("m"), default=None, help="bare field degree (no tower)")
     p.set_defaults(func=_cmd_field_info)
 
     return parser
@@ -381,11 +405,11 @@ def _check_option_values(args) -> None:
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
-        parser.print_help()
-        return EXIT_CONFIG
     try:
+        args = parser.parse_args(argv)   # a decimal option's type raises ConfigError
+        if not getattr(args, "command", None):
+            parser.print_help()
+            return EXIT_CONFIG
         _check_option_values(args)
         return args.func(args)
     except ConfigError as exc:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
+import numpy as np
+
 from . import gf2linalg
 from .field import BLANKS, FieldCtx, parse_pair
 
@@ -153,18 +155,28 @@ def subfield_permutation_check(L: LinearizedPoly, d: int) -> tuple[bool, str | N
     """Whether L maps GF(2^d) into itself bijectively, with a failure reason.
 
     The reason distinguishes "not subfield-stable" from "not injective"
-    and carries a witness element.
+    and carries a witness element: the first failing z in enumeration
+    order, the stability test first.  L on the whole subfield is one
+    lookup in L's cached table, stability one in the x^(2^d) table, and
+    the repeats come from one stable sort.
     """
+    from . import blocks   # blocks imports this module
+
     ctx = L.ctx
-    seen: dict[int, int] = {}
-    for z in ctx.enumerate_subfield(d):
-        w = L(z)
-        if not ctx.in_subfield(w, d):
-            return False, f"not subfield-stable: L({z:#x}) = {w:#x} outside GF(2^{d})"
-        if w in seen:
-            return False, f"not injective: L({seen[w]:#x}) = L({z:#x}) = {w:#x}"
-        seen[w] = z
-    return True, None
+    zs = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
+    ws = blocks.linear_table(L)(zs)
+    outside = blocks.linear_table(LinearizedPoly.frobenius_power(ctx, d))(ws) != ws
+    order = np.argsort(ws, kind="stable")
+    repeat = np.zeros(zs.size, dtype=bool)   # w already met at an earlier z
+    repeat[order[1:]] = ws[order[1:]] == ws[order[:-1]]
+    bad = outside | repeat
+    if not bad.any():
+        return True, None
+    i = int(np.argmax(bad))
+    z, w = int(zs[i]), int(ws[i])
+    if outside[i]:
+        return False, f"not subfield-stable: L({z:#x}) = {w:#x} outside GF(2^{d})"
+    return False, f"not injective: L({int(zs[np.argmax(ws == w)]):#x}) = L({z:#x}) = {w:#x}"
 
 
 def permutes(L: LinearizedPoly, d: int) -> bool:

@@ -335,9 +335,11 @@ def tracezero_basis(ctx: FieldCtx) -> tuple[int, int]:
     subfield = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
     d1 = int(tz[1])                     # tz is ascending and tz[0] = 0
     line = blocks.mul_block(ctx, np.asarray(d1), subfield)
-    d2 = int(tz[~np.isin(tz, line)][0])
+    on_line = np.zeros(tz.size, dtype=bool)
+    on_line[np.searchsorted(tz, line)] = True   # d1 * F_{q^k} lies in the trace-zero set
+    d2 = int(tz[np.argmin(on_line)])
     span = line[:, None] ^ blocks.mul_block(ctx, np.asarray(d2), subfield)
-    assert tz.size == 1 << (2 * d) and np.array_equal(np.unique(span), tz)
+    assert tz.size == 1 << (2 * d) and np.array_equal(np.sort(span, axis=None), tz)
     return d1, d2
 
 
@@ -401,7 +403,7 @@ def _check_case1(g: FieldMap, L: LinearizedPoly, case1: list[int], sampled: bool
     r_values, inverse = np.unique(rel, return_inverse=True)
     ys = case1_witnesses(ctx, L, r_values)[inverse]
     const = np.zeros(len(case1), dtype=np.int8)
-    for y in np.unique(ys[ys >= 0]).tolist():
+    for y in sorted(set(ys[ys >= 0].tolist())):
         const[ys == y] = shift_checks(g, a_values[ys == y], y)
     sums = char_sum(g, a_values)
 

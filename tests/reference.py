@@ -16,6 +16,11 @@ scalar loop over F_{q^k}, and c from a filter of the whole domain.
 transform, one whole-array butterfly pass per level.
 `charsum_run_lists` is the character-sum verdict as it was before the
 blocked pass: every sum in one list, then a scan for the first nonzero.
+`shift_checks_gather` is the batched shift check as it was before the
+half-table pass: every block of the table, its partners gathered through
+a uint32 index.  `subfield_permutation_scalar` is condition (i) as it was
+before the table lookups: L evaluated by scalar field arithmetic on every
+subfield element, with a dict of the values seen.
 `format_table_lines` and `parse_table_file` are the hex table I/O as it
 was before the blocked numpy passes: one formatted line per entry, and
 a line-by-line text read with `int(s, 16)` into a dict.
@@ -209,6 +214,34 @@ def shift_check_sweep(f, a: int, y: int) -> int | None:
     bits = par ^ par[np.arange(f.ctx.order, dtype=np.uint32) ^ y]
     lo, hi = int(bits.min()), int(bits.max())
     return lo if lo == hi else None
+
+
+def shift_checks_gather(f, a_values, y: int) -> np.ndarray:
+    """pptest.shift_checks over every x: D(x) + D(0) for each block, then the span's test."""
+    table = f.table()
+    d0 = int(table[0] ^ table[y])
+    local = np.arange(min(table.size, blocks.BLOCK), dtype=np.uint32)
+    diffs = (table[start:start + local.size] ^ table[local ^ (start ^ y)] ^ d0
+             for start in range(0, table.size, local.size))
+    masks = blocks.trace_masks(f.ctx)(np.asarray(a_values, dtype=np.int64))
+    const = blocks.parity(masks & d0).astype(np.int8)
+    for b in blocks.span_basis(diffs, f.ctx.m):
+        const[blocks.parity(masks & b) == 1] = -1
+    return const
+
+
+def subfield_permutation_scalar(L, d: int) -> tuple[bool, str | None]:
+    """linearized.subfield_permutation_check by scalar evaluation, z by z in enumeration order."""
+    ctx = L.ctx
+    seen: dict[int, int] = {}
+    for z in ctx.enumerate_subfield(d):
+        w = L(z)
+        if not ctx.in_subfield(w, d):
+            return False, f"not subfield-stable: L({z:#x}) = {w:#x} outside GF(2^{d})"
+        if w in seen:
+            return False, f"not injective: L({seen[w]:#x}) = L({z:#x}) = {w:#x}"
+        seen[w] = z
+    return True, None
 
 
 def find_case1_witness_scalar(ctx, a: int) -> int:

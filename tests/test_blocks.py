@@ -1,5 +1,7 @@
 """ImageTable, LinearTable and their cosets, span bases and trace masks: the table kernels of `blocks`."""
 
+import functools
+import operator
 import random
 
 import numpy as np
@@ -150,3 +152,19 @@ def test_signed_parity_sums_match_the_definition_across_blocks():
     masks = np.array([rng.getrandbits(24) for _ in range(1000)], dtype=np.uint32)
     want = [sum(1 - 2 * ((int(mask) & int(v)).bit_count() & 1) for v in values) for mask in masks]
     assert blocks.signed_parity_sums(values, masks).tolist() == want
+
+
+@pytest.mark.parametrize("width", [36, 48])
+def test_linear_table_reads_uint64_inputs_as_int64(width):
+    # the eq23 span pass feeds 2m-bit uint64 vectors; they are read through an int64 view
+    rng = random.Random(width)
+    images = [rng.getrandbits(width) for _ in range(width)]
+    table = blocks.LinearTable(images)
+    xs = [0, 1, (1 << width) - 1, 1 << (width - 1)] + [rng.getrandbits(width) for _ in range(3000)]
+    got = table(np.array(xs, dtype=np.uint64))
+    want = table(np.array(xs, dtype=np.int64))
+    assert got.dtype == want.dtype == np.uint64
+    assert np.array_equal(got, want)
+    for x, value in zip(xs[:50], want[:50].tolist()):
+        assert value == functools.reduce(operator.xor, (v for i, v in enumerate(images)
+                                                        if x >> i & 1), 0)

@@ -4,6 +4,8 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -344,3 +346,44 @@ def test_option_value_dash_dash_is_config_error(tmp_path, capsys, monkeypatch, a
     assert captured.err == f"error: {flag} expects a value, got '--'\n"
     assert captured.out == ""
     assert not list(tmp_path.iterdir())
+
+
+SAMPLE = ["pptest", "--t", "2", "--k", "1", "--map", "builtin:g-thm1", "--method", "charsum"]
+
+
+@pytest.mark.parametrize("text", ["\u0663", " 2", "+1", "1_6"])
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "thm1", "--k={}"], "--k"),
+    (["verify", "thm1", "--k=1..{}"], "--k"),
+    (["verify", "thm1", "--k={}..3"], "--k"),
+    (["verify", "thm3", "--t={}", "--k", "1"], "--t"),
+    (["pptest", "--t={}", "--k", "1", "--map", "builtin:g-thm1"], "--t"),
+    (["pptest", "--t", "2", "--k={}", "--map", "builtin:g-thm1"], "--k"),
+    (["field-info", "--m={}"], "--m"),
+    (["verify", "thm1", "--k", "1", "--seed={}"], "--seed"),
+    (["search-L", "--t", "1", "--k", "1", "--budget={}"], "--budget"),
+    (SAMPLE + ["--mode=sample:{}"], "--mode"),
+    (SAMPLE + ["--mode=sample:4:{}"], "--mode"),
+    (["verify", "thm1", "--k", "1", "--mode=sample:{}"], "--mode"),
+], ids=["verify-k", "verify-k-hi", "verify-k-lo", "verify-t", "pptest-t", "pptest-k",
+        "field-info-m", "verify-seed", "search-L-budget", "pptest-mode-n", "pptest-mode-seed",
+        "verify-mode-n"])
+def test_decimal_options_take_ascii_digits_only(argv, flag, text, capsys):
+    # int() takes every one of these texts, which ran a command before
+    assert run([arg.format(text) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} expects ") and captured.out == ""
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_verify_loads_no_numpy_ma():
+    # plain np.unique and np.isin import numpy.ma (19 ms and 0.65 MB) in numpy 2.4
+    code = ("import sys; from ppverify.cli import run\n"
+            "assert run(['verify', 'thm1', '--k', '3']) == 0\n"
+            "assert run(['verify', 'thm3', '--t', '1', '--k', '6']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -10,7 +10,7 @@ from ppverify.gf2linalg import columns_of_map, span
 from ppverify.linearized import subfield_permutation_check
 from ppverify.proofchecks import tracezero_set
 
-from reference import image_by_sweep, kernel_by_sweep
+from reference import image_by_sweep, kernel_by_sweep, subfield_permutation_scalar
 
 ALL_TOWERS_M18 = [(t, k) for t in range(1, 7) for k in range(1, 7) if 3 * t * k <= 18]
 
@@ -205,6 +205,30 @@ def test_permutes_reports_instability_distinctly():
     ok, reason = subfield_permutation_check(L, 2)
     assert not ok
     assert "not subfield-stable" in reason
+
+
+@pytest.mark.parametrize("t, k", [(t, k) for t in range(1, 5) for k in range(1, 5)
+                                  if 3 * t * k <= 12])
+def test_subfield_permutation_check_matches_the_scalar_loop(t, k):
+    # every subfield degree d <= 6 of the tower; L with coefficients anywhere (mostly
+    # not subfield-stable), in GF(2^d) (stable: a permutation or not injective), or
+    # one coefficient outside it
+    ctx = FieldCtx.from_tower(t, k)
+    rng = random.Random(f"condition-i:{t}:{k}")
+    outcomes = set()
+    for d in [d for d in range(1, 7) if ctx.m % d == 0]:
+        sub = ctx.enumerate_subfield(d)
+        for i in range(90):
+            coeffs = [rng.choice(sub) if rng.random() < 0.4 else 0 for _ in range(ctx.m)]
+            if i % 3 == 0:
+                coeffs = [rng.randrange(ctx.order) for _ in range(ctx.m)]
+            elif i % 3 == 1:
+                coeffs[rng.randrange(ctx.m)] = rng.randrange(ctx.order)
+            L = LinearizedPoly(ctx, coeffs)
+            ok, reason = subfield_permutation_check(L, d)
+            assert (ok, reason) == subfield_permutation_scalar(L, d), (d, coeffs)
+            outcomes.add("pass" if ok else reason.split(":")[0])
+    assert outcomes == {"pass", "not subfield-stable", "not injective"}
 
 
 def test_permutes_L_note():

@@ -13,7 +13,7 @@ from ppverify.maps import FieldMap, linearized_map
 from ppverify.pptest import PPVerdict, _char_sums, shift_checks
 
 from reference import (char_sum_definitional, char_sums_masked, first_collision, shift_check_sweep,
-                       walsh_spectrum_levels)
+                       shift_checks_gather, walsh_spectrum_levels)
 
 
 def cube_map_f4():
@@ -410,3 +410,35 @@ def test_shift_checks_at_m19_across_blocks(y):
     a_values = [1, 0x2b, (1 << 19) - 1] + [rng.randrange(1, 1 << 19) for _ in range(20)]
     assert shift_checks(collide, a_values, y).tolist() == \
         _as_checks(shift_check_sweep(collide, a, y) for a in a_values)
+
+
+# every tower with m <= 12, then one at m = 18 (g1 and g3) and one at m = 21 (g3 only)
+SHIFT_TOWERS = [(t, k) for t in range(1, 5) for k in range(1, 5) if 3 * t * k <= 12]
+SHIFT_TOWERS += [(2, 3), (7, 1)]
+
+
+@pytest.mark.parametrize("t, k", SHIFT_TOWERS)
+def test_shift_checks_match_the_gather_oracle(t, k):
+    # a shift y below 2^16, one above it, the single top bit and two subfield shifts, on
+    # g1 (t = 2), g3 and their seeded mutants: the mutants give D a span for the reducer
+    ctx = FieldCtx.from_tower(t, k)
+    rng = random.Random(f"shift:{t}:{k}")
+    maps = [build_g_thm3(ctx, build_L_note(ctx))] + ([build_g_thm1(ctx)] if t == 2 else [])
+    for g in list(maps):
+        x1, x2, x3 = rng.sample(range(ctx.order), 3)
+        two = g.table().copy()
+        two[[x1, x3]] ^= np.array([rng.randrange(1, ctx.order) for _ in range(2)],
+                               dtype=np.uint32)
+        maps += [one_collision_mutant(g, x1, x2), FieldMap.from_table("two", ctx, two)]
+    ys = [rng.randrange(1, min(ctx.order, 1 << 16)), 1 << (ctx.m - 1)]
+    ys += ctx.enumerate_subfield(t * k)[1:3]
+    if ctx.order > 1 << 16:
+        ys.append(rng.randrange(1 << 16, ctx.order))
+    a_values = [1, ctx.order - 1] + [rng.randrange(1, ctx.order) for _ in range(30)]
+    seen = set()
+    for fmap in maps:
+        for y in ys:
+            const = shift_checks(fmap, a_values, y)
+            assert np.array_equal(const, shift_checks_gather(fmap, a_values, y)), (fmap.name, y)
+            seen.update(const.tolist())
+    assert seen == {-1, 0, 1}

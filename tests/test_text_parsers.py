@@ -1,4 +1,4 @@
-"""The `--L`, `--modulus-file` and `charsum --a` text grammars: ASCII digits only, exit 2."""
+"""The `--L`, `--modulus-file`, `charsum --a` and decimal-option grammars: ASCII digits only."""
 
 import string
 
@@ -128,3 +128,12 @@ def test_charsum_a_exits_0_only_on_ascii_hex_digits(text):
     code = run(["charsum", "--t", "1", "--k", "1", "--map", "builtin:g-thm1", f"--a={text}"])
     digits = text != "" and all(c in string.hexdigits for c in text)
     assert code == (0 if digits and int(text, 16) < CTX.order else 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts)
+@example("--")
+def test_decimal_m_exits_0_only_on_ascii_digits(text):
+    code = run(["field-info", f"--m={text}"])
+    digits = text != "" and all(c in string.digits for c in text)
+    assert code == (0 if digits and 1 <= int(text) <= 24 else 2)
