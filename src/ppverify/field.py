@@ -223,8 +223,8 @@ class FieldCtx:
         """The 2^d elements fixed by x -> x^(2^d), ascending by encoding."""
         self._check_subfield_degree(d)
 
-        def build():
-            cols = gf2linalg.columns_of_map(self.m, lambda v: self.frobenius(v, d) ^ v)
+        def build():   # the columns of v -> v + v^(2^d), from the cached Frobenius images
+            cols = [v ^ (1 << j) for j, v in enumerate(self.frobenius_images()[d % self.m])]
             kernel, _ = gf2linalg.kernel_image(cols)
             assert len(kernel) == d
             return gf2linalg.span(kernel)
@@ -233,8 +233,7 @@ class FieldCtx:
 
     def trace_mask(self, a: int) -> int:
         """Bitmask M with Tr(a*y) = parity(M & y); the fast path for character sums."""
-        row = self.cached("trace-row",
-                          lambda: sum(self.abs_trace(1 << i) << i for i in range(self.m)))
+        row = self.cached("trace-row", self._trace_row)
         mask = 0
         ax = a
         for i in range(self.m):
@@ -242,6 +241,17 @@ class FieldCtx:
                 mask |= 1 << i
             ax = self.mul_by_x(ax)
         return mask
+
+    def _trace_row(self) -> int:
+        """Bit j is Tr(x^j): the XOR of the basis element's Frobenius images."""
+        row = 0
+        for j, images in enumerate(zip(*self.frobenius_images())):
+            bit = 0
+            for v in images:
+                bit ^= v
+            assert bit in (0, 1)
+            row |= bit << j
+        return row
 
     def _check_subfield_degree(self, d: int) -> None:
         if d < 1 or self.m % d != 0:

@@ -8,12 +8,17 @@ reduced-row-echelon dict is all the machinery needed.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 
-def columns_of_map(m: int, fn: Callable[[int], int]) -> list[int]:
-    """Columns [fn(1), fn(2), fn(4), ...] of a linear map on m bits."""
-    return [fn(1 << i) for i in range(m)]
+def apply(cols: Sequence[int], v: int) -> int:
+    """The linear map with columns cols at v: the XOR of the columns of v's set bits."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= cols[low.bit_length() - 1]
+        v ^= low
+    return acc
 
 
 def echelon_insert(pivots: dict[int, tuple[int, int]], v: int, pre: int) -> int | None:

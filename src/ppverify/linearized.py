@@ -99,18 +99,23 @@ class LinearizedPoly:
         return acc
 
     def compose(self, inner: "LinearizedPoly") -> "LinearizedPoly":
-        """self after inner: coefficient h picks up A[i] * B[j]^(2^i) for i+j = h mod m."""
+        """self after inner: coefficient h picks up A[i] * B[j]^(2^i) for i+j = h mod m.
+
+        B[j]^(2^i) is an XOR of the context's cached Frobenius images of
+        the basis, and the product is taken only where A[i] is not 1.
+        """
         if self.ctx != inner.ctx:
             raise ValueError("operands belong to different field contexts")
         ctx = self.ctx
         coeffs = [0] * ctx.m
-        for i, a in enumerate(self.coeffs):
+        for i, (a, images) in enumerate(zip(self.coeffs, ctx.frobenius_images())):
             if not a:
                 continue
             for j, b in enumerate(inner.coeffs):
                 if not b:
                     continue
-                coeffs[(i + j) % ctx.m] ^= ctx.mul(a, ctx.frobenius(b, i))
+                b_i = gf2linalg.apply(images, b)
+                coeffs[(i + j) % ctx.m] ^= b_i if a == 1 else ctx.mul(a, b_i)
         return LinearizedPoly(ctx, coeffs)
 
     def then_frobenius(self, e: int) -> "LinearizedPoly":

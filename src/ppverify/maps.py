@@ -18,12 +18,19 @@ identical results.
 Tables are exchanged as hex text files, one `x:gx` line per element,
 and both ends work in blocks with whole-array passes, never per line:
 export formats 2^16 entries at a time into one text chunk, and import
-reads the file in blocks of whole lines (about 256 KB), classifies
-every byte with a translate table, finds each line's tokens and decodes
-its two fields in a few passes over the block, then scatters the values
-into one uint32 table.  Beside the table, export needs a few MB and
-import a few MB of block buffers, plus the half-size old table while
-the table grows (when m is inferred from the line count).
+reads the file in blocks of whole lines (about 256 KB), splits each
+block into lines and fields, decodes the fields in a few passes over the
+block, then scatters the values into one uint32 table.  Two scans split
+a block.  A block in the strict layout that export writes (hex digits,
+one `:` between two nonempty fields, `\\n` after every line) is split
+from its colons and line ends alone; any other block (whitespace, `#`
+or blank lines, `\\r`, an unterminated last line, or any malformed
+line) goes through the token scan, which classifies every byte with a
+translate table and names the first malformed line.  Beside the table,
+export needs a few MB and import a few MB of block buffers, plus the
+half-size old table while the table grows (when m is inferred from the
+line count, or x >= 2^m turn up).  Every x below 2^24 is tracked in the
+table, so only an x past every field costs a Python int.
 """
 
 from __future__ import annotations
@@ -119,6 +126,7 @@ _CLIPPED = 0xFFFFFFFE       # table entry of a value >= _CLIPPED, read exactly o
 # Byte classes and nibble values of the table grammar, applied by bytes.translate.
 _WS, _HEX, _COLON, _HASH, _OTHER = range(5)
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
+_STRICT_BYTES = _HEX_DIGITS + b":\n"    # every byte of an exported table
 _CLASS = bytes(_HEX if c in _HEX_DIGITS else _COLON if c == ord(":") else
                _HASH if c == ord("#") else _WS if c in b" \t\v\f\r\n" else _OTHER
                for c in range(256))
@@ -169,12 +177,48 @@ def _read_blocks(fh) -> Iterator[bytes]:
 def _scan_block(data: bytes):
     """Split one block into lines and classify them with whole-array passes.
 
+    Returns (line_ends, malformed, rows, x_runs, y_runs): the byte offset
+    of every line's end, the in-block indices of the malformed lines and
+    of the table lines, and the [start, end) digit runs of the latter's
+    two fields.  Blank and `#` lines are neither.
+
+    A block in the strict layout that export writes is split by
+    `_scan_strict`.  Every other block goes to `_scan_tokens`: one with
+    whitespace, `#`, `\\r` or any byte outside hex digits, `:` and `\\n`,
+    one whose last line is unterminated, and one with a line that is not
+    exactly one colon between two nonempty fields.  So the token scan
+    alone finds the malformed lines, and the results downstream do not
+    depend on which scan ran.
+    """
+    scan = _scan_strict(data)
+    return scan if scan is not None else _scan_tokens(data)
+
+
+def _scan_strict(data: bytes):
+    """`_scan_block` of a block of plain `x:gx` lines, or None if it is not one.
+
+    Such a block holds only hex digits, `:` and `\\n`, ends in `\\n`, and
+    each of its lines is one colon between two nonempty fields: one
+    translate and two sparse nonzero passes find every line and field.
+    """
+    if not data.endswith(b"\n") or data.translate(None, _STRICT_BYTES):
+        return None
+    byte = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(byte == ord("\n"))
+    colons = np.flatnonzero(byte == ord(":"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if colons.size != ends.size or (colons <= starts).any() or (ends <= colons + 1).any():
+        return None
+    return (ends, np.empty(0, dtype=np.intp), np.arange(ends.size),
+            (starts, colons), (colons + 1, ends))
+
+
+def _scan_tokens(data: bytes):
+    """`_scan_block` of any block, by its tokens.
+
     A line's tokens are its hex runs, its bytes outside hex digits and
     whitespace, and its line end; a table line is exactly (run, `:`,
-    run).  Returns (line_ends, malformed, rows, x_runs, y_runs): the
-    byte offset of every line's end, the in-block indices of the
-    malformed lines and of the table lines, and the [start, end) digit
-    runs of the latter's two fields.  Blank and `#` lines are neither.
+    run).
     """
     byte = np.frombuffer(data, dtype=np.uint8)
     cls = np.frombuffer(data.translate(_CLASS), dtype=np.uint8)
@@ -239,7 +283,7 @@ def parse_table_file(path: str, ctx: FieldCtx | None = None) -> FieldMap:
     duplicate line, then the entry count, the first missing x and the
     first value outside the field.
     """
-    limit = ctx.order if ctx is not None else 1 << MAX_DEGREE   # no larger x is ever valid
+    limit = 1 << MAX_DEGREE       # the x below it are tracked in the table, which grows to fit
     table = np.full(ctx.order if ctx is not None else 0, _UNSET, dtype=np.uint32)
     large: set[int] = set()       # the x >= limit seen so far, for the duplicate check
     clipped = None                # (x, value) of the least x whose value reads _CLIPPED

@@ -269,7 +269,7 @@ def _decomposition(ctx: FieldCtx):
     d = t * k
 
     def build():
-        cols = gf2linalg.columns_of_map(ctx.m, lambda c: c ^ ctx.frobenius(c, d))
+        cols = [c ^ (1 << j) for j, c in enumerate(ctx.frobenius_images()[d])]
         particular, kernel = gf2linalg.particular_solution(cols, ctx.m)
         return (blocks.LinearTable(cols), blocks.LinearTable(particular),
                 np.array(gf2linalg.span(kernel), dtype=np.uint32))

@@ -21,6 +21,9 @@ half-table pass: every block of the table, its partners gathered through
 a uint32 index.  `subfield_permutation_scalar` is condition (i) as it was
 before the table lookups: L evaluated by scalar field arithmetic on every
 subfield element, with a dict of the values seen.
+`subfield_by_squaring` and `compose_by_squaring` are the subfield basis
+and linearized composition as they were before the cached Frobenius
+images: every Frobenius power by repeated squaring.
 `format_table_lines` and `parse_table_file` are the hex table I/O as it
 was before the blocked numpy passes: one formatted line per entry, and
 a line-by-line text read with `int(s, 16)` into a dict.
@@ -73,6 +76,27 @@ def mul_via_polymod(ctx, a: int, b: int) -> int:
 def subfield_by_filter(ctx, d: int) -> list[int]:
     """Exhaustive filter of the frobenius fixed-point condition."""
     return [a for a in ctx.elements() if ctx.frobenius(a, d) == a]
+
+
+def columns_of_map(m: int, fn) -> list[int]:
+    """Columns [fn(1), fn(2), fn(4), ...] of a linear map on m bits, one call each."""
+    return [fn(1 << i) for i in range(m)]
+
+
+def subfield_by_squaring(ctx, d: int) -> list[int]:
+    """GF(2^d) as the kernel span of v -> v + v^(2^d), its columns by repeated squaring."""
+    cols = columns_of_map(ctx.m, lambda v: ctx.frobenius(v, d) ^ v)
+    return gf2linalg.span(gf2linalg.kernel_image(cols)[0])
+
+
+def compose_by_squaring(A: LinearizedPoly, B: LinearizedPoly) -> LinearizedPoly:
+    """A after B: coefficient i + j picks up A[i] * B[j]^(2^i), by repeated squaring."""
+    ctx = A.ctx
+    coeffs = [0] * ctx.m
+    for i, a in enumerate(A.coeffs):
+        for j, b in enumerate(B.coeffs):
+            coeffs[(i + j) % ctx.m] ^= ctx.mul(a, ctx.frobenius(b, i))
+    return LinearizedPoly(ctx, coeffs)
 
 
 def walsh_spectrum_levels(fmap) -> np.ndarray:
@@ -137,7 +161,7 @@ def charsum_run_lists(f, mode: str, n: int, seed: int):
 def tracezero_set_scalar(ctx) -> list[int]:
     """The relative-trace-zero subspace, spanned by the kernel of the scalar rel_trace's columns."""
     t, k = ctx.require_tower()
-    cols = gf2linalg.columns_of_map(ctx.m, lambda v: ctx.rel_trace(v, t * k))
+    cols = columns_of_map(ctx.m, lambda v: ctx.rel_trace(v, t * k))
     return gf2linalg.span(gf2linalg.kernel_image(cols)[0])
 
 

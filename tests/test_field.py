@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from ppverify import FieldCtx, binpoly, blocks, load_modulus_file
+from ppverify import FieldCtx, LinearizedPoly, binpoly, blocks, load_modulus_file, proofchecks
 
-from reference import mul_via_polymod, subfield_by_filter
+from reference import compose_by_squaring, mul_via_polymod, subfield_by_filter, subfield_by_squaring
+
+ALL_TOWERS_M24 = [(t, k) for t in range(1, 9) for k in range(1, 9) if 3 * t * k <= 24]
 
 
 def test_tower_context_f64():
@@ -155,6 +157,27 @@ def test_trace_mask_agrees_with_definitional_trace():
         mask = ctx.trace_mask(a)
         for y in ctx.elements():
             assert (mask & y).bit_count() & 1 == ctx.abs_trace(ctx.mul(a, y))
+
+
+@pytest.mark.parametrize("t,k", ALL_TOWERS_M24, ids=str)
+def test_frobenius_image_paths_match_repeated_squaring(t, k):
+    # the trace row, the subfield and decomposition columns and compose
+    # read the cached Frobenius images; FieldCtx.frobenius squares
+    ctx = FieldCtx.from_tower(t, k)
+    m, rng = ctx.m, random.Random(t * 10 + k)
+    for a in (1, rng.randrange(1, ctx.order), rng.randrange(1, ctx.order)):
+        mask = ctx.trace_mask(a)
+        assert [(mask >> i) & 1 for i in range(m)] == [ctx.abs_trace(ctx.mul(a, 1 << i))
+                                                      for i in range(m)]
+    for d in (d for d in range(1, m // 2 + 1) if m % d == 0):
+        assert ctx.enumerate_subfield(d) == subfield_by_squaring(ctx, d)
+    phi = proofchecks._decomposition(ctx)[0]
+    basis = np.array([1 << j for j in range(m)], dtype=np.int64)
+    assert phi(basis).tolist() == [v ^ ctx.frobenius(v, t * k) for v in basis.tolist()]
+    A, B = (LinearizedPoly(ctx, [rng.choice([0, 1, rng.randrange(ctx.order)]) for _ in range(m)])
+            for _ in range(2))
+    for outer, inner in [(A, B), (B, A), (LinearizedPoly.frobenius_power(ctx, t), A)]:
+        assert outer.compose(inner) == compose_by_squaring(outer, inner)
 
 
 def test_rel_trace_formula_and_membership():

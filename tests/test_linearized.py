@@ -6,11 +6,12 @@ import pytest
 
 from ppverify import FieldCtx, LinearizedPoly, format_linpoly, parse_linpoly, permutes, s_polynomial
 from ppverify.constructions import build_L_note
-from ppverify.gf2linalg import columns_of_map, span
+from ppverify.gf2linalg import span
 from ppverify.linearized import subfield_permutation_check
 from ppverify.proofchecks import tracezero_set
 
-from reference import image_by_sweep, kernel_by_sweep, subfield_permutation_scalar
+from reference import (columns_of_map, image_by_sweep, kernel_by_sweep,
+                       subfield_permutation_scalar)
 
 ALL_TOWERS_M18 = [(t, k) for t in range(1, 7) for k in range(1, 7) if 3 * t * k <= 18]
 

@@ -148,6 +148,12 @@ ERROR_FILES = [
     "1000000000:1\n0:1\n1000000000:2\n0:1\n",      # far duplicate before a near one
     "0:1\n1000000000:1\n0:1\n1000000000:2\n",      # near duplicate before a far one
     "1000000:1\n0:1\n1000000:2\n",                 # a duplicate x in [2^24, 2^32)
+    "0:1\n1:\n",                                   # near misses of the strict layout: an empty y,
+    "0:1\n:1\n",                                   # an empty x,
+    "0:1\n1:2:3\n",                                # two colons on one line,
+    "0:1\n12\n",                                   # no colon,
+    "0:1\n1::2\n",                                 # two colons side by side,
+    "0:1\n1:0\n12",                                # and an unterminated line without one
 ]
 
 
@@ -155,11 +161,61 @@ ERROR_FILES = [
 def test_errors_across_block_boundaries_match_oracle(tmp_path, monkeypatch, text):
     path = tmp_path / "table.txt"
     path.write_bytes(text.encode("ascii"))
+    for ctx in (None, FieldCtx(2)):
+        want = outcome(reference.parse_table_file, str(path), ctx)
+        assert isinstance(want, str)
+        for block in range(1, len(text) + 2):
+            monkeypatch.setattr(maps, "_READ_BYTES", block)
+            assert outcome(maps.parse_table_file, str(path), ctx) == want, (ctx, block)
+
+
+def test_strict_lines_without_a_final_newline_match_oracle(tmp_path, monkeypatch):
+    # every line is in the strict layout; only the last block lacks its line end
+    rng = random.Random(14)
+    values = [rng.randrange(64) for _ in range(64)]
+    zeros = ["", "0", "000", "0000000000"]
+    text = "\n".join(f"{rng.choice(zeros)}{x:X}:{rng.choice(zeros)}{y:X}"
+                     for x, y in enumerate(values))
+    path = tmp_path / "table.txt"
+    path.write_bytes(text.encode("ascii"))
     want = outcome(reference.parse_table_file, str(path), None)
-    assert isinstance(want, str)
-    for block in range(1, len(text) + 2):
+    assert want[0] == values
+    for block in (1, 7, 64, 301, maps._READ_BYTES):
         monkeypatch.setattr(maps, "_READ_BYTES", block)
         assert outcome(maps.parse_table_file, str(path), None) == want, block
+
+
+@pytest.mark.parametrize("block", [64, maps._READ_BYTES])
+def test_exported_tables_take_the_strict_scan(tmp_path, monkeypatch, block):
+    ctx = FieldCtx.from_tower(2, 2)
+    g = build_g_thm1(ctx)
+    path = str(tmp_path / "g1-m12.txt")
+    cli._atomic_write(path, maps.format_table_lines(g))
+
+    def token_scan(data):
+        raise AssertionError(f"token scan of a strict block: {data[:40]!r}")
+
+    monkeypatch.setattr(maps, "_READ_BYTES", block)
+    monkeypatch.setattr(maps, "_scan_tokens", token_scan)
+    parsed = maps.parse_table_file(path)
+    assert parsed.ctx == FieldCtx(12) and np.array_equal(parsed.table(), g.table())
+
+
+def test_far_x_with_an_explicit_field_within_memory_budget(tmp_path):
+    # 2^18 lines against m = 2: every x >= 4 is tracked in the table, not in a set
+    path = str(tmp_path / "table.txt")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(f"{x:x}:0\n" for x in range(1 << 18))
+    want = f"{path}: expected 4 entries for m=2, got {1 << 18}"
+    assert outcome(reference.parse_table_file, path, FieldCtx(2)) == want
+    tracemalloc.start()
+    try:
+        got = outcome(maps.parse_table_file, path, FieldCtx(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.parametrize("line", ["0x1:2", "1_0:2", "-1:2", "+1:2", "1:0x2",
