@@ -88,12 +88,13 @@ def _g_map(ctx: FieldCtx, L: LinearizedPoly, name: str) -> FieldMap:
 
     P depends on x only through s = S(x), so its products run once per
     element of S's q^(2k)-element image; that value table is cached on the
-    context and shared by every map with the same S.
+    context and shared by every map with the same S; (L, S) is the map's linear part.
     """
     t, k = ctx.require_tower()
-    l_tab = blocks.linear_table(L)
-    p_tab = blocks.image_product(s2k(ctx), (1, t * k))
-    return FieldMap(name, ctx, lambda start, n: l_tab.coset(start, n) ^ p_tab.coset(start, n))
+    S, l_tab = s2k(ctx), blocks.linear_table(L)
+    p_tab = blocks.image_product(S, (1, t * k))
+    return FieldMap(name, ctx, lambda start, n: l_tab.coset(start, n) ^ p_tab.coset(start, n),
+                    (L, S))
 
 
 def rel_trace_poly(ctx: FieldCtx) -> LinearizedPoly:

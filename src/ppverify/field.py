@@ -120,7 +120,15 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
+    def check_element(self, a: int) -> None:
+        """ValueError unless a is an element encoding, an int in [0, 2^m)."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"element {a} outside the field range [0, 2^{self.m})")
+
     def mul(self, a: int, b: int) -> int:
+        if (a | b) >> self.m:   # nonzero iff a or b is negative or at least 2^m
+            self.check_element(a)
+            self.check_element(b)
         acc = 0
         mod = self.modulus
         top = 1 << self.m
@@ -163,13 +171,15 @@ class FieldCtx:
     def frobenius_images(self) -> list[list[int]]:
         """images[i][j] = (x^j)^(2^i): the basis under every Frobenius power, cached.
 
-        m^2 squarings, once per context; a linearized polynomial's columns
-        are XORs of these rows (`LinearizedPoly.matrix_columns`).
+        m squarings, once per context; squaring is linear, so each row is
+        the one before under their columns.  A linearized polynomial's
+        columns are XORs of these rows (`LinearizedPoly.matrix_columns`).
         """
         def build():
+            squares = [self.sqr(1 << j) for j in range(self.m)]   # row 1
             images = [[1 << j for j in range(self.m)]]
             while len(images) < self.m:
-                images.append([self.sqr(v) for v in images[-1]])
+                images.append([gf2linalg.apply(squares, v) for v in images[-1]])
             return images
 
         return self.cached("frobenius-images", build)

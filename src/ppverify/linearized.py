@@ -90,6 +90,7 @@ class LinearizedPoly:
     def __call__(self, x: int) -> int:
         """Sum of c_i * x^(2^i); additive in x."""
         ctx = self.ctx
+        ctx.check_element(x)
         acc = 0
         xp = x
         for c in self.coeffs:
@@ -139,9 +140,10 @@ class LinearizedPoly:
                 cols = [col ^ ctx.mul(c, v) for col, v in zip(cols, images)]
         return cols
 
-    def kernel_image(self) -> tuple[list[int], list[int]]:
-        """F2 bases of the kernel and the image (dim kernel + dim image = m)."""
-        return gf2linalg.kernel_image(self.matrix_columns())
+    def kernel_image(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """F2 bases of the kernel and the image (dim kernel + dim image = m), cached on the context."""
+        return self.ctx.cached(("kernel-image", self.coeffs), lambda: tuple(
+            map(tuple, gf2linalg.kernel_image(self.matrix_columns()))))
 
 
 def s_polynomial(ctx: FieldCtx, n_terms: int) -> LinearizedPoly:

@@ -9,9 +9,12 @@ coset a linear map is one cached low table XOR one value
 `table()` calls the block function: the full 2^m value table, uint32
 (64 MB at m = 24), filled block by block and cached, is the way every
 check reads a map, down to a single value g(x).  Its Walsh spectrum is
-cached beside it: the int32 histogram of the table transformed in place
-by `blocks.walsh_transform`, cache-blocked on 2^16-entry blocks through
-one reused 256 KB buffer, so it needs nothing full-size beside itself.
+cached beside it.  A map with a known linear part (L, S), f = L + h(S)
+(the paper's g; a linearized map, with S = 0), gets it through the
+quotient by K = ker S, from f on the 2^(m - dim K) coset representatives;
+any other map (an imported table, `from_table`) from the int32 histogram
+of its whole table.  The transform is `blocks.walsh_transform`,
+cache-blocked on 2^16-entry blocks through one reused 256 KB buffer.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
 
@@ -39,7 +42,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import blocks
+from . import blocks, gf2linalg
 from .field import MAX_DEGREE, FieldCtx
 from .linearized import LinearizedPoly
 
@@ -50,16 +53,20 @@ class FieldMap:
     block_fn(start, n) gives the values at start ^ i for i < n, as any
     integer array; `table()` calls it on the aligned blocks start = 0, n,
     2n, ... with n = min(blocks.BLOCK, 2^m), and nothing else calls it.
+    linear = (L, S), if given, means f(x) = L(x) + h(S(x)): `spectrum()` takes the quotient.
     """
 
-    def __init__(self, name: str, ctx: FieldCtx, block_fn: Callable[[int, int], np.ndarray]):
+    def __init__(self, name: str, ctx: FieldCtx, block_fn: Callable[[int, int], np.ndarray],
+                 linear: tuple[LinearizedPoly, LinearizedPoly] | None = None):
         self.name = name
         self.ctx = ctx
         self._block_fn = block_fn
+        self._linear = linear
         self._table: np.ndarray | None = None
         self._spectrum: np.ndarray | None = None
 
     def __call__(self, x: int) -> int:
+        self.ctx.check_element(x)
         return int(self.table()[x])
 
     def __repr__(self) -> str:
@@ -80,16 +87,27 @@ class FieldMap:
     def spectrum(self) -> np.ndarray:
         """Walsh spectrum W[M] = sum_x (-1)^popcount(M & f(x)), cached beside the table.
 
-        The preimage counts are accumulated straight into int32 (no int64
-        histogram) and transformed in place by `blocks.walsh_transform`:
-        the low 16 levels block by block while each 2^16-entry block is in
-        cache, through one reused 256 KB buffer, and the levels above over
-        the whole array.  Every |W[M]| <= 2^m, so int32 is exact.
+        With a linear part (L, S), through the quotient by K = ker S: f(x +
+        u) = f(x) + L(u) for u in K, so the sum over a coset x_s + K is 0
+        unless M annihilates L(K), and then |K| (-1)^(M . f(x_s)).  For M
+        = sum c_j N_j, N a basis of that annihilator, W[M] is |K| times the
+        transform at c of the histogram of (parity(N_j & f(x_s)))_j over the
+        representatives x_s, read from the table: 2^dim(N) bins.  Without
+        one, the preimage counts of the whole table go straight into int32.
+        Every |W[M]| <= 2^m, so int32 is exact.
         """
         if self._spectrum is None:
-            w = np.zeros(self.ctx.order, dtype=np.int32)
-            np.add.at(w, self.table(), np.int32(1))   # an int32 increment keeps the fast path
-            blocks.walsh_transform(w)
+            if self._linear is None:
+                w = np.zeros(self.ctx.order, dtype=np.int32)
+                np.add.at(w, self.table(), np.int32(1))   # an int32 increment keeps the fast path
+                blocks.walsh_transform(w)
+            else:
+                reps, coords, span_n, size_k = _quotient(*self._linear)
+                hist = np.zeros(len(span_n), dtype=np.int32)
+                np.add.at(hist, coords(self.table()[reps]), np.int32(1))
+                blocks.walsh_transform(hist)
+                w = np.zeros(self.ctx.order, dtype=np.int32)
+                w[span_n] = hist * np.int32(size_k)
             w.setflags(write=False)
             self._spectrum = w
         return self._spectrum
@@ -113,9 +131,34 @@ class FieldMap:
         return fmap
 
 
+def _quotient(L: LinearizedPoly, S: LinearizedPoly):
+    """The quotient-spectrum pieces of L + h(S), cached on the context by both polynomials.
+
+    Returns the coset representatives of K = ker S (the span of the bits
+    that are not pivots of K's echelon basis, as intp), the coordinates
+    y -> (parity(N_j & y))_j as an intp linear table, the span of N in
+    coordinate order (intp), and |K|; N is the kernel of the transposed
+    L(K) vectors, the annihilator of L(K).
+    """
+    def build():
+        m = L.ctx.m
+        kernel = S.kernel_image()[0]
+        pivots, _ = gf2linalg._rref(kernel)
+        reps = blocks._span_table([1 << b for b in range(m) if b not in pivots], np.intp)
+        cols = L.matrix_columns()
+        lk = [gf2linalg.apply(cols, u) for u in kernel]
+        _, ann = gf2linalg._rref([sum(((v >> j) & 1) << i for i, v in enumerate(lk))
+                                  for j in range(m)])
+        coords = blocks.LinearTable([sum(((n >> i) & 1) << j for j, n in enumerate(ann))
+                                     for i in range(m)], dtype=np.intp)
+        return reps, coords, blocks._span_table(ann, np.intp), 1 << len(kernel)
+
+    return L.ctx.cached(("quotient", L.coeffs, S.coeffs), build)
+
+
 def linearized_map(L: LinearizedPoly, name: str) -> FieldMap:
     """View a linearized polynomial as a FieldMap, filled from its cached lookup table's cosets."""
-    return FieldMap(name, L.ctx, blocks.linear_table(L).coset)
+    return FieldMap(name, L.ctx, blocks.linear_table(L).coset, (L, LinearizedPoly.zero(L.ctx)))
 
 
 _HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)

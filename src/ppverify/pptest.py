@@ -8,9 +8,12 @@ iff every such sum vanishes.  Sums are accumulated as machine integers
 
 Both read the map's cached value table.  Character sums use the
 linearity of the trace: Tr(a*y) = parity(M_a & y) for a per-a bitmask
-M_a, so the sum at a is W[M_a], where W is the Walsh spectrum of the
-value histogram: one exact integer transform per map, at every m.  M_a
-is linear in a too, so the masks of any number of a are one table lookup.
+M_a, so the sum at a is W[M_a], where W is the map's Walsh spectrum: one
+exact integer transform per map, at every m, of a histogram of 2^(2m/3)
+coset values for the paper's g (the quotient by ker S, so a second route
+to g beside the table) and of the whole table for an imported map
+(`FieldMap.spectrum`).  M_a is linear in a too, so the masks of any
+number of a are one table lookup.
 
 The shift-difference lemma is checked the same way for many a at once:
 Tr(a*(f(x+y) + f(x))) is constant in x iff M_a annihilates the span of

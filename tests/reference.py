@@ -24,6 +24,8 @@ subfield element, with a dict of the values seen.
 `subfield_by_squaring` and `compose_by_squaring` are the subfield basis
 and linearized composition as they were before the cached Frobenius
 images: every Frobenius power by repeated squaring.
+`frobenius_images_by_squaring` is that cache as it was built before its
+rows came from row 1's columns: m - 1 rows of generic squarings.
 `format_table_lines` and `parse_table_file` are the hex table I/O as it
 was before the blocked numpy passes: one formatted line per entry, and
 a line-by-line text read with `int(s, 16)` into a dict.
@@ -87,6 +89,14 @@ def subfield_by_squaring(ctx, d: int) -> list[int]:
     """GF(2^d) as the kernel span of v -> v + v^(2^d), its columns by repeated squaring."""
     cols = columns_of_map(ctx.m, lambda v: ctx.frobenius(v, d) ^ v)
     return gf2linalg.span(gf2linalg.kernel_image(cols)[0])
+
+
+def frobenius_images_by_squaring(ctx) -> list[list[int]]:
+    """images[i][j] = (x^j)^(2^i), every row squared from the one before."""
+    images = [[1 << j for j in range(ctx.m)]]
+    while len(images) < ctx.m:
+        images.append([ctx.mul(v, v) for v in images[-1]])
+    return images
 
 
 def compose_by_squaring(A: LinearizedPoly, B: LinearizedPoly) -> LinearizedPoly:

@@ -7,7 +7,8 @@ import pytest
 
 from ppverify import FieldCtx, LinearizedPoly, binpoly, blocks, load_modulus_file, proofchecks
 
-from reference import compose_by_squaring, mul_via_polymod, subfield_by_filter, subfield_by_squaring
+from reference import (compose_by_squaring, frobenius_images_by_squaring, mul_via_polymod,
+                       subfield_by_filter, subfield_by_squaring)
 
 ALL_TOWERS_M24 = [(t, k) for t in range(1, 9) for k in range(1, 9) if 3 * t * k <= 24]
 
@@ -178,6 +179,19 @@ def test_frobenius_image_paths_match_repeated_squaring(t, k):
             for _ in range(2))
     for outer, inner in [(A, B), (B, A), (LinearizedPoly.frobenius_power(ctx, t), A)]:
         assert outer.compose(inner) == compose_by_squaring(outer, inner)
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_frobenius_images_match_repeated_squaring(m):
+    ctx = FieldCtx(m)
+    assert ctx.frobenius_images() == frobenius_images_by_squaring(ctx)
+
+
+@pytest.mark.parametrize("a,b", [(3, -1), (-1, 3), (64, 1), (1, 64), (-64, -64)])
+def test_mul_rejects_an_element_outside_the_field(a, b):
+    ctx = FieldCtx(6)
+    with pytest.raises(ValueError, match=r"outside the field range \[0, 2\^6\)"):
+        ctx.mul(a, b)
 
 
 def test_rel_trace_formula_and_membership():

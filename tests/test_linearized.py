@@ -25,6 +25,14 @@ def test_identity_and_zero_eval():
     assert L(0) == 0
 
 
+@pytest.mark.parametrize("x", [-1, -64, 64, 1 << 40])
+def test_call_rejects_an_element_outside_the_field(x):
+    ctx = FieldCtx(6)
+    for L in (LinearizedPoly.identity(ctx), LinearizedPoly.zero(ctx)):
+        with pytest.raises(ValueError, match=r"outside the field range \[0, 2\^6\)"):
+            L(x)
+
+
 def test_s2_vanishes_on_subfield():
     # ker S_2 is the subfield F_4 inside F_64
     ctx = FieldCtx.from_tower(2, 1)
