@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from . import binpoly, gf2linalg
 
 MAX_DEGREE = 24
@@ -120,8 +122,16 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    def check_element(self, a: int) -> None:
-        """ValueError unless a is an element encoding, an int in [0, 2^m)."""
+    def check_element(self, a) -> None:
+        """ValueError unless a is an element encoding, an int in [0, 2^m); elementwise for an array.
+
+        For an array, the error names its first entry outside the range.
+        """
+        if isinstance(a, np.ndarray):
+            if not a.size or (a.min() >= 0 and a.max() < self.order):
+                return
+            flat = a.ravel()
+            a = flat[np.argmax((flat < 0) | (flat >= self.order))]
         if not 0 <= a < self.order:
             raise ValueError(f"element {a} outside the field range [0, 2^{self.m})")
 
@@ -243,6 +253,7 @@ class FieldCtx:
 
     def trace_mask(self, a: int) -> int:
         """Bitmask M with Tr(a*y) = parity(M & y); the fast path for character sums."""
+        self.check_element(a)
         row = self.cached("trace-row", self._trace_row)
         mask = 0
         ax = a

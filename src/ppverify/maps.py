@@ -9,11 +9,15 @@ coset a linear map is one cached low table XOR one value
 `table()` calls the block function: the full 2^m value table, uint32
 (64 MB at m = 24), filled block by block and cached, is the way every
 check reads a map, down to a single value g(x).  Its Walsh spectrum is
-cached beside it.  A map with a known linear part (L, S), f = L + h(S)
-(the paper's g; a linearized map, with S = 0), gets it through the
-quotient by K = ker S, from f on the 2^(m - dim K) coset representatives;
-any other map (an imported table, `from_table`) from the int32 histogram
-of its whole table.  The transform is `blocks.walsh_transform`,
+read at given masks through `walsh`, from int32 bins cached beside the
+table.  A map with a known linear part (L, S), f = L + h(S) (the paper's
+g; a linearized map, with S = 0), has its spectrum 0 off a subspace
+span(N) and takes its bins through the quotient by K = ker S: one per
+element of span(N), 2^(2m/3) for g (256 KB at m = 24), from f on the
+2^(m - dim K) coset representatives, and a mask is looked up by its bits
+at N's pivots.  No 2^m spectrum array is made for it.  Any other map (an
+imported table, `from_table`) keeps the whole spectrum, from the int32
+histogram of its table.  The transform is `blocks.walsh_transform`,
 cache-blocked on 2^16-entry blocks through one reused 256 KB buffer.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
@@ -53,7 +57,7 @@ class FieldMap:
     block_fn(start, n) gives the values at start ^ i for i < n, as any
     integer array; `table()` calls it on the aligned blocks start = 0, n,
     2n, ... with n = min(blocks.BLOCK, 2^m), and nothing else calls it.
-    linear = (L, S), if given, means f(x) = L(x) + h(S(x)): `spectrum()` takes the quotient.
+    linear = (L, S), if given, means f(x) = L(x) + h(S(x)): `walsh` reads the quotient bins.
     """
 
     def __init__(self, name: str, ctx: FieldCtx, block_fn: Callable[[int, int], np.ndarray],
@@ -63,7 +67,7 @@ class FieldMap:
         self._block_fn = block_fn
         self._linear = linear
         self._table: np.ndarray | None = None
-        self._spectrum: np.ndarray | None = None
+        self._bins: np.ndarray | None = None
 
     def __call__(self, x: int) -> int:
         self.ctx.check_element(x)
@@ -84,33 +88,45 @@ class FieldMap:
             self._table = table
         return self._table
 
-    def spectrum(self) -> np.ndarray:
-        """Walsh spectrum W[M] = sum_x (-1)^popcount(M & f(x)), cached beside the table.
+    def walsh(self, masks) -> np.ndarray:
+        """The Walsh spectrum W[M] = sum_x (-1)^popcount(M & f(x)) at each mask M, as int32.
 
-        With a linear part (L, S), through the quotient by K = ker S: f(x +
-        u) = f(x) + L(u) for u in K, so the sum over a coset x_s + K is 0
-        unless M annihilates L(K), and then |K| (-1)^(M . f(x_s)).  For M
-        = sum c_j N_j, N a basis of that annihilator, W[M] is |K| times the
-        transform at c of the histogram of (parity(N_j & f(x_s)))_j over the
-        representatives x_s, read from the table: 2^dim(N) bins.  Without
-        one, the preimage counts of the whole table go straight into int32.
-        Every |W[M]| <= 2^m, so int32 is exact.
+        masks is an integer array with entries in [0, 2^m), checked before
+        any lookup (ValueError).  With a linear part (L, S), through the
+        quotient by K = ker S: f(x + u) = f(x) + L(u) for u in K, so the sum
+        over a coset x_s + K is 0 unless M annihilates L(K), and then |K|
+        (-1)^(M . f(x_s)).  With N a basis of that annihilator in reduced
+        echelon form, M = sum c_j N_j has c_j = M's bit at N_j's pivot, and
+        W[M] is bins[c] if span(N)[c] = M, else 0; bins is |K| times the
+        transform of the histogram of (parity(N_j & f(x_s)))_j over the
+        representatives x_s: 2^dim(N) values.  Without one, bins is the
+        whole spectrum, from the preimage counts of the table.  Every
+        |W[M]| <= 2^m, so int32 is exact.
         """
-        if self._spectrum is None:
+        masks = np.asarray(masks)
+        self.ctx.check_element(masks)
+        if self._linear is None:
+            return self._walsh_bins()[masks]
+        _, _, pivot_bits, span_n, _ = _quotient(*self._linear)
+        c = pivot_bits(masks).astype(np.intp)
+        return np.where(span_n[c] == masks, self._walsh_bins()[c], np.int32(0))
+
+    def _walsh_bins(self) -> np.ndarray:
+        """`walsh`'s bins, read-only int32, cached beside the table."""
+        if self._bins is None:
             if self._linear is None:
                 w = np.zeros(self.ctx.order, dtype=np.int32)
                 np.add.at(w, self.table(), np.int32(1))   # an int32 increment keeps the fast path
                 blocks.walsh_transform(w)
             else:
-                reps, coords, span_n, size_k = _quotient(*self._linear)
-                hist = np.zeros(len(span_n), dtype=np.int32)
-                np.add.at(hist, coords(self.table()[reps]), np.int32(1))
-                blocks.walsh_transform(hist)
-                w = np.zeros(self.ctx.order, dtype=np.int32)
-                w[span_n] = hist * np.int32(size_k)
+                reps, coords, _, span_n, size_k = _quotient(*self._linear)
+                w = np.zeros(len(span_n), dtype=np.int32)
+                np.add.at(w, coords(self.table()[reps]), np.int32(1))
+                blocks.walsh_transform(w)
+                w *= np.int32(size_k)
             w.setflags(write=False)
-            self._spectrum = w
-        return self._spectrum
+            self._bins = w
+        return self._bins
 
     @classmethod
     def from_table(cls, name: str, ctx: FieldCtx, values) -> "FieldMap":
@@ -134,11 +150,13 @@ class FieldMap:
 def _quotient(L: LinearizedPoly, S: LinearizedPoly):
     """The quotient-spectrum pieces of L + h(S), cached on the context by both polynomials.
 
-    Returns the coset representatives of K = ker S (the span of the bits
-    that are not pivots of K's echelon basis, as intp), the coordinates
-    y -> (parity(N_j & y))_j as an intp linear table, the span of N in
-    coordinate order (intp), and |K|; N is the kernel of the transposed
-    L(K) vectors, the annihilator of L(K).
+    N is a basis of the annihilator of L(K), K = ker S (the kernel of the
+    transposed L(K) vectors), in reduced echelon form, ordered by pivot.
+    Returns the coset representatives of K (the span of the bits that are
+    not pivots of K's echelon basis, as intp), the coordinates y ->
+    (parity(N_j & y))_j as an intp linear table, the map M -> (M's bit at
+    N_j's pivot)_j as a uint32 one (its gathers are faster), the span of N
+    in coordinate order (uint32), and |K|.
     """
     def build():
         m = L.ctx.m
@@ -149,9 +167,14 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
         lk = [gf2linalg.apply(cols, u) for u in kernel]
         _, ann = gf2linalg._rref([sum(((v >> j) & 1) << i for i, v in enumerate(lk))
                                   for j in range(m)])
-        coords = blocks.LinearTable([sum(((n >> i) & 1) << j for j, n in enumerate(ann))
+        ann_pivots, _ = gf2linalg._rref(ann)
+        bits = sorted(ann_pivots)
+        basis = [ann_pivots[b][0] for b in bits]
+        coords = blocks.LinearTable([sum(((n >> i) & 1) << j for j, n in enumerate(basis))
                                      for i in range(m)], dtype=np.intp)
-        return reps, coords, blocks._span_table(ann, np.intp), 1 << len(kernel)
+        pivot_bits = blocks.LinearTable([1 << bits.index(i) if i in bits else 0
+                                         for i in range(m)])
+        return reps, coords, pivot_bits, blocks._span_table(basis), 1 << len(kernel)
 
     return L.ctx.cached(("quotient", L.coeffs, S.coeffs), build)
 
@@ -161,7 +184,6 @@ def linearized_map(L: LinearizedPoly, name: str) -> FieldMap:
     return FieldMap(name, L.ctx, blocks.linear_table(L).coset, (L, LinearizedPoly.zero(L.ctx)))
 
 
-_HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _READ_BYTES = 1 << 18       # bytes read per block of a table file, cut back to a line end
 _UNSET = 0xFFFFFFFF         # table entry that no line has set
 _CLIPPED = 0xFFFFFFFE       # table entry of a value >= _CLIPPED, read exactly on the error path
@@ -181,8 +203,8 @@ def format_table_lines(fmap: FieldMap) -> Iterator[str]:
 
     Yields one text chunk of newline-terminated lines per block of
     `blocks.BLOCK` entries: a character array filled one digit column
-    at a time by nibble lookups, then one boolean compaction that drops
-    each value's leading zero digits.
+    at a time by uint8 arithmetic on the nibbles, then one boolean
+    compaction that drops each value's leading zero digits.
     """
     table = fmap.table()
     width = (fmap.ctx.m + 3) // 4                     # hex digits of the widest value
@@ -193,7 +215,8 @@ def format_table_lines(fmap: FieldMap) -> Iterator[str]:
         for field, values in enumerate((np.arange(start, start + len(ys), dtype=np.uint32), ys)):
             for i in range(width):                    # digit columns, from the left
                 prefix = values >> np.uint32(4 * (width - 1 - i))
-                chars[:, field * (width + 1) + i] = _HEX_CHARS[prefix & 15]
+                digit = (prefix & np.uint32(15)).astype(np.uint8)   # '0' + digit, or 'a' + digit - 10
+                chars[:, field * (width + 1) + i] = digit + (48 + 39 * (digit > 9).view(np.uint8))
                 keep[:, field * (width + 1) + i] = prefix != 0
         keep[:, [width - 1, 2 * width]] = True        # zero is written as one digit
         chars[:, [width, 2 * width + 1]] = (ord(":"), ord("\n"))
@@ -293,14 +316,16 @@ def _hex_values(nibbles: np.ndarray, runs) -> np.ndarray:
     """int64 values of hex digit runs [s, e); over 8 significant digits reads 2^32.
 
     nibbles holds each byte's digit value, 0 off the digits, plus a 0
-    past the end: the byte left of a run, read at index s - 1, is 0.
+    past the end: the byte left of a run, read at index s - 1, is 0.  The
+    low 8 digits are accumulated in uint32, where they fit.
     """
     s, e = runs
-    values = np.zeros(len(s), dtype=np.int64)
+    values = np.zeros(len(s), dtype=np.uint32)
     pos, left = e - 1, s - 1
     for i in range(min(8, int((e - s).max(initial=0)))):   # digit positions, from the right
-        values |= np.left_shift(nibbles[np.maximum(pos, left)], 4 * i, dtype=np.int64)
+        values |= np.left_shift(nibbles[np.maximum(pos, left)], 4 * i, dtype=np.uint32)
         pos -= 1
+    values = values.astype(np.int64)
     long = np.flatnonzero(e - s > 8)
     if long.size:                                     # leading zeros, or a value >= 2^32
         nonzero = np.concatenate(([0], np.cumsum(nibbles != 0)))

@@ -8,12 +8,13 @@ iff every such sum vanishes.  Sums are accumulated as machine integers
 
 Both read the map's cached value table.  Character sums use the
 linearity of the trace: Tr(a*y) = parity(M_a & y) for a per-a bitmask
-M_a, so the sum at a is W[M_a], where W is the map's Walsh spectrum: one
-exact integer transform per map, at every m, of a histogram of 2^(2m/3)
-coset values for the paper's g (the quotient by ker S, so a second route
-to g beside the table) and of the whole table for an imported map
-(`FieldMap.spectrum`).  M_a is linear in a too, so the masks of any
-number of a are one table lookup.
+M_a, so the sum at a is W[M_a], where W is the map's Walsh spectrum
+(`FieldMap.walsh`): one exact integer transform per map, at every m.
+For the paper's g it is a transform of 2^(2m/3) coset bins (the quotient
+by ker S, so a second route to g beside the table), and W[M_a] is one
+lookup in those bins, 0 unless M_a lies in their span; an imported map
+keeps the transform of its whole table.  M_a is linear in a too, so the
+masks of any number of a are one table lookup.
 
 The shift-difference lemma is checked the same way for many a at once:
 Tr(a*(f(x+y) + f(x))) is constant in x iff M_a annihilates the span of
@@ -89,14 +90,18 @@ def char_sum(f: FieldMap, a):
     """Exact integer sum of (-1)^Tr(a*f(x)) over the whole field.
 
     Given an array of a, returns the array of their sums: one gather of
-    the trace masks from their linear table, one from the Walsh spectrum.
+    the trace masks from their linear table, then `FieldMap.walsh` at
+    those masks.  Every a must lie in [0, 2^m): ValueError otherwise,
+    before any lookup.
     """
-    sums = f.spectrum()[blocks.trace_masks(f.ctx)(np.asarray(a, dtype=np.int64))]
+    a_arr = np.asarray(a)
+    f.ctx.check_element(a_arr)
+    sums = f.walsh(blocks.trace_masks(f.ctx)(a_arr.astype(np.int64, copy=False)))
     return sums if np.ndim(a) else int(sums)
 
 
 def _char_sums(f: FieldMap, a_values) -> list[int]:
-    """Character sums for many a at once, as a list: lookups in the map's Walsh spectrum."""
+    """Character sums for many a at once, as a list: lookups in the map's Walsh bins."""
     return char_sum(f, a_values).tolist()
 
 
@@ -116,7 +121,7 @@ def _charsum_run(f: FieldMap, mode: str, n: int,
                  seed: int) -> tuple[PPVerdict, dict[int, int] | None]:
     """pp_verdict_charsum's verdict plus, in sample mode, every drawn a's sum (also past a witness).
 
-    The a go through the spectrum in blocks of blocks.BLOCK, made by np.arange
+    The a go through `FieldMap.walsh` in blocks of blocks.BLOCK, made by np.arange
     in mode all, and the pass stops at the first nonzero sum.
     """
     ctx = f.ctx

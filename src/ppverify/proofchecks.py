@@ -473,7 +473,7 @@ def _check_factorization_batch(state: _Thm1State, case2: list[int],
                                note: str | None) -> CheckResult:
     """check_case2_factorization for every Case-2 a at once, its sums as arrays over a.
 
-    full_sum is one spectrum gather, the trace-zero sum and the two
+    full_sum is one `char_sum` lookup, the trace-zero sum and the two
     factors are exact signed parity sums, and beta_i = c * d_i^(q^k) is a
     fixed-multiplier linear table.  An a is reported at its first failing step.
     """

@@ -1,6 +1,6 @@
 """The blocked character-sum pass against the list/dict oracle.
 
-`_charsum_run` sends the a-values through the map's Walsh spectrum in
+`_charsum_run` sends the a-values through the map's Walsh bins in
 blocks of `blocks.BLOCK` and stops at the first nonzero sum.  Its verdict,
 check count, witness and sample sums must equal those of
 `reference.charsum_run_lists`, which gathers every sum into one list.
@@ -13,7 +13,8 @@ import pytest
 
 from ppverify import FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note
 from ppverify.maps import FieldMap
-from ppverify.pptest import DEFAULT_SAMPLES, DEFAULT_SEED, PPVerdict, _charsum_run, pp_verdict_charsum
+from ppverify.pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, PPVerdict, _charsum_run, char_sum,
+                             pp_verdict_charsum)
 
 from reference import charsum_run_lists
 
@@ -86,8 +87,7 @@ def test_sample_with_a_repeated_a_matches_oracle():
 def test_charsum_all_at_m21_within_memory_budget():
     ctx = FieldCtx.from_tower(7, 1)
     g = build_g_thm3(ctx, build_L_note(ctx))
-    g.spectrum()
-    blocks.trace_masks(ctx)
+    char_sum(g, 1)                      # the cached bins and mask tables, before tracing
     tracemalloc.start()
     try:
         verdict = pp_verdict_charsum(g, "all")

@@ -236,10 +236,11 @@ def test_char_sums_match_definitional_for_all_a_at_m6():
 
 def test_spectrum_is_exact_int32_and_read_only():
     ctx = FieldCtx.from_tower(2, 2)
-    w = build_g_thm1(ctx).spectrum()
+    g1 = build_g_thm1(ctx)
+    w = g1.walsh(np.arange(ctx.order))
     assert w.dtype == np.int32 and w.shape == (ctx.order,)
     assert w[0] == ctx.order            # every value counted once at M = 0
-    assert not w.flags.writeable
+    assert not g1._walsh_bins().flags.writeable   # the cached bins
     # Parseval: the squared spectrum sums to 2^m * sum of squared preimage counts
     assert int((w.astype(np.int64) ** 2).sum()) == ctx.order * ctx.order
 
@@ -260,14 +261,18 @@ def _walsh_maps(m):
 @pytest.mark.parametrize("m", range(1, 21))   # one short block (m < 16), one (16), two (17), more
 def test_spectrum_matches_per_level_butterfly(m):
     g, mutant, constant = _walsh_maps(m)
+    masks = np.arange(1 << m)
     for fmap in (g, mutant, constant):
-        assert np.array_equal(fmap.spectrum(), walsh_spectrum_levels(fmap)), fmap.name
-    assert (np.abs(constant.spectrum()) == 1 << m).all()   # the int32 extreme at every M
+        assert np.array_equal(fmap.walsh(masks), walsh_spectrum_levels(fmap)), fmap.name
+    assert (np.abs(constant.walsh(masks)) == 1 << m).all()   # the int32 extreme at every M
 
 
 def test_spectrum_matches_per_level_butterfly_at_m24():
     g1 = build_g_thm1(FieldCtx.from_tower(2, 4))
-    assert np.array_equal(g1.spectrum(), walsh_spectrum_levels(g1))
+    want = walsh_spectrum_levels(g1)
+    step = 1 << 20                      # every mask, a slice at a time
+    for lo in range(0, want.size, step):
+        assert np.array_equal(g1.walsh(np.arange(lo, lo + step)), want[lo:lo + step]), lo
 
 
 def test_parity_matches_bit_count():
