@@ -13,8 +13,8 @@ so products run once per image element, never once per input; g's
 s^(q^k+3) and the Case-2 power S^E are both `image_product` tables.
 Every shared table here is kept on its context by `FieldCtx.cached`.
 `span_basis` finds the F2-span of a table's worth of vectors in one
-blocked pass, with `gf2linalg`'s pivot insertion, which lets a per-a
-check be decided for every a at once.
+blocked pass, which lets a per-a check be decided for every a at once.
+Subspaces and the tables of their combinations are `gf2linalg`'s.
 `walsh_transform` is the exact int32 Walsh-Hadamard transform behind
 every character sum: cache blocking keeps its low 16 levels on
 2^16-entry blocks, each level at a stride of at least 2^12 entries.  The
@@ -143,7 +143,7 @@ class LinearTable:
         if dtype is None:
             dtype = np.uint32 if max(images, default=0) >> 32 == 0 else np.uint64
         self.images = images
-        self.tables = [_span_table(images[i:i + self.bits], dtype)
+        self.tables = [gf2linalg.span_table(images[i:i + self.bits], dtype)
                        for i in range(0, len(images), self.bits)]
         self._low: dict[int, np.ndarray] = {}   # n -> the map on range(n), for coset
 
@@ -173,7 +173,8 @@ class LinearTable:
             raise ValueError(f"block (start={start:#x}, n={n}) is not aligned: "
                              "n must be a power of two and start a multiple of n")
         if n not in self._low:   # filled in place: no n-entry temporaries beside it
-            self._low[n] = _span_table(self.images[:n.bit_length() - 1], self.tables[0].dtype)
+            self._low[n] = gf2linalg.span_table(self.images[:n.bit_length() - 1],
+                                                self.tables[0].dtype)
         return self._low[n] ^ self(np.array([start], dtype=np.int64))
 
 
@@ -196,11 +197,11 @@ def image_coords(poly: LinearizedPoly) -> tuple[LinearTable, list[int]]:
     """
     def build():
         cols = poly.matrix_columns()
-        pivots, _ = gf2linalg._rref(cols)
-        bits = sorted(pivots)
+        basis = gf2linalg.echelon(cols)
+        bits = [v.bit_length() - 1 for v in basis]
         coords = LinearTable([sum(((col >> b) & 1) << j for j, b in enumerate(bits))
                               for col in cols], dtype=np.intp)
-        return coords, [pivots[b][0] for b in bits]
+        return coords, basis
 
     return poly.ctx.cached(("image-coords", poly.coeffs), build)
 
@@ -215,20 +216,12 @@ class ImageTable:
 
     def __init__(self, poly: LinearizedPoly, fn: Callable[[np.ndarray], np.ndarray]):
         self.coords, basis = image_coords(poly)
-        self.values = fn(_span_table(basis)).astype(np.uint32)
+        self.values = fn(gf2linalg.span_table(basis)).astype(np.uint32)
         self.values.setflags(write=False)   # cached on the context, shared by every reader
 
     def coset(self, start: int, n: int) -> np.ndarray:
         """The map at start ^ i for i < n, with start a multiple of the power of two n."""
         return self.values[self.coords.coset(start, n)]
-
-
-def _span_table(images: list[int], dtype=np.uint32) -> np.ndarray:
-    """The XOR of the images selected by each index's bits, for every index, filled in place."""
-    table = np.zeros(1 << len(images), dtype=dtype)
-    for i, img in enumerate(images):
-        np.bitwise_xor(table[:1 << i], img, out=table[1 << i:2 << i])
-    return table
 
 
 def trace_masks(ctx: FieldCtx) -> LinearTable:
@@ -246,19 +239,18 @@ def span_basis(vector_blocks: Iterable[np.ndarray], width: int) -> list[int]:
 
     Each block is reduced by the linear map z -> z + (the basis vectors
     whose pivot bits z has), one split-table lookup: z lies in the span iff
-    its residual is 0.  Up to `width` nonzero residuals are then reduced
-    again one by one and join the basis under their top bits, and the
-    block is reduced anew.  Earlier blocks lie in the old span and need no
-    second look.
+    its residual is 0.  Up to `width` nonzero residuals then join the
+    basis (`gf2linalg.echelon`), and the block is reduced anew.  Earlier
+    blocks lie in the old span and need no second look.
     """
-    pivots: dict[int, tuple[int, int]] = {}   # pivot bit -> (the basis vector holding it, 0)
+    basis: list[int] = []
     reduce = None
     for vs in vector_blocks:
         residual = vs if reduce is None else reduce(vs)
         while residual.any():
-            for v in residual[residual != 0][:width].tolist():
-                gf2linalg.echelon_insert(pivots, v, 0)
-            reduce = LinearTable([(1 << i) ^ pivots.get(i, (0, 0))[0] for i in range(width)])
+            basis = gf2linalg.echelon(basis + residual[residual != 0][:width].tolist())
+            on_top = {v.bit_length() - 1: v for v in basis}   # pivot bit -> its basis vector
+            reduce = LinearTable([(1 << i) ^ on_top.get(i, 0) for i in range(width)])
             residual = reduce(vs)
-    return [pivots[bit][0] for bit in sorted(pivots)]
+    return basis
 

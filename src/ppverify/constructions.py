@@ -121,7 +121,7 @@ def _family_members(ctx: FieldCtx):
     """Deterministic (label, M) sequence for the search family, M = P o RelTrace, made lazily."""
     t, k = ctx.require_tower()
     trace = rel_trace_poly(ctx)
-    coeffs = ctx.enumerate_subfield(t * k)[1:]
+    coeffs = ctx.enumerate_subfield(t * k)[1:].tolist()
     yield "M=0", LinearizedPoly.zero(ctx)
     singles = [(i, c) for i in range(ctx.m) for c in coeffs]
     for i, c in singles:

@@ -239,8 +239,8 @@ class FieldCtx:
         self._check_subfield_degree(d)
         return self.frobenius(a, d) == a
 
-    def enumerate_subfield(self, d: int) -> list[int]:
-        """The 2^d elements fixed by x -> x^(2^d), ascending by encoding."""
+    def enumerate_subfield(self, d: int) -> np.ndarray:
+        """The 2^d elements fixed by x -> x^(2^d), ascending: one cached read-only uint32 array."""
         self._check_subfield_degree(d)
 
         def build():   # the columns of v -> v + v^(2^d), from the cached Frobenius images
@@ -249,7 +249,7 @@ class FieldCtx:
             assert len(kernel) == d
             return gf2linalg.span(kernel)
 
-        return list(self.cached(("subfield", d), build))
+        return self.cached(("subfield", d), build)
 
     def trace_mask(self, a: int) -> int:
         """Bitmask M with Tr(a*y) = parity(M & y); the fast path for character sums."""

@@ -170,7 +170,7 @@ def subfield_permutation_check(L: LinearizedPoly, d: int) -> tuple[bool, str | N
     from . import blocks   # blocks imports this module
 
     ctx = L.ctx
-    zs = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
+    zs = ctx.enumerate_subfield(d)
     ws = blocks.linear_table(L)(zs)
     outside = blocks.linear_table(LinearizedPoly.frobenius_power(ctx, d))(ws) != ws
     order = np.argsort(ws, kind="stable")

@@ -161,20 +161,19 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
     def build():
         m = L.ctx.m
         kernel = S.kernel_image()[0]
-        pivots, _ = gf2linalg._rref(kernel)
-        reps = blocks._span_table([1 << b for b in range(m) if b not in pivots], np.intp)
+        pivots = {v.bit_length() - 1 for v in gf2linalg.echelon(kernel)}
+        reps = gf2linalg.span_table([1 << b for b in range(m) if b not in pivots], np.intp)
         cols = L.matrix_columns()
         lk = [gf2linalg.apply(cols, u) for u in kernel]
-        _, ann = gf2linalg._rref([sum(((v >> j) & 1) << i for i, v in enumerate(lk))
-                                  for j in range(m)])
-        ann_pivots, _ = gf2linalg._rref(ann)
-        bits = sorted(ann_pivots)
-        basis = [ann_pivots[b][0] for b in bits]
+        ann, _ = gf2linalg.kernel_image([sum(((v >> j) & 1) << i for i, v in enumerate(lk))
+                                         for j in range(m)])
+        basis = gf2linalg.echelon(ann)
+        bits = [n.bit_length() - 1 for n in basis]
         coords = blocks.LinearTable([sum(((n >> i) & 1) << j for j, n in enumerate(basis))
                                      for i in range(m)], dtype=np.intp)
         pivot_bits = blocks.LinearTable([1 << bits.index(i) if i in bits else 0
                                          for i in range(m)])
-        return reps, coords, pivot_bits, blocks._span_table(basis), 1 << len(kernel)
+        return reps, coords, pivot_bits, gf2linalg.span_table(basis), 1 << len(kernel)
 
     return L.ctx.cached(("quotient", L.coeffs, S.coeffs), build)
 

@@ -121,25 +121,27 @@ def _charsum_run(f: FieldMap, mode: str, n: int,
                  seed: int) -> tuple[PPVerdict, dict[int, int] | None]:
     """pp_verdict_charsum's verdict plus, in sample mode, every drawn a's sum (also past a witness).
 
-    The a go through `FieldMap.walsh` in blocks of blocks.BLOCK, made by np.arange
-    in mode all, and the pass stops at the first nonzero sum.
+    In mode all the a go through `FieldMap.walsh` in blocks of blocks.BLOCK,
+    made by np.arange, and the pass stops at the first nonzero sum; in mode
+    sample the drawn a are summed once, in one block.
     """
     ctx = f.ctx
     if mode == "all":
         a_blocks = (np.arange(lo, min(lo + blocks.BLOCK, ctx.order), dtype=np.int64)
                     for lo in range(1, ctx.order, blocks.BLOCK))
+        summed = ((a, char_sum(f, a)) for a in a_blocks)
         clean_verdict, by_a = PERMUTATION, None
     elif mode == "sample":
         rng = random.Random(seed)
         drawn = np.array([rng.randrange(1, ctx.order) for _ in range(n)], dtype=np.int64)
-        a_blocks = (drawn[lo:lo + blocks.BLOCK] for lo in range(0, n, blocks.BLOCK))
-        clean_verdict, by_a = PROBABLE, dict(zip(drawn.tolist(), char_sum(f, drawn).tolist()))
+        sums = char_sum(f, drawn)
+        summed = [(drawn, sums)]
+        clean_verdict, by_a = PROBABLE, dict(zip(drawn.tolist(), sums.tolist()))
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'all' or 'sample'")
 
     checked = 0
-    for a in a_blocks:
-        sums = char_sum(f, a)
+    for a, sums in summed:
         bad = np.flatnonzero(sums)
         if bad.size:
             i = int(bad[0])
@@ -168,11 +170,15 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
     every x, and the constant is then parity(M_a & D(0)).  D comes from
     half the table in blocks (`_shift_differences`), and its span from one
     pass (`blocks.span_basis`), so the cost is one sweep per y whatever
-    the number of a.
+    the number of a.  y and every a must lie in [0, 2^m): ValueError
+    otherwise, before any lookup.
     """
+    a_values = np.asarray(a_values, dtype=np.int64)
+    f.ctx.check_element(a_values)
+    f.ctx.check_element(y)
     table = f.table()
     d0 = int(table[0] ^ table[y])
-    masks = blocks.trace_masks(f.ctx)(np.asarray(a_values, dtype=np.int64))
+    masks = blocks.trace_masks(f.ctx)(a_values)
     const = blocks.parity(masks & d0).astype(np.int8)
     for b in blocks.span_basis(_shift_differences(table, int(y), d0), f.ctx.m):
         const[blocks.parity(masks & b) == 1] = -1
@@ -217,24 +223,29 @@ def case1_witnesses(ctx: FieldCtx, L: LinearizedPoly, r_values) -> np.ndarray:
     F_{q^k}.  There Tr_{q^k/2} is the absolute trace (m/d = 3 is odd), so
     the test is parity(M_r & L(y)), one masked pass over L(F_{q^k}).  g1 is
     g3 with L1, which is the identity on F_{q^k}: one search serves both.
+    Every r must lie in [0, 2^m): ValueError otherwise, before any lookup.
     """
+    r_values = np.asarray(r_values, dtype=np.int64)
+    ctx.check_element(r_values)
     t, k = ctx.require_tower()
     d = t * k
-    ys = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
+    ys = ctx.enumerate_subfield(d)
     ly = blocks.linear_table(L)(ys)
     inside = np.logical_and.accumulate(
         blocks.linear_table(LinearizedPoly.frobenius_power(ctx, d))(ly) == ly)
-    masks = blocks.trace_masks(ctx)(np.asarray(r_values, dtype=np.int64))
+    masks = blocks.trace_masks(ctx)(r_values)
     hit = (blocks.parity(masks[:, None] & ly) == 1) & inside
-    return np.where(hit.any(axis=1), ys[hit.argmax(axis=1)], -1)
+    return np.where(hit.any(axis=1), ys[hit.argmax(axis=1)].astype(np.int64), -1)
 
 
 def find_case1_witness(ctx: FieldCtx, a: int) -> int:
     """First y in F_{q^k} (enumeration order) with Tr_{q^k/2}(y * rel_trace(a)) = 1.
 
     Only defined for a with nonzero relative trace; the trace form on
-    the subfield is nondegenerate, so a witness always exists.
+    the subfield is nondegenerate, so a witness always exists.  a must
+    lie in [0, 2^m): ValueError otherwise.
     """
+    ctx.check_element(a)
     r = int(blocks.linear_table(rel_trace_poly(ctx))(a))
     if r == 0:
         raise ValueError(f"a={a:#x} has zero relative trace; it belongs to Case 2")

@@ -182,13 +182,11 @@ def check_eq22(ctx: FieldCtx, s_poly: LinearizedPoly | None = None) -> CheckResu
     return CheckResult("eq22", "pass", count=ctx.order)
 
 
-def tracezero_set(ctx: FieldCtx) -> list[int]:
-    """The relative-trace-zero subspace as a sorted element list (size q^{2k}).
-
-    Spanned once per context and cached; each call gets its own copy.
+def tracezero_set(ctx: FieldCtx) -> np.ndarray:
+    """The relative-trace-zero subspace (q^{2k} elements) as one cached, read-only, ascending
+    uint32 array (`gf2linalg.span`): each call gets the same array, no copy.
     """
-    return list(ctx.cached("tracezero",
-                           lambda: gf2linalg.span(rel_trace_poly(ctx).kernel_image()[0])))
+    return ctx.cached("tracezero", lambda: gf2linalg.span(rel_trace_poly(ctx).kernel_image()[0]))
 
 
 @_timed
@@ -210,13 +208,13 @@ def check_kernel_image(ctx: FieldCtx) -> CheckResult:
     kernel, image = S.kernel_image()
     kernel_set = gf2linalg.span(kernel)
     subfield = ctx.enumerate_subfield(d)
-    if kernel_set != subfield:
+    if not np.array_equal(kernel_set, subfield):
         return CheckResult("kernel-image", "fail", count=len(kernel_set),
                            counterexample="kernel differs from the subfield "
                            f"(dim {len(kernel)} vs {d})")
     image_set = gf2linalg.span(image)
     tz = tracezero_set(ctx)
-    if image_set != tz:
+    if not np.array_equal(image_set, tz):
         return CheckResult("kernel-image", "fail", count=len(image_set),
                            counterexample="image differs from the trace-zero set")
     if len(image_set) != 1 << (2 * d):
@@ -250,10 +248,12 @@ def least_decompositions(ctx: FieldCtx, a_values) -> np.ndarray:
     One lookup of the particular solution (it is linear in a), the least
     member of its coset over the q^k-element kernel, and an exact check
     that every c solves c + c^(q^k) = a: a ValueError names the first a
-    outside the map's image.
+    outside the map's image.  Every a must lie in [0, 2^m): ValueError
+    otherwise, before any lookup.
     """
-    phi, particular, kernel = _decomposition(ctx)
     a_values = np.asarray(a_values, dtype=np.int64)
+    ctx.check_element(a_values)
+    phi, particular, kernel = _decomposition(ctx)
     c = (particular(a_values)[:, None] ^ kernel).min(axis=1)
     missed = phi(c) != a_values
     if missed.any():
@@ -264,15 +264,14 @@ def least_decompositions(ctx: FieldCtx, a_values) -> np.ndarray:
 
 
 def _decomposition(ctx: FieldCtx):
-    """Tables of c -> c + c^(q^k), of a particular solution of it, and its kernel span; cached."""
+    """Tables of c -> c + c^(q^k) and of a particular solution, and its kernel F_{q^k}; cached."""
     t, k = ctx.require_tower()
     d = t * k
 
     def build():
         cols = [c ^ (1 << j) for j, c in enumerate(ctx.frobenius_images()[d])]
-        particular, kernel = gf2linalg.particular_solution(cols, ctx.m)
-        return (blocks.LinearTable(cols), blocks.LinearTable(particular),
-                np.array(gf2linalg.span(kernel), dtype=np.uint32))
+        particular = blocks.LinearTable(gf2linalg.particular_solution(cols, ctx.m))
+        return blocks.LinearTable(cols), particular, ctx.enumerate_subfield(d)
 
     return ctx.cached(("decomposition", d), build)
 
@@ -331,8 +330,8 @@ def tracezero_basis(ctx: FieldCtx) -> tuple[int, int]:
     """
     t, k = ctx.require_tower()
     d = t * k
-    tz = np.array(tracezero_set(ctx), dtype=np.int64)
-    subfield = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
+    tz = tracezero_set(ctx)
+    subfield = ctx.enumerate_subfield(d)
     d1 = int(tz[1])                     # tz is ascending and tz[0] = 0
     line = blocks.mul_block(ctx, np.asarray(d1), subfield)
     on_line = np.zeros(tz.size, dtype=bool)
@@ -368,7 +367,7 @@ def check_case2_factorization(ctx: FieldCtx, a: int,
 def _case_split(ctx: FieldCtx, seed: int) -> tuple[list[int], list[int], bool]:
     """(case1 a's, case2 a's, sampled?): all a up to PER_A_FULL_LIMIT_M, else 128 seeded a each."""
     rel = blocks.linear_table(rel_trace_poly(ctx))
-    case2 = [a for a in tracezero_set(ctx) if a != 0]
+    case2 = [a for a in tracezero_set(ctx).tolist() if a != 0]
     if ctx.m <= PER_A_FULL_LIMIT_M:
         case1 = [int(a) for a in np.nonzero(rel(np.arange(ctx.order)))[0] if a != 0]
         return case1, case2, False
@@ -454,7 +453,8 @@ def _check_eq23_batch(state: _Thm1State, case2: list[int], note: str | None) -> 
 
     a_values = np.array(case2, dtype=np.int64)
     masks = blocks.trace_masks(ctx)
-    mask_a, mask_c = masks(a_values), masks(least_decompositions(ctx, a_values))
+    mask_c = masks(least_decompositions(ctx, a_values))   # first: it checks the a
+    mask_a = masks(a_values)
     bad = np.zeros(len(case2), dtype=bool)
     for z in state.eq23_basis:
         bad |= (blocks.parity(mask_a & (z & (ctx.order - 1)))
@@ -486,7 +486,7 @@ def _check_factorization_batch(state: _Thm1State, case2: list[int],
     masks = blocks.trace_masks(ctx)
     tz_sum = blocks.signed_parity_sums(state.tz_powers, masks(c))
     full_sum = char_sum(state.g, a_values)
-    subfield = np.array(ctx.enumerate_subfield(d), dtype=np.int64)
+    subfield = ctx.enumerate_subfield(d)
     rel = blocks.linear_table(rel_trace_poly(ctx))
     factors, both_zero = [], np.ones(len(case2), dtype=bool)
     for di in state.basis:

@@ -29,6 +29,9 @@ rows came from row 1's columns: m - 1 rows of generic squarings.
 `format_table_lines` and `parse_table_file` are the hex table I/O as it
 was before the blocked numpy passes: one formatted line per entry, and
 a line-by-line text read with `int(s, 16)` into a dict.
+`span_by_closure` is the span of a vector list by brute force, as the
+subspaces were enumerated before the echelon span table: a Python set
+closed under XOR one vector at a time, then sorted.
 """
 
 import random
@@ -85,10 +88,18 @@ def columns_of_map(m: int, fn) -> list[int]:
     return [fn(1 << i) for i in range(m)]
 
 
+def span_by_closure(vectors) -> list[int]:
+    """All XOR combinations of the vectors, each once, sorted ascending."""
+    out = {0}
+    for v in vectors:
+        out |= {u ^ v for u in out}
+    return sorted(out)
+
+
 def subfield_by_squaring(ctx, d: int) -> list[int]:
     """GF(2^d) as the kernel span of v -> v + v^(2^d), its columns by repeated squaring."""
     cols = columns_of_map(ctx.m, lambda v: ctx.frobenius(v, d) ^ v)
-    return gf2linalg.span(gf2linalg.kernel_image(cols)[0])
+    return span_by_closure(gf2linalg.kernel_image(cols)[0])
 
 
 def frobenius_images_by_squaring(ctx) -> list[list[int]]:
@@ -172,7 +183,7 @@ def tracezero_set_scalar(ctx) -> list[int]:
     """The relative-trace-zero subspace, spanned by the kernel of the scalar rel_trace's columns."""
     t, k = ctx.require_tower()
     cols = columns_of_map(ctx.m, lambda v: ctx.rel_trace(v, t * k))
-    return gf2linalg.span(gf2linalg.kernel_image(cols)[0])
+    return span_by_closure(gf2linalg.kernel_image(cols)[0])
 
 
 def case_split_scalar(ctx, seed: int, n: int = 128) -> tuple[list[int], list[int]]:
@@ -268,7 +279,7 @@ def subfield_permutation_scalar(L, d: int) -> tuple[bool, str | None]:
     """linearized.subfield_permutation_check by scalar evaluation, z by z in enumeration order."""
     ctx = L.ctx
     seen: dict[int, int] = {}
-    for z in ctx.enumerate_subfield(d):
+    for z in ctx.enumerate_subfield(d).tolist():
         w = L(z)
         if not ctx.in_subfield(w, d):
             return False, f"not subfield-stable: L({z:#x}) = {w:#x} outside GF(2^{d})"
@@ -285,7 +296,7 @@ def find_case1_witness_scalar(ctx, a: int) -> int:
     r = ctx.rel_trace(a, d)
     if r == 0:
         raise ValueError(f"a={a:#x} has zero relative trace; it belongs to Case 2")
-    for y in ctx.enumerate_subfield(d):
+    for y in ctx.enumerate_subfield(d).tolist():
         if ctx.subfield_trace(ctx.mul(y, r), d) == 1:
             return y
     raise AssertionError("nondegenerate trace form yielded no witness")
@@ -299,7 +310,7 @@ def adapted_witness(ctx, L, a: int) -> int | None:
     t, k = ctx.require_tower()
     d = t * k
     r = ctx.rel_trace(a, d)
-    for y in ctx.enumerate_subfield(d):
+    for y in ctx.enumerate_subfield(d).tolist():
         ly = L(y)
         if not ctx.in_subfield(ly, d):
             return None
@@ -341,7 +352,7 @@ def factorization_one_a(state, a: int, c: int) -> str | None:
     if full_sum != (1 << d) * tz_sum:
         return f"a={a:#x}: full sum {full_sum} != q^k * {tz_sum} (eq. restriction step)"
     d1, d2 = state.basis
-    subfield = ctx.enumerate_subfield(d)
+    subfield = ctx.enumerate_subfield(d).tolist()
     factors = []
     for di in (d1, d2):
         beta = ctx.mul(c, ctx.frobenius(di, d))

@@ -142,7 +142,7 @@ def _assert_witnesses_match(ctx, L):
 
     An r in F_{q^k} is its own relative trace (r + r + r = r), so it serves as its own a.
     """
-    rs = ctx.enumerate_subfield(ctx.t * ctx.k)[1:]
+    rs = ctx.enumerate_subfield(ctx.t * ctx.k)[1:].tolist()
     got = case1_witnesses(ctx, L, rs).tolist()
     assert got == [-1 if y is None else y for y in (adapted_witness(ctx, L, r) for r in rs)]
     return got
@@ -151,7 +151,7 @@ def _assert_witnesses_match(ctx, L):
 @pytest.mark.parametrize("t,k", SMALL_TOWERS, ids=str)
 def test_case1_witnesses_match_scalar_loops_up_to_m12(t, k):
     ctx = FieldCtx.from_tower(t, k)
-    subfield = ctx.enumerate_subfield(t * k)
+    subfield = ctx.enumerate_subfield(t * k).tolist()
     # L1 is the identity on F_{q^k} (S vanishes there), so g1's own loop gives the same shifts
     assert _assert_witnesses_match(ctx, build_L1(ctx)) == \
         [find_case1_witness_scalar(ctx, r) for r in subfield[1:]]
@@ -173,7 +173,7 @@ def test_case1_witnesses_match_scalar_loops_up_to_m12(t, k):
 @pytest.mark.parametrize("t,k", [(1, 6), (2, 3), (3, 2), (6, 1), (2, 4), (1, 8)], ids=str)
 def test_case1_witnesses_match_scalar_loops_at_m18_and_m24(t, k):
     ctx = FieldCtx.from_tower(t, k)
-    rs = ctx.enumerate_subfield(t * k)[1:]
+    rs = ctx.enumerate_subfield(t * k)[1:].tolist()
     assert _assert_witnesses_match(ctx, build_L1(ctx)) == \
         [find_case1_witness_scalar(ctx, r) for r in rs]
     assert -1 not in _assert_witnesses_match(ctx, build_L_note(ctx))
@@ -215,7 +215,7 @@ def test_mutants_beyond_the_first_block_fail_like_oracle_at_m18(m18):
 @pytest.mark.parametrize("t,k,seed", [(2, 3, 1729), (1, 6, 5), (2, 4, 1729), (1, 8, 24)])
 def test_sampled_case_split_matches_scalar_draw(t, k, seed):
     ctx = FieldCtx.from_tower(t, k)
-    assert tracezero_set(ctx) == tracezero_set_scalar(ctx)
+    assert tracezero_set(ctx).tolist() == tracezero_set_scalar(ctx)
     case1, case2, sampled = _case_split(ctx, seed)
     assert sampled and (case1, case2) == case_split_scalar(ctx, seed)
 

@@ -1,7 +1,8 @@
 """The blocked character-sum pass against the list/dict oracle.
 
 `_charsum_run` sends the a-values through the map's Walsh bins in
-blocks of `blocks.BLOCK` and stops at the first nonzero sum.  Its verdict,
+blocks of `blocks.BLOCK` and stops at the first nonzero sum; a sample is
+summed once, in one block.  Its verdict,
 check count, witness and sample sums must equal those of
 `reference.charsum_run_lists`, which gathers every sum into one list.
 """
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ppverify import FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note
+from ppverify import FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note, pptest
 from ppverify.maps import FieldMap
 from ppverify.pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, PPVerdict, _charsum_run, char_sum,
                              pp_verdict_charsum)
@@ -82,6 +83,16 @@ def test_sample_with_a_repeated_a_matches_oracle():
     assert len(_charsum_run(g, "sample", 20, DEFAULT_SEED)[1]) < 20
     zero = FieldMap.from_table("zero", ctx, [0] * ctx.order)
     assert _assert_matches_oracle(zero, "sample", n=20).checks == 1
+
+
+def test_sample_mode_sums_each_drawn_a_once(monkeypatch):
+    g = build_g_thm1(FieldCtx.from_tower(2, 2))
+    summed = []
+    monkeypatch.setattr(pptest, "char_sum", lambda f, a: summed.append(len(a)) or char_sum(f, a))
+    for n in (1, 40, blocks.BLOCK + 100):
+        summed.clear()
+        _charsum_run(g, "sample", n, DEFAULT_SEED)
+        assert sum(summed) == n
 
 
 def test_charsum_all_at_m21_within_memory_budget():

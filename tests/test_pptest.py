@@ -436,7 +436,7 @@ def test_shift_checks_match_the_gather_oracle(t, k):
                                dtype=np.uint32)
         maps += [one_collision_mutant(g, x1, x2), FieldMap.from_table("two", ctx, two)]
     ys = [rng.randrange(1, min(ctx.order, 1 << 16)), 1 << (ctx.m - 1)]
-    ys += ctx.enumerate_subfield(t * k)[1:3]
+    ys += ctx.enumerate_subfield(t * k)[1:3].tolist()
     if ctx.order > 1 << 16:
         ys.append(rng.randrange(1 << 16, ctx.order))
     a_values = [1, ctx.order - 1] + [rng.randrange(1, ctx.order) for _ in range(30)]

@@ -9,9 +9,10 @@ from ppverify import (FieldCtx, LinearizedPoly, VerificationReport, blocks, buil
                       build_L_note, char_sum, check_case2_factorization, check_eq22,
                       check_eq23, check_kernel_image, decompose_a, is_permutation_exhaustive,
                       pp_verdict_charsum, tracezero_basis, verify_thm1, verify_thm3)
-from ppverify.constructions import s2k
+from ppverify.constructions import build_L1, s2k
 from ppverify.maps import FieldMap
-from ppverify.proofchecks import _Thm1State, tracezero_set
+from ppverify.pptest import case1_witnesses, find_case1_witness, shift_check, shift_checks
+from ppverify.proofchecks import _Thm1State, least_decompositions, tracezero_set
 
 from reference import decomposition_cosets, s_power
 
@@ -189,9 +190,7 @@ def test_tracezero_basis_at_11():
     ctx = FieldCtx.from_tower(1, 1)
     tz = tracezero_set(ctx)
     assert len(tz) == 4
-    assert tz == [x for x in ctx.elements() if ctx.rel_trace(x, 1) == 0]
-    tz.append(1)                          # the cached set hands out copies
-    assert len(tracezero_set(ctx)) == 4
+    assert tz.tolist() == [x for x in ctx.elements() if ctx.rel_trace(x, 1) == 0]
     d1, d2 = tracezero_basis(ctx)
     assert {d1 ^ 0, d2 ^ 0} <= set(tz)
 
@@ -402,3 +401,21 @@ def test_checks_are_deterministic():
     r2 = verify_thm1(ctx, seed=5)
     assert [(c.name, c.status, c.count) for c in r1.checks] == \
         [(c.name, c.status, c.count) for c in r2.checks]
+
+
+@pytest.mark.parametrize("bad", [-1, 64, 1 << 40])
+def test_case1_and_case2_entry_points_reject_values_outside_the_field(bad):
+    ctx = FieldCtx.from_tower(2, 1)
+    g1 = build_g_thm1(ctx)
+    message = r"outside the field range \[0, 2\^6\)"
+    case1 = [lambda: shift_check(g1, bad, 1), lambda: shift_check(g1, 1, bad),
+             lambda: shift_checks(g1, [1, bad], 1), lambda: find_case1_witness(ctx, bad),
+             lambda: case1_witnesses(ctx, build_L1(ctx), [1, bad])]
+    case2 = [lambda: decompose_a(ctx, bad), lambda: least_decompositions(ctx, [5, bad]),
+             lambda: check_eq23(ctx, bad), lambda: check_case2_factorization(ctx, bad)]
+    for call in case1 + case2:
+        with pytest.raises(ValueError, match=message):
+            call()
+    a = int(tracezero_set(ctx)[1])
+    assert check_eq23(ctx, a).passed and check_case2_factorization(ctx, a).passed
+    assert shift_check(g1, 63, find_case1_witness(ctx, 63)) == 1
