@@ -11,14 +11,17 @@ coset a linear map is one cached low table XOR one value
 check reads a map, down to a single value g(x).  Its Walsh spectrum is
 read at given masks through `walsh`, from int32 bins cached beside the
 table.  A map with a known linear part (L, S), f = L + h(S) (the paper's
-g; a linearized map, with S = 0), has its spectrum 0 off a subspace
-span(N) and takes its bins through the quotient by K = ker S: one per
-element of span(N), 2^(2m/3) for g (256 KB at m = 24), from f on the
+g; a linearized map, with S = 0; S^E, with L = 0), satisfies
+f(x + u) = f(x) + L(u) for every u in K = ker S.  So its spectrum is 0
+off a subspace span(N) and takes its bins through the quotient by K: one
+per element of span(N), 2^(2m/3) for g (256 KB at m = 24), from f on the
 2^(m - dim K) coset representatives, and a mask is looked up by its bits
-at N's pivots.  No 2^m spectrum array is made for it.  Any other map (an
-imported table, `from_table`) keeps the whole spectrum, from the int32
-histogram of its table.  The transform is `blocks.walsh_transform`,
-cache-blocked on 2^16-entry blocks through one reused 256 KB buffer.
+at N's pivots.  No 2^m spectrum array is made for it, and the proof rows
+read the same structure (`pptest.shift_checks`, `_Thm1State.eq23_basis`).
+Any other map (an imported table, `from_table`) keeps the whole
+spectrum, from the int32 histogram of its table, and the full passes.
+The transform is `blocks.walsh_transform`, cache-blocked on 2^16-entry
+blocks through one reused 256 KB buffer.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
 
@@ -201,25 +204,26 @@ def format_table_lines(fmap: FieldMap) -> Iterator[str]:
     """Hex table exchange format: one `x:gx` line per element, sorted by x.
 
     Yields one text chunk of newline-terminated lines per block of
-    `blocks.BLOCK` entries: a character array filled one digit column
-    at a time by uint8 arithmetic on the nibbles, then one boolean
-    compaction that drops each value's leading zero digits.
+    `blocks.BLOCK` entries: a character array, one contiguous row per
+    character column, filled by uint8 arithmetic on the nibbles, with each
+    value's leading zero digits multiplied to NUL bytes; its transpose's
+    bytes are the lines, and one `bytes.translate` drops the NULs.
     """
     table = fmap.table()
     width = (fmap.ctx.m + 3) // 4                     # hex digits of the widest value
     for start in range(0, len(table), blocks.BLOCK):
         ys = table[start:start + blocks.BLOCK]
-        chars = np.empty((len(ys), 2 * width + 2), dtype=np.uint8)
-        keep = np.ones(chars.shape, dtype=bool)
+        chars = np.empty((2 * width + 2, len(ys)), dtype=np.uint8)
         for field, values in enumerate((np.arange(start, start + len(ys), dtype=np.uint32), ys)):
             for i in range(width):                    # digit columns, from the left
                 prefix = values >> np.uint32(4 * (width - 1 - i))
                 digit = (prefix & np.uint32(15)).astype(np.uint8)   # '0' + digit, or 'a' + digit - 10
-                chars[:, field * (width + 1) + i] = digit + (48 + 39 * (digit > 9).view(np.uint8))
-                keep[:, field * (width + 1) + i] = prefix != 0
-        keep[:, [width - 1, 2 * width]] = True        # zero is written as one digit
-        chars[:, [width, 2 * width + 1]] = (ord(":"), ord("\n"))
-        yield chars[keep].tobytes().decode("ascii")
+                column = chars[field * (width + 1) + i]
+                np.add(digit, 48 + 39 * (digit > 9).view(np.uint8), out=column)
+                if i < width - 1:                     # zero is written as one digit
+                    column *= (prefix != 0).view(np.uint8)
+        chars[[width, 2 * width + 1]] = [[ord(":")], [ord("\n")]]
+        yield chars.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _read_blocks(fh) -> Iterator[bytes]:

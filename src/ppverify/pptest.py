@@ -19,9 +19,11 @@ masks of any number of a are one table lookup.
 The shift-difference lemma is checked the same way for many a at once:
 Tr(a*(f(x+y) + f(x))) is constant in x iff M_a annihilates the span of
 the differences, so one pass over half the table per shift y decides
-every a (`shift_checks`); one pass over L(F_{q^k}) finds the Case-1 shift
-y of every relative trace (`case1_witnesses`).  `shift_check` and
-`find_case1_witness` are their one-element calls.
+every a (`shift_checks`).  For the paper's g no pass is needed: every
+Case-1 shift lies in ker S, where g(x + y) = g(x) + L(y).  One pass over
+L(F_{q^k}) finds the Case-1 shift y of every relative trace
+(`case1_witnesses`).  `shift_check` and `find_case1_witness` are their
+one-element calls.
 """
 
 from __future__ import annotations
@@ -167,11 +169,14 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
 
     With D(x) = f(x) + f(x+y), Tr(a*D(x)) = parity(M_a & D(x)) is constant
     in x iff the trace mask M_a annihilates the span of D(x) + D(0) over
-    every x, and the constant is then parity(M_a & D(0)).  D comes from
-    half the table in blocks (`_shift_differences`), and its span from one
-    pass (`blocks.span_basis`), so the cost is one sweep per y whatever
-    the number of a.  y and every a must lie in [0, 2^m): ValueError
-    otherwise, before any lookup.
+    every x, and the constant is then parity(M_a & D(0)).  For a map with
+    a linear part (L, S) and y in K = ker S, f(x + y) = f(x) + L(y), so D
+    is constant and its span {0}: once the table's D(0) reads L(y), no
+    pass is made.  Otherwise D comes from half the table in blocks
+    (`_shift_differences`), and its span from one pass
+    (`blocks.span_basis`): one sweep per y whatever the number of a.  y
+    and every a must lie in [0, 2^m): ValueError otherwise, before any
+    lookup.
     """
     a_values = np.asarray(a_values, dtype=np.int64)
     f.ctx.check_element(a_values)
@@ -180,6 +185,10 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
     d0 = int(table[0] ^ table[y])
     masks = blocks.trace_masks(f.ctx)(a_values)
     const = blocks.parity(masks & d0).astype(np.int8)
+    if f._linear is not None:
+        ly, sy = (int(blocks.linear_table(poly)(y)) for poly in f._linear)
+        if sy == 0 and ly == d0:
+            return const
     for b in blocks.span_basis(_shift_differences(table, int(y), d0), f.ctx.m):
         const[blocks.parity(masks & b) == 1] = -1
     return const

@@ -7,11 +7,11 @@ trace-zero basis claim, and the character-sum factorization that closes
 Case 2.  The nine-line trace rewrite chain is checked at its endpoint
 only (equality over all x is stronger evidence than replaying each
 rewrite).  Pointwise identities are checked at every x, at every m:
-eq23 through the maps' cached tables, and eq22, a sum of linear maps, on
-the m basis elements, which is exact at every x.  The per-a case checks
-cover every a up to PER_A_FULL_LIMIT_M and a seeded sample above it, as
-the report records.  The trace-zero set, S^E on it and the decomposition
-tables are built once per context (`FieldCtx.cached`).
+eq23 through the span of (g(x), S^E(x)) (on the cosets of ker S for g),
+and eq22, a sum of linear maps, on the m basis elements, which is exact
+at every x.  The per-a case checks cover every a up to PER_A_FULL_LIMIT_M
+and a seeded sample above it, as the report records.  The trace-zero
+set, S^E on it and the decomposition tables are built once per context.
 
 Each per-a row is decided for its whole a list in one batch, exactly,
 by GF(2) linear algebra over the tables: the trace conditions are linear
@@ -38,7 +38,7 @@ from .constructions import (build_g_thm1, build_g_thm3, build_L1, condition_ii_s
                             rel_trace_poly, s2k)
 from .field import FieldCtx
 from .linearized import LinearizedPoly, format_linpoly, subfield_permutation_check
-from .maps import FieldMap
+from .maps import FieldMap, _quotient
 from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run, case1_witnesses,
                      char_sum, is_permutation_exhaustive, shift_checks)
 
@@ -281,9 +281,10 @@ class _Thm1State:
 
     S^E, E = 1 + 2q^k + q^(2k), is tabled once on S's image
     (`blocks.image_product`, cached on the context): `s_power` reads it
-    through S's image coordinates, and `tz_powers` is its value table,
-    w^E for every w in the image, which is the trace-zero set (the
-    kernel-image row checks that), in image-coordinate order.
+    through S's image coordinates, with the linear part (0, S), and
+    `tz_powers` is its value table, w^E for every w in the image, which is
+    the trace-zero set (the kernel-image row checks that), in
+    image-coordinate order; its 2^m table is built only on an eq23 failure.
     """
 
     def __init__(self, ctx: FieldCtx, g: FieldMap | None = None):
@@ -291,9 +292,10 @@ class _Thm1State:
         self.ctx = ctx
         self.g = g if g is not None else build_g_thm1(ctx)
         self.exponent = 1 + (1 << (t * k + 1)) + (1 << (2 * t * k))
-        image = blocks.image_product(s2k(ctx), (t * k + 1, 2 * t * k))
-        self.s_power = FieldMap("S^E", ctx, image.coset)
-        self.tz_powers = image.values
+        S = s2k(ctx)
+        self._image = blocks.image_product(S, (t * k + 1, 2 * t * k))
+        self.s_power = FieldMap("S^E", ctx, self._image.coset, (LinearizedPoly.zero(ctx), S))
+        self.tz_powers = self._image.values
 
     @functools.cached_property
     def basis(self) -> tuple[int, int]:
@@ -301,12 +303,26 @@ class _Thm1State:
 
     @functools.cached_property
     def eq23_basis(self) -> list[int]:
-        """Basis of the span of z(x) = g(x) + S^E(x) * 2^m (2m-bit vectors) over every x."""
-        g, se, m = self.g.table(), self.s_power.table(), self.ctx.m
-        step = blocks.BLOCK
-        packed = (np.left_shift(se[i:i + step], m, dtype=np.uint64) | g[i:i + step]
-                  for i in range(0, g.size, step))
-        return blocks.span_basis(packed, 2 * m)
+        """Basis of the span of z(x) = g(x) + S^E(x) * 2^m (2m-bit vectors) over every x.
+
+        When g = L + h(S) and S^E carry linear parts with the same S,
+        z(x + u) = z(x) + (L(u), 0) for u in K = ker S, so z at the
+        2^(m - dim K) coset representatives of K (S^E read through its image
+        table) and (L(u), 0) for u in K's basis span it.  Otherwise it is
+        one pass over the two tables.
+        """
+        g, se, m = self.g, self.s_power, self.ctx.m
+        if g._linear is None or se._linear is None or g._linear[1] != se._linear[1]:
+            g, se = g.table(), se.table()
+            step = blocks.BLOCK
+            packed = (np.left_shift(se[i:i + step], m, dtype=np.uint64) | g[i:i + step]
+                      for i in range(0, g.size, step))
+            return blocks.span_basis(packed, 2 * m)
+        L, S = g._linear
+        reps, image = _quotient(L, S)[0], self._image
+        z = np.left_shift(image.values[image.coords(reps)], m, dtype=np.uint64) | g.table()[reps]
+        lk = blocks.linear_table(L)(np.array(S.kernel_image()[0], dtype=np.int64))
+        return blocks.span_basis([z, lk.astype(np.uint64)], 2 * m)
 
 
 def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None) -> CheckResult:
@@ -316,7 +332,7 @@ def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None) -> CheckR
     rewrite cancels S^q against S^4.  For g = g1 that makes it a q = 4
     identity (the t=2 towers), and it fails pointwise at other q; for g3,
     condition (ii) supplies the cancellation at every q.  Every x is
-    checked, through the tables of g and S^E.  The count is 1, the one a.
+    checked, through the span of (g(x), S^E(x)).  The count is 1, the one a.
     """
     return _check_eq23_batch(state if state is not None else _Thm1State(ctx), [a], None)
 
@@ -365,22 +381,32 @@ def check_case2_factorization(ctx: FieldCtx, a: int,
 # ---------------------------------------------------------------------------
 
 def _case_split(ctx: FieldCtx, seed: int) -> tuple[list[int], list[int], bool]:
-    """(case1 a's, case2 a's, sampled?): all a up to PER_A_FULL_LIMIT_M, else 128 seeded a each."""
+    """(case1 a's, case2 a's, sampled?): all a up to PER_A_FULL_LIMIT_M, else 128 seeded a each.
+
+    The Case-1 draws are looked up a batch at a time; the Case-2 draw
+    continues the rng after a replay of the draws that were used.
+    """
     rel = blocks.linear_table(rel_trace_poly(ctx))
     case2 = [a for a in tracezero_set(ctx).tolist() if a != 0]
     if ctx.m <= PER_A_FULL_LIMIT_M:
         case1 = [int(a) for a in np.nonzero(rel(np.arange(ctx.order)))[0] if a != 0]
         return case1, case2, False
     rng = random.Random(f"{seed}:cases")
+    start, used = rng.getstate(), 0
     case1: list[int] = []
     seen: set[int] = set()
     while len(case1) < DEFAULT_SAMPLES:
-        a = rng.randrange(1, ctx.order)
-        if a in seen:
-            continue
-        seen.add(a)
-        if rel(a) != 0:
-            case1.append(a)
+        drawn = [rng.randrange(1, ctx.order) for _ in range(2 * DEFAULT_SAMPLES)]
+        for a, r in zip(drawn, rel(np.array(drawn)).tolist()):
+            if len(case1) == DEFAULT_SAMPLES:
+                break
+            used += 1
+            if r and a not in seen:
+                case1.append(a)
+            seen.add(a)
+    rng.setstate(start)
+    for _ in range(used):
+        rng.randrange(1, ctx.order)
     case2 = sorted(rng.sample(case2, min(DEFAULT_SAMPLES, len(case2))))
     return case1, case2, True
 
@@ -391,9 +417,10 @@ def _check_case1(g: FieldMap, L: LinearizedPoly, case1: list[int], sampled: bool
 
     The shift y depends on a only through rel_trace(a), so
     `case1_witnesses` finds it once per distinct relative trace, and
-    `shift_checks` decides each distinct y for all its a.  The check asserts
-    the difference bit is the constant 1 and cross-checks the implied
-    vanishing sum; the first failing a in list order is reported.
+    `shift_checks` decides each distinct y (in ker S: no pass for g) for all
+    its a.  The check asserts the difference bit is the constant 1 and
+    cross-checks the implied vanishing sum; the first failing a in list
+    order is reported.
     """
     ctx = g.ctx
 
@@ -446,8 +473,8 @@ def _check_eq23_batch(state: _Thm1State, case2: list[int], note: str | None) -> 
 
     Tr(a g(x)) = Tr(c S^E(x)) at every x iff the mask pair (M_a, M_c)
     annihilates the span of (g(x), S^E(x)) over every x, whose basis
-    `eq23_basis` finds in one pass over the two tables.  A failing a gets
-    its least differing x from one parity sweep of that a.
+    `eq23_basis` finds once per state.  A failing a gets its least
+    differing x from one parity sweep of that a, over the S^E table.
     """
     ctx = state.ctx
 

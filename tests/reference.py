@@ -29,6 +29,9 @@ rows came from row 1's columns: m - 1 rows of generic squarings.
 `format_table_lines` and `parse_table_file` are the hex table I/O as it
 was before the blocked numpy passes: one formatted line per entry, and
 a line-by-line text read with `int(s, 16)` into a dict.
+`format_table_lines_masked` is the blocked export as it was before its
+leading zeros were dropped as NUL bytes: a boolean-mask compaction, fast
+enough to compare against at every m up to 24.
 `span_by_closure` is the span of a vector list by brute force, as the
 subspaces were enumerated before the echelon span table: a Python set
 closed under XOR one vector at a time, then sorted.
@@ -403,6 +406,30 @@ def format_table_lines(fmap: FieldMap) -> Iterator[str]:
     """Hex table exchange format: one `x:gx` line per element, sorted by x."""
     for x, y in enumerate(fmap.table()):
         yield f"{x:x}:{int(y):x}"
+
+
+def format_table_lines_masked(fmap: FieldMap) -> Iterator[str]:
+    """maps.format_table_lines as it was before the NUL-drop compaction.
+
+    One chunk per `blocks.BLOCK` entries: a row-major character array
+    filled one digit column at a time, then one boolean-mask compaction
+    of the leading zero digits.
+    """
+    table = fmap.table()
+    width = (fmap.ctx.m + 3) // 4
+    for start in range(0, len(table), blocks.BLOCK):
+        ys = table[start:start + blocks.BLOCK]
+        chars = np.empty((len(ys), 2 * width + 2), dtype=np.uint8)
+        keep = np.ones(chars.shape, dtype=bool)
+        for field, values in enumerate((np.arange(start, start + len(ys), dtype=np.uint32), ys)):
+            for i in range(width):
+                prefix = values >> np.uint32(4 * (width - 1 - i))
+                digit = (prefix & np.uint32(15)).astype(np.uint8)
+                chars[:, field * (width + 1) + i] = digit + (48 + 39 * (digit > 9).view(np.uint8))
+                keep[:, field * (width + 1) + i] = prefix != 0
+        keep[:, [width - 1, 2 * width]] = True
+        chars[:, [width, 2 * width + 1]] = (ord(":"), ord("\n"))
+        yield chars[keep].tobytes().decode("ascii")
 
 
 def parse_table_file(path: str, ctx: FieldCtx | None = None) -> FieldMap:

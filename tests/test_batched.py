@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_thm3,
-                      build_L_note, search_L_candidates)
+                      build_L_note, proofchecks, search_L_candidates)
 from ppverify.constructions import build_L1
 from ppverify.maps import FieldMap
 from ppverify.pptest import case1_witnesses
@@ -218,6 +218,32 @@ def test_sampled_case_split_matches_scalar_draw(t, k, seed):
     assert tracezero_set(ctx).tolist() == tracezero_set_scalar(ctx)
     case1, case2, sampled = _case_split(ctx, seed)
     assert sampled and (case1, case2) == case_split_scalar(ctx, seed)
+
+
+def test_sampled_case_split_replays_its_draws_across_batches(monkeypatch):
+    # With the absolute trace standing in for the relative one, half the draws are
+    # rejected, so 128 Case-1 a sometimes take more than one batch of lookups; the
+    # draws and the rng state handed to the Case-2 sample must match a one-a-at-a-time draw.
+    ctx = FieldCtx.from_tower(2, 3)
+    tz = [a for a in tracezero_set(ctx).tolist() if a]      # cached before the swap
+    trace = LinearizedPoly(ctx, [1] * ctx.m)
+    monkeypatch.setattr(proofchecks, "rel_trace_poly", lambda _: trace)
+    draws = []
+    for seed in range(6):
+        rng = random.Random(f"{seed}:cases")
+        want: list[int] = []
+        seen: set[int] = set()
+        drawn = 0
+        while len(want) < 128:
+            a = rng.randrange(1, ctx.order)
+            drawn += 1
+            if a not in seen:
+                seen.add(a)
+                if trace(a):
+                    want.append(a)
+        assert _case_split(ctx, seed) == (want, sorted(rng.sample(tz, 128)), True)
+        draws.append(drawn)
+    assert min(draws) <= 256 < max(draws)    # one batch of 256 draws, and more than one
 
 
 @pytest.fixture(scope="module")

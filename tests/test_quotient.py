@@ -1,10 +1,13 @@
-"""The Walsh spectrum through the quotient by K = ker S, against the histogram oracle.
+"""The Walsh spectrum, the Case-1 shifts and the eq23 span through the quotient by K = ker S.
 
 A map with a linear part (L, S) reads its spectrum from bins built on the
 2^(m - dim K) coset representatives of K = ker S; `FieldMap.from_table`
 on the same values has no linear part and keeps the full 2^m histogram
 spectrum, so the two come from independent routes and must agree bit for
-bit at every mask.
+bit at every mask.  The same holds for the proof rows: a shift y in K
+needs no pass over the table, and the eq23 span comes from the coset
+representatives and L(K), while the `from_table` copies take the full
+table passes, which are the oracle.
 """
 
 import os
@@ -16,10 +19,12 @@ import numpy as np
 import pytest
 
 from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_thm3,
-                      build_L_note, char_sum)
+                      build_L_note, char_sum, pptest, proofchecks, verify_thm1, verify_thm3)
 from ppverify.cli import run
 from ppverify.constructions import build_L1, s2k
 from ppverify.maps import FieldMap, _quotient, linearized_map
+from ppverify.pptest import shift_check, shift_checks
+from ppverify.proofchecks import _case_split, _check_eq23_batch, _Thm1State
 
 SMALL_TOWERS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
 TOWERS_M18_M21 = [(1, 6), (2, 3), (3, 2), (6, 1), (1, 7), (7, 1)]
@@ -163,24 +168,141 @@ def test_char_sum_and_walsh_reject_values_outside_the_field(bad):
         ctx.trace_mask(bad)
 
 
-def test_pptest_at_m24_stays_within_memory_budget():
-    # A 2^m spectrum array (64 MB at m = 24) would break the bound.  The
-    # command runs in a forked grandchild that reports its own peak:
-    # RUSAGE_CHILDREN would return the largest child of the whole test
-    # session, and an exec'ed child's RUSAGE_SELF still holds the peak of
-    # the process it was started from, carried through exec.
+def _run_in_grandchild(argv):
+    """(stdout, exit code, peak RSS in KB) of the CLI run on argv in a forked grandchild.
+
+    The grandchild reports its own peak: RUSAGE_CHILDREN would return the
+    largest child of the whole test session, and an exec'ed child's
+    RUSAGE_SELF still holds the peak of the process it was started from,
+    carried through exec.
+    """
     code = ("import os, resource\n"
             "if os.fork() == 0:\n"
             "    from ppverify.cli import run\n"
-            "    code = run(['pptest', '--t', '2', '--k', '4', '--map', 'builtin:g-thm1',"
-            " '--method', 'both'])\n"
+            f"    code = run({argv!r})\n"
             "    print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)\n"
             "    os._exit(0)\n"
             "os.wait()\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert "methods agree" in proc.stdout, proc.stdout + proc.stderr[-2000:]
     code, peak_kb = proc.stdout.splitlines()[-1].split()
-    assert code == "0"
-    assert int(peak_kb) < 140 * 1024, f"peak RSS {int(peak_kb) / 1024:.1f} MB"
+    return proc.stdout, int(code), int(peak_kb)
+
+
+def test_pptest_at_m24_stays_within_memory_budget():
+    # A 2^m spectrum array (64 MB at m = 24) would break the bound.
+    out, code, peak_kb = _run_in_grandchild(["pptest", "--t", "2", "--k", "4", "--map",
+                                             "builtin:g-thm1", "--method", "both"])
+    assert "methods agree" in out, out
+    assert code == 0
+    assert peak_kb < 140 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+def test_verify_thm1_at_m24_stays_within_memory_budget():
+    # The 2^m S^E table (64 MB at m = 24) would break the bound; eq23 reads S^E on
+    # the coset representatives of ker S only.
+    out, code, peak_kb = _run_in_grandchild(["verify", "thm1", "--k", "4"])
+    assert code == 0 and "[PASS] thm1 t=2 k=4 m=24 overall" in out, out
+    assert peak_kb < 140 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# Case-1 shifts and the eq23 span, against the full table passes
+# ---------------------------------------------------------------------------
+
+def _row_maps(ctx, seed):
+    """g1, g3 with L_note and g3 with a seeded random L (which fails eq23)."""
+    rng = random.Random(seed)
+    rand_L = LinearizedPoly(ctx, [rng.randrange(ctx.order) for _ in range(ctx.m)])
+    return [build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx)), build_g_thm3(ctx, rand_L)]
+
+
+def _check_eq23_routes(t, k):
+    """eq23_basis and the eq23 row through the quotient against from_table copies of g and S^E."""
+    ctx = FieldCtx.from_tower(t, k)
+    _, case2, _ = _case_split(ctx, 1729)
+    statuses = []
+    for g in _row_maps(ctx, 10 * t + k):
+        state = _Thm1State(ctx, g)
+        basis = state.eq23_basis
+        assert state.s_power._table is None
+        oracle = _Thm1State(ctx, _oracle(g))
+        oracle.s_power = _oracle(state.s_power)
+        assert basis == oracle.eq23_basis, g.name
+        got, want = (_check_eq23_batch(s, case2, None) for s in (state, oracle))
+        assert (got.status, got.count, got.counterexample) == \
+            (want.status, want.count, want.counterexample)
+        statuses.append(got.status)
+    assert statuses[1:] == ["pass", "fail"]
+    assert statuses[0] == ("pass" if t == 2 else "fail")   # g1's rewrite holds at q = 4 only
+
+
+@pytest.mark.parametrize("t,k", SMALL_TOWERS, ids=str)
+def test_eq23_span_through_the_quotient_matches_the_table_pass(t, k):
+    _check_eq23_routes(t, k)
+
+
+@pytest.mark.parametrize("t,k", [(2, 3), (6, 1), (1, 7), (2, 4)], ids=str)
+def test_eq23_span_through_the_quotient_matches_the_table_pass_above_m12(t, k):
+    _check_eq23_routes(t, k)
+
+
+@pytest.mark.parametrize("t,k", SMALL_TOWERS + [(2, 3), (1, 6)], ids=str)
+def test_shift_checks_through_ker_s_match_the_table_pass(t, k):
+    # every y in K = F_{q^k} takes no pass on the built-in maps; the seeded y outside K do
+    ctx = FieldCtx.from_tower(t, k)
+    rng = random.Random(t * 100 + k)
+    kernel = ctx.enumerate_subfield(t * k).tolist()
+    outside = [y for y in (rng.randrange(ctx.order) for _ in range(8)) if y not in kernel][:4]
+    a_values = (np.arange(ctx.order) if ctx.m <= 12 else
+                np.array([rng.randrange(ctx.order) for _ in range(512)]))
+    for g in _row_maps(ctx, 10 * t + k):
+        oracle = _oracle(g)
+        for y in kernel + outside:
+            got = shift_checks(g, a_values, y)
+            assert np.array_equal(got, shift_checks(oracle, a_values, y)), (g.name, y)
+            assert (got >= 0).all() or y not in kernel
+
+
+def test_shift_checks_take_the_pass_where_the_table_disagrees_with_the_linear_part():
+    # one flipped entry at x = y: D(0) is no longer L(y), so the span pass decides
+    ctx = FieldCtx.from_tower(2, 2)
+    g = build_g_thm1(ctx)
+    y = int(ctx.enumerate_subfield(4)[3])
+    table = g.table().copy()
+    table[y] ^= 1
+    liar = FieldMap("liar", ctx, lambda start, n: table[start:start + n], g._linear)
+    a_values = np.arange(ctx.order)
+    got = shift_checks(liar, a_values, y)
+    assert np.array_equal(got, shift_checks(FieldMap.from_table("t", ctx, table), a_values, y))
+    assert (got == -1).any()
+
+
+def _refuse(*args):
+    raise AssertionError("a shift pass over the table")
+
+
+def test_built_in_maps_never_reach_the_shift_pass(monkeypatch):
+    monkeypatch.setattr(pptest, "_shift_differences", _refuse)
+    assert verify_thm1(FieldCtx.from_tower(2, 3)).passed
+    for t, k in [(1, 6), (2, 2)]:
+        ctx = FieldCtx.from_tower(t, k)
+        assert verify_thm3(ctx, build_L_note(ctx)).passed
+    g1 = build_g_thm1(FieldCtx.from_tower(2, 2))
+    with pytest.raises(AssertionError, match="a shift pass"):   # y outside K still takes it
+        shift_check(g1, 1, 3)
+
+
+def test_passing_verify_thm1_at_m18_builds_no_s_power_table(monkeypatch):
+    states = []
+
+    class Recording(_Thm1State):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(proofchecks, "_Thm1State", Recording)
+    assert verify_thm1(FieldCtx.from_tower(2, 3)).passed
+    assert len(states) == 1 and states[0].s_power._table is None
+    assert states[0].g._table is not None

@@ -54,6 +54,19 @@ def test_export_matches_oracle_up_to_m12(t, k):
         assert "".join(maps.format_table_lines(fmap)) == oracle_text(fmap)
 
 
+@pytest.mark.parametrize("m", range(1, 25))
+def test_export_of_a_seeded_table_matches_both_oracles_at_every_m(m):
+    # chunk by chunk against the boolean-mask export, and up to m = 16 against the per-line one
+    rng = np.random.default_rng(m)
+    fmap = FieldMap.from_table("noise", FieldCtx(m),
+                               rng.integers(0, 1 << m, size=1 << m, dtype=np.uint32))
+    got = maps.format_table_lines(fmap)
+    for chunk, want in zip(got, reference.format_table_lines_masked(fmap), strict=True):
+        assert chunk == want
+    if m <= 16:
+        assert "".join(maps.format_table_lines(fmap)) == oracle_text(fmap)
+
+
 def test_export_matches_oracle_at_m18(tmp_path, capsys):
     ctx = FieldCtx.from_tower(2, 3)
     for spec, fmap in [("builtin:g-thm1", build_g_thm1(ctx)),
