@@ -8,6 +8,8 @@ set bit), so gcd normalization is free.  deg(0) = -1 by convention.
 
 from __future__ import annotations
 
+import functools
+
 
 def degree(f: int) -> int:
     """Degree of f, with deg(0) = -1."""
@@ -102,6 +104,7 @@ def is_irreducible(f: int) -> bool:
     return True
 
 
+@functools.cache   # a pure function of m, asked for by every context
 def find_irreducible(m: int) -> int:
     """The monic irreducible of degree m least as an integer bit vector."""
     if m < 1:

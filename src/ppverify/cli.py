@@ -9,6 +9,7 @@ every report, so default runs are reproducible bit-for-bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -338,6 +339,7 @@ def _add_ctx_flags(p: argparse.ArgumentParser, ranged: bool = False) -> None:
                    help="modulus override file, lines of m:hex")
 
 
+@functools.cache   # built once per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppverify",

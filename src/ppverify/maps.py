@@ -16,10 +16,11 @@ f(x + u) = f(x) + L(u) for every u in K = ker S.  So its spectrum is 0
 off a subspace span(N) and takes its bins through the quotient by K: one
 per element of span(N), 2^(2m/3) for g (256 KB at m = 24), from f on the
 2^(m - dim K) coset representatives, and a mask is looked up by its bits
-at N's pivots.  No 2^m spectrum array is made for it, and the proof rows
-read the same structure (`pptest.shift_checks`, `_Thm1State.eq23_basis`).
-Any other map (an imported table, `from_table`) keeps the whole
-spectrum, from the int32 histogram of its table, and the full passes.
+at N's pivots.  No 2^m spectrum array is made for it, and `span` reads
+the proof rows' spans (of a V with V(x + u) + V(x) constant in x for u
+in K) at the representatives and K's basis.  Any other map (an imported
+table, `from_table`) keeps the whole spectrum, from the int32 histogram
+of its table, and its `span` reads every x.
 The transform is `blocks.walsh_transform`, cache-blocked on 2^16-entry
 blocks through one reused 256 KB buffer.
 Determinism contract: repeated evaluation at the same input yields
@@ -60,7 +61,7 @@ class FieldMap:
     block_fn(start, n) gives the values at start ^ i for i < n, as any
     integer array; `table()` calls it on the aligned blocks start = 0, n,
     2n, ... with n = min(blocks.BLOCK, 2^m), and nothing else calls it.
-    linear = (L, S), if given, means f(x) = L(x) + h(S(x)): `walsh` reads the quotient bins.
+    linear = (L, S), if given, means f(x) = L(x) + h(S(x)): `walsh` and `span` read the quotient.
     """
 
     def __init__(self, name: str, ctx: FieldCtx, block_fn: Callable[[int, int], np.ndarray],
@@ -130,6 +131,24 @@ class FieldMap:
             w.setflags(write=False)
             self._bins = w
         return self._bins
+
+    def span(self, values_at: Callable[[np.ndarray], np.ndarray], width: int) -> list[int]:
+        """The echelon basis (`blocks.span_basis`) of span{V(x)} over every x.
+
+        values_at(xs) gives the width-bit values V(x) at an integer array
+        of x.  With a linear part (L, S), V(x + u) + V(x) must not depend
+        on x for u in K = ker S; it is then V(u) + V(0), so V at the
+        2^(m - dim K) coset representatives of K (0 among them) and at K's
+        basis spans every V(x).  Without one, V is read at every x, in
+        `blocks.BLOCK`-sized aranges.
+        """
+        if self._linear is None:
+            n = min(blocks.BLOCK, self.ctx.order)
+            return blocks.span_basis((values_at(np.arange(start, start + n, dtype=np.intp))
+                                      for start in range(0, self.ctx.order, n)), width)
+        kernel = np.array(self._linear[1].kernel_image()[0], dtype=np.intp)
+        xs = np.concatenate([_quotient(*self._linear)[0], kernel])
+        return blocks.span_basis([values_at(xs)], width)
 
     @classmethod
     def from_table(cls, name: str, ctx: FieldCtx, values) -> "FieldMap":

@@ -18,12 +18,13 @@ masks of any number of a are one table lookup.
 
 The shift-difference lemma is checked the same way for many a at once:
 Tr(a*(f(x+y) + f(x))) is constant in x iff M_a annihilates the span of
-the differences, so one pass over half the table per shift y decides
-every a (`shift_checks`).  For the paper's g no pass is needed: every
-Case-1 shift lies in ker S, where g(x + y) = g(x) + L(y).  One pass over
-L(F_{q^k}) finds the Case-1 shift y of every relative trace
-(`case1_witnesses`).  `shift_check` and `find_case1_witness` are their
-one-element calls.
+the differences, so one span per shift y decides every a
+(`shift_checks`).  The span is `FieldMap.span`'s: for the paper's g the
+differences are constant on the cosets of ker S, so they are read at the
+2^(m - dim K) coset representatives only; an imported map reads them at
+every x.  One pass over L(F_{q^k}) finds the Case-1 shift y of every
+relative trace (`case1_witnesses`).  `shift_check` and
+`find_case1_witness` are their one-element calls.
 """
 
 from __future__ import annotations
@@ -169,14 +170,13 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
 
     With D(x) = f(x) + f(x+y), Tr(a*D(x)) = parity(M_a & D(x)) is constant
     in x iff the trace mask M_a annihilates the span of D(x) + D(0) over
-    every x, and the constant is then parity(M_a & D(0)).  For a map with
-    a linear part (L, S) and y in K = ker S, f(x + y) = f(x) + L(y), so D
-    is constant and its span {0}: once the table's D(0) reads L(y), no
-    pass is made.  Otherwise D comes from half the table in blocks
-    (`_shift_differences`), and its span from one pass
-    (`blocks.span_basis`): one sweep per y whatever the number of a.  y
-    and every a must lie in [0, 2^m): ValueError otherwise, before any
-    lookup.
+    every x, and the constant is then parity(M_a & D(0)).  The span is
+    `FieldMap.span` of D(x) + D(0), read from the table: for a map with a
+    linear part (L, S), f(x + u) = f(x) + L(u) for u in K = ker S, so D is
+    constant on the cosets of K, and only the 2^(m - dim K) coset
+    representatives and K's basis are read (for y in K, D is L(y) there).
+    One span per y, whatever the number of a.  y and every a must lie in
+    [0, 2^m): ValueError otherwise, before any lookup.
     """
     a_values = np.asarray(a_values, dtype=np.int64)
     f.ctx.check_element(a_values)
@@ -185,44 +185,9 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
     d0 = int(table[0] ^ table[y])
     masks = blocks.trace_masks(f.ctx)(a_values)
     const = blocks.parity(masks & d0).astype(np.int8)
-    if f._linear is not None:
-        ly, sy = (int(blocks.linear_table(poly)(y)) for poly in f._linear)
-        if sy == 0 and ly == d0:
-            return const
-    for b in blocks.span_basis(_shift_differences(table, int(y), d0), f.ctx.m):
+    for b in f.span(lambda xs: table[xs] ^ table[xs ^ y] ^ d0, f.ctx.m):
         const[blocks.parity(masks & b) == 1] = -1
     return const
-
-
-def _shift_differences(table: np.ndarray, y: int, d0: int):
-    """D(x) + d0, D(x) = table[x] ^ table[x ^ y], in blocks over the x with y's top bit clear.
-
-    D(x) = D(x ^ y), so these x give every value of D.  The table is read
-    in aligned blocks of n entries.  If y's top bit lies above the block,
-    the block at start pairs with the aligned slice at start ^ (y & -n),
-    permuted by one intp index i ^ (y & (n - 1)), and the blocks whose
-    start has the top bit are skipped.  Otherwise x ^ y stays in x's
-    block: the x with the top bit clear are a strided view of it, and
-    their partners one intp gather of half the block.
-    """
-    n = min(table.size, blocks.BLOCK)
-    top = 1 << max(y.bit_length() - 1, 0)   # y's top bit (1 for y = 0, where D = 0)
-    if top >= n:
-        partner = np.arange(n, dtype=np.intp) ^ (y & (n - 1))
-        for start in range(0, table.size, n):
-            if not start & top:
-                other = start ^ (y & -n)
-                d = table[start:start + n] ^ table[other:other + n][partner]
-                d ^= d0
-                yield d
-    else:
-        i = np.arange(n // 2, dtype=np.intp)
-        partner = (i + (i & -top)) ^ y      # x ^ y for the i-th x with the top bit clear
-        for start in range(0, table.size, n):
-            block = table[start:start + n]
-            d = block.reshape(-1, 2, top)[:, 0] ^ block[partner].reshape(-1, top)
-            d ^= d0
-            yield d.ravel()
 
 
 def case1_witnesses(ctx: FieldCtx, L: LinearizedPoly, r_values) -> np.ndarray:

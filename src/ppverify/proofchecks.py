@@ -38,7 +38,7 @@ from .constructions import (build_g_thm1, build_g_thm3, build_L1, condition_ii_s
                             rel_trace_poly, s2k)
 from .field import FieldCtx
 from .linearized import LinearizedPoly, format_linpoly, subfield_permutation_check
-from .maps import FieldMap, _quotient
+from .maps import FieldMap
 from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, _charsum_run, case1_witnesses,
                      char_sum, is_permutation_exhaustive, shift_checks)
 
@@ -306,10 +306,10 @@ class _Thm1State:
         """Basis of the span of z(x) = g(x) + S^E(x) * 2^m (2m-bit vectors) over every x.
 
         When g = L + h(S) and S^E carry linear parts with the same S,
-        z(x + u) = z(x) + (L(u), 0) for u in K = ker S, so z at the
-        2^(m - dim K) coset representatives of K (S^E read through its image
-        table) and (L(u), 0) for u in K's basis span it.  Otherwise it is
-        one pass over the two tables.
+        z(x + u) = z(x) + (L(u), 0) for u in K = ker S, so `g.span` reads z
+        on the coset representatives of K and on K's basis only, S^E
+        through its image table.  Otherwise it is one pass over the two
+        tables.
         """
         g, se, m = self.g, self.s_power, self.ctx.m
         if g._linear is None or se._linear is None or g._linear[1] != se._linear[1]:
@@ -318,11 +318,9 @@ class _Thm1State:
             packed = (np.left_shift(se[i:i + step], m, dtype=np.uint64) | g[i:i + step]
                       for i in range(0, g.size, step))
             return blocks.span_basis(packed, 2 * m)
-        L, S = g._linear
-        reps, image = _quotient(L, S)[0], self._image
-        z = np.left_shift(image.values[image.coords(reps)], m, dtype=np.uint64) | g.table()[reps]
-        lk = blocks.linear_table(L)(np.array(S.kernel_image()[0], dtype=np.int64))
-        return blocks.span_basis([z, lk.astype(np.uint64)], 2 * m)
+        image, table = self._image, g.table()
+        return g.span(lambda xs: np.left_shift(image.values[image.coords(xs)], m,
+                                               dtype=np.uint64) | table[xs], 2 * m)
 
 
 def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None) -> CheckResult:
@@ -383,30 +381,21 @@ def check_case2_factorization(ctx: FieldCtx, a: int,
 def _case_split(ctx: FieldCtx, seed: int) -> tuple[list[int], list[int], bool]:
     """(case1 a's, case2 a's, sampled?): all a up to PER_A_FULL_LIMIT_M, else 128 seeded a each.
 
-    The Case-1 draws are looked up a batch at a time; the Case-2 draw
-    continues the rng after a replay of the draws that were used.
+    Above it, a are drawn one at a time until 128 distinct ones have a
+    nonzero relative trace; the Case-2 draw continues the same rng.
     """
-    rel = blocks.linear_table(rel_trace_poly(ctx))
+    rel = rel_trace_poly(ctx)
     case2 = [a for a in tracezero_set(ctx).tolist() if a != 0]
     if ctx.m <= PER_A_FULL_LIMIT_M:
-        case1 = [int(a) for a in np.nonzero(rel(np.arange(ctx.order)))[0] if a != 0]
+        case1 = np.flatnonzero(blocks.linear_table(rel)(np.arange(ctx.order))).tolist()
         return case1, case2, False
     rng = random.Random(f"{seed}:cases")
-    start, used = rng.getstate(), 0
+    cols = rel.matrix_columns()
     case1: list[int] = []
-    seen: set[int] = set()
     while len(case1) < DEFAULT_SAMPLES:
-        drawn = [rng.randrange(1, ctx.order) for _ in range(2 * DEFAULT_SAMPLES)]
-        for a, r in zip(drawn, rel(np.array(drawn)).tolist()):
-            if len(case1) == DEFAULT_SAMPLES:
-                break
-            used += 1
-            if r and a not in seen:
-                case1.append(a)
-            seen.add(a)
-    rng.setstate(start)
-    for _ in range(used):
-        rng.randrange(1, ctx.order)
+        a = rng.randrange(1, ctx.order)
+        if gf2linalg.apply(cols, a) and a not in case1:
+            case1.append(a)
     case2 = sorted(rng.sample(case2, min(DEFAULT_SAMPLES, len(case2))))
     return case1, case2, True
 
@@ -417,10 +406,10 @@ def _check_case1(g: FieldMap, L: LinearizedPoly, case1: list[int], sampled: bool
 
     The shift y depends on a only through rel_trace(a), so
     `case1_witnesses` finds it once per distinct relative trace, and
-    `shift_checks` decides each distinct y (in ker S: no pass for g) for all
-    its a.  The check asserts the difference bit is the constant 1 and
-    cross-checks the implied vanishing sum; the first failing a in list
-    order is reported.
+    `shift_checks` decides each distinct y for all its a (for g, from the
+    coset representatives of ker S).  The check asserts the difference bit
+    is the constant 1 and cross-checks the implied vanishing sum; the first
+    failing a in list order is reported.
     """
     ctx = g.ctx
 

@@ -17,10 +17,11 @@ transform, one whole-array butterfly pass per level.
 `charsum_run_lists` is the character-sum verdict as it was before the
 blocked pass: every sum in one list, then a scan for the first nonzero.
 `shift_checks_gather` is the batched shift check as it was before the
-half-table pass: every block of the table, its partners gathered through
-a uint32 index.  `subfield_permutation_scalar` is condition (i) as it was
-before the table lookups: L evaluated by scalar field arithmetic on every
-subfield element, with a dict of the values seen.
+quotient by ker S and the half-table pass: every block of the table, its
+partners gathered through a uint32 index.  `subfield_permutation_scalar`
+is condition (i) as it was before the table lookups: L evaluated by
+scalar field arithmetic on every subfield element, with a dict of the
+values seen.
 `subfield_by_squaring` and `compose_by_squaring` are the subfield basis
 and linearized composition as they were before the cached Frobenius
 images: every Frobenius power by repeated squaring.

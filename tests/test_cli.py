@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ppverify.cli import run
+from ppverify.cli import build_parser, run
 from ppverify.maps import parse_table_file
 
 
@@ -293,6 +293,13 @@ def test_field_info(capsys):
     out = capsys.readouterr().out
     assert "x^6 + x + 1" in out and "q=4" in out
     assert run(["field-info", "--m", "4"]) == 0
+
+
+def test_one_parser_serves_every_run(capsys):
+    # built once per process, so no option value may carry over from one run to the next
+    assert build_parser() is build_parser()
+    assert run(["field-info", "--m", "4"]) == 0
+    assert run(["field-info"]) == 2
 
 
 def test_missing_context_is_config_error(capsys):

@@ -4,10 +4,10 @@ A map with a linear part (L, S) reads its spectrum from bins built on the
 2^(m - dim K) coset representatives of K = ker S; `FieldMap.from_table`
 on the same values has no linear part and keeps the full 2^m histogram
 spectrum, so the two come from independent routes and must agree bit for
-bit at every mask.  The same holds for the proof rows: a shift y in K
-needs no pass over the table, and the eq23 span comes from the coset
-representatives and L(K), while the `from_table` copies take the full
-table passes, which are the oracle.
+bit at every mask.  The same holds for the proof rows: `FieldMap.span`
+reads the shift differences and the eq23 pairs at the coset
+representatives and K's basis, while the `from_table` copies read them at
+every x, which is the oracle.
 """
 
 import os
@@ -19,12 +19,14 @@ import numpy as np
 import pytest
 
 from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_thm3,
-                      build_L_note, char_sum, pptest, proofchecks, verify_thm1, verify_thm3)
+                      build_L_note, char_sum, gf2linalg, proofchecks, verify_thm1,
+                      verify_thm3)
 from ppverify.cli import run
 from ppverify.constructions import build_L1, s2k
 from ppverify.maps import FieldMap, _quotient, linearized_map
 from ppverify.pptest import shift_check, shift_checks
 from ppverify.proofchecks import _case_split, _check_eq23_batch, _Thm1State
+from reference import shift_checks_gather
 
 SMALL_TOWERS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
 TOWERS_M18_M21 = [(1, 6), (2, 3), (3, 2), (6, 1), (1, 7), (7, 1)]
@@ -250,7 +252,7 @@ def test_eq23_span_through_the_quotient_matches_the_table_pass_above_m12(t, k):
 
 @pytest.mark.parametrize("t,k", SMALL_TOWERS + [(2, 3), (1, 6)], ids=str)
 def test_shift_checks_through_ker_s_match_the_table_pass(t, k):
-    # every y in K = F_{q^k} takes no pass on the built-in maps; the seeded y outside K do
+    # every y in K = F_{q^k}, where D is constant, and seeded y outside K, against every x
     ctx = FieldCtx.from_tower(t, k)
     rng = random.Random(t * 100 + k)
     kernel = ctx.enumerate_subfield(t * k).tolist()
@@ -265,8 +267,25 @@ def test_shift_checks_through_ker_s_match_the_table_pass(t, k):
             assert (got >= 0).all() or y not in kernel
 
 
+@pytest.mark.parametrize("t,k", [(7, 1), (2, 4)], ids=str)
+def test_shift_checks_outside_ker_s_match_the_gather_oracle_above_m12(t, k):
+    # seeded y outside K, read at the coset representatives, against every x of the table
+    ctx = FieldCtx.from_tower(t, k)
+    rng = random.Random(t * 100 + k)
+    kernel = set(ctx.enumerate_subfield(t * k).tolist())
+    ys = [y for y in (rng.randrange(ctx.order) for _ in range(8)) if y not in kernel][:4]
+    a_values = [1, ctx.order - 1] + [rng.randrange(1, ctx.order) for _ in range(62)]
+    for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx))):
+        for y in ys:
+            got = shift_checks(g, a_values, y)
+            assert np.array_equal(got, shift_checks_gather(g, a_values, y)), (g.name, y)
+            assert (got == -1).any()
+
+
 def test_shift_checks_take_the_pass_where_the_table_disagrees_with_the_linear_part():
-    # one flipped entry at x = y: D(0) is no longer L(y), so the span pass decides
+    # one flipped entry at x = y in K breaks g(x + u) = g(x) + L(u) at x in {0, y} only:
+    # D + D(0) reads 1 at every other x, the nonzero coset representatives among them, so
+    # the span read through the linear part is still the span over every x
     ctx = FieldCtx.from_tower(2, 2)
     g = build_g_thm1(ctx)
     y = int(ctx.enumerate_subfield(4)[3])
@@ -279,19 +298,61 @@ def test_shift_checks_take_the_pass_where_the_table_disagrees_with_the_linear_pa
     assert (got == -1).any()
 
 
-def _refuse(*args):
-    raise AssertionError("a shift pass over the table")
-
-
 def test_built_in_maps_never_reach_the_shift_pass(monkeypatch):
-    monkeypatch.setattr(pptest, "_shift_differences", _refuse)
+    # every span g1 or g3 takes reads 2^(m - dim K) + dim K points, for y in K and outside
+    # it and in whole batteries; a from_table copy reads every x
+    read = []
+    span_basis = blocks.span_basis
+
+    def recording(vector_blocks, width):
+        vector_blocks = list(vector_blocks)
+        read.append(sum(len(v) for v in vector_blocks))
+        return span_basis(vector_blocks, width)
+
+    monkeypatch.setattr(blocks, "span_basis", recording)
+    for t, k in [(2, 2), (1, 4), (2, 3)]:
+        ctx = FieldCtx.from_tower(t, k)
+        bound = (1 << (ctx.m - t * k)) + t * k
+        rng = random.Random(t * 100 + k)
+        kernel = ctx.enumerate_subfield(t * k).tolist()
+        outside = [y for y in (rng.randrange(ctx.order) for _ in range(8)) if y not in kernel][:4]
+        assert len(outside) == 4
+        for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx))):
+            for y in kernel + outside:
+                read.clear()
+                shift_check(g, 1, y)
+                assert read and max(read) <= bound, (g.name, y, read)
+            read.clear()
+            shift_check(_oracle(g), 1, outside[0])
+            assert read == [ctx.order]
+    read.clear()
     assert verify_thm1(FieldCtx.from_tower(2, 3)).passed
+    assert read and max(read) <= (1 << 12) + 6
     for t, k in [(1, 6), (2, 2)]:
         ctx = FieldCtx.from_tower(t, k)
+        read.clear()
         assert verify_thm3(ctx, build_L_note(ctx)).passed
-    g1 = build_g_thm1(FieldCtx.from_tower(2, 2))
-    with pytest.raises(AssertionError, match="a shift pass"):   # y outside K still takes it
-        shift_check(g1, 1, 3)
+        assert read and max(read) <= (1 << (ctx.m - t * k)) + t * k
+
+
+@pytest.mark.parametrize("t,k", SMALL_TOWERS, ids=str)
+def test_fieldmap_span_matches_the_echelon_of_every_value(t, k):
+    # the shift differences (y in K and outside it) and the eq23 pairs, on g1, g3 and g3
+    # with a seeded L, against gf2linalg.echelon of V at every x and the from_table route
+    ctx = FieldCtx.from_tower(t, k)
+    m, xs = ctx.m, np.arange(ctx.order)
+    rng = random.Random(t * 100 + k)
+    kernel = ctx.enumerate_subfield(t * k).tolist()
+    outside = [y for y in (rng.randrange(ctx.order) for _ in range(8)) if y not in kernel][:4]
+    for g in _row_maps(ctx, 10 * t + k):
+        table, se = g.table(), _Thm1State(ctx, g).s_power.table()
+        values = [(lambda v, y=y: table[v] ^ table[v ^ y] ^ table[0] ^ table[y], m)
+                  for y in kernel[1:3] + outside]
+        values.append((lambda v: np.left_shift(se[v], m, dtype=np.uint64) | table[v], 2 * m))
+        for values_at, width in values:
+            want = gf2linalg.echelon(np.unique(values_at(xs)).tolist())
+            assert g.span(values_at, width) == want, g.name
+            assert _oracle(g).span(values_at, width) == want, g.name
 
 
 def test_passing_verify_thm1_at_m18_builds_no_s_power_table(monkeypatch):
