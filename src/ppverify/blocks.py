@@ -1,10 +1,11 @@
 """Vectorized numpy kernels for full-field sweeps.
 
 The multiply computes in int64 (products before reduction reach 2m-1 <
-48 bits) and accepts any integer array, such as the uint32 map tables of
-`maps`.  Linear maps get split-table lookups built from their columns,
-uint32 and cached per coefficient vector; the trace masks a -> M_a are one
-of them.  A map table is filled one aligned block x = start ^ i (i < n,
+48 bits) on element arrays of any integer dtype, such as the uint32 map
+tables of `maps`.  Linear maps get split-table lookups built from their
+columns, uint32 and cached per coefficient vector; the trace masks a ->
+M_a are one of them.  Both reject an entry outside their input range.
+A map table is filled one aligned block x = start ^ i (i < n,
 start a multiple of n) at a time, and there a linear map is one cached
 low table XOR L(start) (`LinearTable.coset`).  General products use a
 vectorized shift-and-XOR multiply, and a map that is nonlinear only
@@ -14,11 +15,11 @@ s^(q^k+3) and the Case-2 power S^E are both `image_product` tables.
 Every shared table here is kept on its context by `FieldCtx.cached`.
 `span_basis` finds the F2-span of a table's worth of vectors in one
 blocked pass, which lets a per-a check be decided for every a at once.
-Subspaces and the tables of their combinations are `gf2linalg`'s.
-`walsh_transform` is the exact int32 Walsh-Hadamard transform behind
-every character sum: cache blocking keeps its low 16 levels on
-2^16-entry blocks, each level at a stride of at least 2^12 entries.  The
-scalar paths in `field` stay the reference.
+Subspaces, their tables and the coordinates in their bases are
+`gf2linalg`'s.  Every character sum is a lookup in the bins of `walsh`,
+the one engine: a histogram, then the exact int32 Walsh-Hadamard
+transform, cache-blocked; `span_walsh` sums over values of small span.
+The scalar paths in `field` stay the reference.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .linearized import LinearizedPoly
 
 BLOCK = 1 << 16    # inputs per block of a pass over a whole table
 _CHUNK_BITS = 12   # input bits per LinearTable chunk: 4096-entry tables
-_WALSH_BITS = 16   # index bits per cache-resident block of walsh_transform
-_WALSH_ROUND_BITS = 4   # levels per round of walsh_transform, then the index rotates
+_WALSH_BITS = 16   # index bits per cache-resident block of walsh
+_WALSH_ROUND_BITS = 4   # levels per round of walsh, then the index rotates
 
 
 def parity(values: np.ndarray) -> np.ndarray:
@@ -42,35 +43,24 @@ def parity(values: np.ndarray) -> np.ndarray:
     return np.bitwise_count(values) & 1
 
 
-def signed_parity_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """The exact sum over v in values of (-1)^parity(M & v), for each mask M, as int64."""
-    out = np.empty(len(masks), dtype=np.int64)
-    step = max(1, BLOCK // max(1, len(values)))   # bounds the masks-by-values block
-    for i in range(0, len(masks), step):
-        odd = parity(masks[i:i + step, None] & values).sum(axis=1, dtype=np.int64)
-        out[i:i + step] = len(values) - 2 * odd
-    return out
+def walsh(indices: np.ndarray, bits: int) -> np.ndarray:
+    """W[M] = sum over i in indices of (-1)^parity(M & i) for every M < 2^bits, exact int32.
 
-
-def walsh_transform(w: np.ndarray) -> None:
-    """In-place exact Walsh-Hadamard transform of a length-2^m integer array.
-
-    Level i maps each pair (lo, hi) at stride 2^i to (lo + hi, lo - hi);
-    the levels commute, so they may run in any order.  For m < 16 they all
-    run in place.  Otherwise levels 0-15 run block by block, each block
-    (2^16 entries, 256 KB of int32) while it is in cache, in four rounds:
-    levels 12-15 in place, then a (4096, 16) transpose into one reused
-    buffer of the block's size, which rotates the index right by 4 bits
-    and so brings the next 4 index bits up to 12-15.  Four rotations
-    restore the order, and the block ends where it began.  Every low level
-    thus runs at a stride of at least 2^12; the levels above run over the
-    whole array.  No full-size temporary is made.
+    The int32 histogram of the indices (in [0, 2^bits)) takes the
+    Walsh-Hadamard transform in place: level i maps each pair (lo, hi) at
+    stride 2^i to (lo + hi, lo - hi), the levels in any order.  For bits >=
+    16, levels 0-15 run on one 2^16-entry block (256 KB) at a time, while
+    it is in cache, in four rounds: levels 12-15 in place, then a (4096,
+    16) transpose into one reused buffer rotates the index right by 4 bits,
+    bringing the next 4 bits up to 12-15.  So every low level runs at a
+    stride of at least 2^12; the levels above run over the whole array.
     """
-    m = len(w).bit_length() - 1
-    if m < _WALSH_BITS:
-        for i in range(m):
+    w = np.zeros(1 << bits, dtype=np.int32)
+    np.add.at(w, indices, np.int32(1))   # an int32 increment keeps the fast path
+    if bits < _WALSH_BITS:
+        for i in range(bits):
             _butterfly(w, 1 << i)
-        return
+        return w
     size, cols = 1 << _WALSH_BITS, 1 << _WALSH_ROUND_BITS
     buf = np.empty(size, dtype=w.dtype)
     for start in range(0, len(w), size):
@@ -80,8 +70,9 @@ def walsh_transform(w: np.ndarray) -> None:
                 _butterfly(src, 1 << i)
             np.copyto(dst.reshape(cols, -1), src.reshape(-1, cols).T)
             src, dst = dst, src
-    for i in range(_WALSH_BITS, m):
+    for i in range(_WALSH_BITS, bits):
         _butterfly(w, 1 << i)
+    return w
 
 
 def _butterfly(w: np.ndarray, stride: int) -> None:
@@ -94,9 +85,10 @@ def _butterfly(w: np.ndarray, stride: int) -> None:
 
 
 def mul_block(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise field product of two encoding arrays."""
-    a = a.astype(np.int64, copy=False)
-    b = b.astype(np.int64, copy=False)
+    """Elementwise field product of two encoding arrays; ValueError on an entry outside [0, 2^m)."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    ctx.check_element(a)
+    ctx.check_element(b)
     m = ctx.m
     acc = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
     bit, term = np.empty_like(acc), np.empty_like(acc)   # reused: no temporaries per step
@@ -128,12 +120,12 @@ class LinearTable:
     The input bits are cut into equal chunks of at most _CHUNK_BITS, one
     table per chunk, and a lookup XORs one gather per chunk.  Tables are
     uint32, or uint64 for images wider than 32 bits, unless a dtype is
-    given.  A uint64 input is read through its int64 view, which is free
-    and exact (inputs are at most 48 bits wide).  Each chunk's index is
-    shifted and masked into one reused intp buffer, so every gather takes
-    numpy's fast signed-index path (its unsigned one is much slower) and
-    no other temporary is made.  On an aligned block, `coset` needs no
-    gather at all.
+    given.  An input outside [0, 2^len(images)) is a ValueError; a uint64
+    one is read through its int64 view, which is free and exact (inputs are
+    at most 48 bits wide).  Each chunk's index is shifted and masked into
+    one reused intp buffer, so every gather takes numpy's fast signed-index
+    path (its unsigned one is much slower) and no other temporary is made.
+    On an aligned block, `coset` needs no gather at all.
     """
 
     def __init__(self, images: list[int], dtype=None):
@@ -155,8 +147,10 @@ class LinearTable:
         part = np.empty(xs.shape, dtype=np.intp)   # each chunk's indices in turn
         for j, table in enumerate(self.tables):
             np.right_shift(xs, j * self.bits, out=part)
-            if j < last:   # the top chunk stays unmasked: too wide an input fails its gather
+            if j < last:
                 part &= self.mask
+            elif part.view(np.uintp).max(initial=0) >= len(table):   # a negative input reads huge
+                raise ValueError(f"an input outside the range [0, 2^{len(self.images)})")
             if j:
                 out ^= table[part]
             else:
@@ -167,15 +161,15 @@ class LinearTable:
         """The map at start ^ i for i < n: its cached table on range(n), XOR its value at start.
 
         n must be a power of two and start a multiple of it (then start ^ i
-        = start + i); otherwise ValueError.
+        = start + i) in the input range; otherwise ValueError.
         """
-        if n < 1 or n & (n - 1) or start % n:
-            raise ValueError(f"block (start={start:#x}, n={n}) is not aligned: "
-                             "n must be a power of two and start a multiple of n")
+        if n < 1 or n & (n - 1) or start % n or start >> len(self.images):
+            raise ValueError(f"block (start={start:#x}, n={n}) is not aligned: n must be a power "
+                             f"of two and start a multiple of n in [0, 2^{len(self.images)})")
         if n not in self._low:   # filled in place: no n-entry temporaries beside it
             self._low[n] = gf2linalg.span_table(self.images[:n.bit_length() - 1],
                                                 self.tables[0].dtype)
-        return self._low[n] ^ self(np.array([start], dtype=np.int64))
+        return self._low[n] ^ gf2linalg.apply(self.images, start)
 
 
 def image_product(poly: LinearizedPoly, exponents) -> "ImageTable":
@@ -186,22 +180,18 @@ def image_product(poly: LinearizedPoly, exponents) -> "ImageTable":
 
 
 def image_coords(poly: LinearizedPoly) -> tuple[LinearTable, list[int]]:
-    """x -> the coordinates of poly(x) in an image basis, as intp, and that basis; cached.
+    """x -> the coordinates of poly(x) in its echelon image basis, as intp, and that basis; cached.
 
-    The reduced row-echelon form of poly's columns gives an image basis in
-    which each basis vector holds its own pivot bit and no other, so the
-    pivot bits of y = poly(x) are y's coordinates.  The coordinate table
-    (m to r = rank bits, built from the same columns) is intp, so gathers
-    through it need no index conversion, and one is shared by every
-    ImageTable of poly.
+    The coordinate table (m to rank bits) maps poly's columns to their
+    pivot coordinates (`gf2linalg.coordinate_columns`).  It is intp, so
+    gathers through it need no index conversion, and one is shared by
+    every ImageTable of poly.
     """
     def build():
         cols = poly.matrix_columns()
         basis = gf2linalg.echelon(cols)
-        bits = [v.bit_length() - 1 for v in basis]
-        coords = LinearTable([sum(((col >> b) & 1) << j for j, b in enumerate(bits))
-                              for col in cols], dtype=np.intp)
-        return coords, basis
+        pivots, _ = gf2linalg.coordinate_columns(basis, poly.ctx.m)
+        return LinearTable([gf2linalg.apply(pivots, col) for col in cols], dtype=np.intp), basis
 
     return poly.ctx.cached(("image-coords", poly.coeffs), build)
 
@@ -254,3 +244,15 @@ def span_basis(vector_blocks: Iterable[np.ndarray], width: int) -> list[int]:
             residual = reduce(vs)
     return basis
 
+
+def span_walsh(values: np.ndarray, masks: np.ndarray, width: int) -> np.ndarray:
+    """The exact sum over v in values of (-1)^parity(M & v), for each mask M, as int32.
+
+    The `walsh` of the values' coordinates in the echelon basis B of their
+    span (`span_basis`, whatever its dimension), read at the masks'
+    pairings with B (`gf2linalg.coordinate_columns`); both are width-bit.
+    """
+    basis = span_basis([values], width)
+    pivots, pairings = gf2linalg.coordinate_columns(basis, width)
+    bins = walsh(LinearTable(pivots, dtype=np.intp)(values), len(basis))
+    return bins[LinearTable(pairings, dtype=np.intp)(masks)]

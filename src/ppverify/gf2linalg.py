@@ -79,6 +79,16 @@ def echelon(vectors: Sequence[int]) -> list[int]:
     return [pivots[b][0] for b in sorted(pivots)]
 
 
+def coordinate_columns(basis: Sequence[int], width: int) -> tuple[list[int], list[int]]:
+    """Columns of pivots: v -> (v's bit at B_j's pivot)_j, for an `echelon` basis B, and of
+    pairings: M -> (parity(M & B_j))_j, for any B, on width-bit vectors.  parity(M & v) is
+    pivots(v) . pairings(M) if v lies in span(B), and pivots(M) . pairings(v) if M does.
+    """
+    tops = {b.bit_length() - 1: 1 << j for j, b in enumerate(basis)}
+    return ([tops.get(i, 0) for i in range(width)],
+            [sum(((b >> i) & 1) << j for j, b in enumerate(basis)) for i in range(width)])
+
+
 def span_table(images: Sequence[int], dtype=np.uint32) -> np.ndarray:
     """The XOR of the images selected by each index's bits, for every index, filled in place."""
     table = np.zeros(1 << len(images), dtype=dtype)

@@ -9,20 +9,19 @@ coset a linear map is one cached low table XOR one value
 `table()` calls the block function: the full 2^m value table, uint32
 (64 MB at m = 24), filled block by block and cached, is the way every
 check reads a map, down to a single value g(x).  Its Walsh spectrum is
-read at given masks through `walsh`, from int32 bins cached beside the
-table.  A map with a known linear part (L, S), f = L + h(S) (the paper's
-g; a linearized map, with S = 0; S^E, with L = 0), satisfies
-f(x + u) = f(x) + L(u) for every u in K = ker S.  So its spectrum is 0
-off a subspace span(N) and takes its bins through the quotient by K: one
-per element of span(N), 2^(2m/3) for g (256 KB at m = 24), from f on the
-2^(m - dim K) coset representatives, and a mask is looked up by its bits
-at N's pivots.  No 2^m spectrum array is made for it, and `span` reads
-the proof rows' spans (of a V with V(x + u) + V(x) constant in x for u
-in K) at the representatives and K's basis.  Any other map (an imported
-table, `from_table`) keeps the whole spectrum, from the int32 histogram
-of its table, and its `span` reads every x.
-The transform is `blocks.walsh_transform`, cache-blocked on 2^16-entry
-blocks through one reused 256 KB buffer.
+read at given masks through `walsh`, from int32 bins (`blocks.walsh`)
+cached beside the table.  A map with a known linear part (L, S), f = L +
+h(S) (the paper's g; a linearized map, with S = 0; S^E, with L = 0),
+satisfies f(x + u) = f(x) + L(u) for every u in K = ker S.  So its
+spectrum is 0 off a subspace span(N) and takes its bins through the
+quotient by K: one per element of span(N), 2^(2m/3) for g (256 KB at
+m = 24), from f on the 2^(m - dim K) coset representatives, and a mask
+is looked up by its coordinates in N (`gf2linalg.coordinate_columns`).
+No 2^m spectrum array is made for it, and `span` reads the proof rows'
+spans (of a V with V(x + u) + V(x) constant in x for u in K) at the
+representatives and K's basis.  Any other map (an imported table,
+`from_table`) keeps the whole spectrum, from the histogram of its
+table, and its `span` reads every x.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
 
@@ -99,13 +98,12 @@ class FieldMap:
         any lookup (ValueError).  With a linear part (L, S), through the
         quotient by K = ker S: f(x + u) = f(x) + L(u) for u in K, so the sum
         over a coset x_s + K is 0 unless M annihilates L(K), and then |K|
-        (-1)^(M . f(x_s)).  With N a basis of that annihilator in reduced
-        echelon form, M = sum c_j N_j has c_j = M's bit at N_j's pivot, and
-        W[M] is bins[c] if span(N)[c] = M, else 0; bins is |K| times the
-        transform of the histogram of (parity(N_j & f(x_s)))_j over the
-        representatives x_s: 2^dim(N) values.  Without one, bins is the
-        whole spectrum, from the preimage counts of the table.  Every
-        |W[M]| <= 2^m, so int32 is exact.
+        (-1)^(M . f(x_s)).  With N an echelon basis of that annihilator and
+        c M's pivot coordinates in N, W[M] is bins[c] if span(N)[c] = M,
+        else 0; bins is |K| times the `blocks.walsh` of f(x_s)'s pairings
+        with N (`gf2linalg.coordinate_columns`) over the representatives
+        x_s: 2^dim(N) values.  Without one, bins is the `blocks.walsh` of
+        the table.  Every |W[M]| <= 2^m, so int32 is exact.
         """
         masks = np.asarray(masks)
         self.ctx.check_element(masks)
@@ -119,14 +117,10 @@ class FieldMap:
         """`walsh`'s bins, read-only int32, cached beside the table."""
         if self._bins is None:
             if self._linear is None:
-                w = np.zeros(self.ctx.order, dtype=np.int32)
-                np.add.at(w, self.table(), np.int32(1))   # an int32 increment keeps the fast path
-                blocks.walsh_transform(w)
+                w = blocks.walsh(self.table(), self.ctx.m)
             else:
                 reps, coords, _, span_n, size_k = _quotient(*self._linear)
-                w = np.zeros(len(span_n), dtype=np.int32)
-                np.add.at(w, coords(self.table()[reps]), np.int32(1))
-                blocks.walsh_transform(w)
+                w = blocks.walsh(coords(self.table()[reps]), span_n.size.bit_length() - 1)
                 w *= np.int32(size_k)
             w.setflags(write=False)
             self._bins = w
@@ -172,29 +166,25 @@ class FieldMap:
 def _quotient(L: LinearizedPoly, S: LinearizedPoly):
     """The quotient-spectrum pieces of L + h(S), cached on the context by both polynomials.
 
-    N is a basis of the annihilator of L(K), K = ker S (the kernel of the
-    transposed L(K) vectors), in reduced echelon form, ordered by pivot.
-    Returns the coset representatives of K (the span of the bits that are
-    not pivots of K's echelon basis, as intp), the coordinates y ->
-    (parity(N_j & y))_j as an intp linear table, the map M -> (M's bit at
-    N_j's pivot)_j as a uint32 one (its gathers are faster), the span of N
-    in coordinate order (uint32), and |K|.
+    N is the echelon basis of the annihilator of L(K), K = ker S: the
+    kernel of the pairings with L(K).  Returns the coset representatives
+    of K (the span of the bits that are not pivots of K's echelon basis, as
+    intp), N's pairings y -> (parity(N_j & y))_j as an intp linear table,
+    its pivot coordinates M -> (M's bit at N_j's pivot)_j as a uint32 one
+    (its gathers are faster; both `gf2linalg.coordinate_columns`), the
+    span of N in coordinate order (uint32), and |K|.
     """
     def build():
         m = L.ctx.m
         kernel = S.kernel_image()[0]
-        pivots = {v.bit_length() - 1 for v in gf2linalg.echelon(kernel)}
-        reps = gf2linalg.span_table([1 << b for b in range(m) if b not in pivots], np.intp)
+        on_k, _ = gf2linalg.coordinate_columns(gf2linalg.echelon(kernel), m)
+        reps = gf2linalg.span_table([1 << b for b in range(m) if not on_k[b]], np.intp)
         cols = L.matrix_columns()
         lk = [gf2linalg.apply(cols, u) for u in kernel]
-        ann, _ = gf2linalg.kernel_image([sum(((v >> j) & 1) << i for i, v in enumerate(lk))
-                                         for j in range(m)])
-        basis = gf2linalg.echelon(ann)
-        bits = [n.bit_length() - 1 for n in basis]
-        coords = blocks.LinearTable([sum(((n >> i) & 1) << j for j, n in enumerate(basis))
-                                     for i in range(m)], dtype=np.intp)
-        pivot_bits = blocks.LinearTable([1 << bits.index(i) if i in bits else 0
-                                         for i in range(m)])
+        basis = gf2linalg.echelon(gf2linalg.kernel_image(gf2linalg.coordinate_columns(lk, m)[1])[0])
+        pivots, pairings = gf2linalg.coordinate_columns(basis, m)
+        coords = blocks.LinearTable(pairings, dtype=np.intp)
+        pivot_bits = blocks.LinearTable(pivots)
         return reps, coords, pivot_bits, gf2linalg.span_table(basis), 1 << len(kernel)
 
     return L.ctx.cached(("quotient", L.coeffs, S.coeffs), build)

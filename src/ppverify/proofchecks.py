@@ -347,11 +347,11 @@ def tracezero_basis(ctx: FieldCtx) -> tuple[int, int]:
     tz = tracezero_set(ctx)
     subfield = ctx.enumerate_subfield(d)
     d1 = int(tz[1])                     # tz is ascending and tz[0] = 0
-    line = blocks.mul_block(ctx, np.asarray(d1), subfield)
+    line = blocks.mul_block(ctx, d1, subfield)
     on_line = np.zeros(tz.size, dtype=bool)
     on_line[np.searchsorted(tz, line)] = True   # d1 * F_{q^k} lies in the trace-zero set
     d2 = int(tz[np.argmin(on_line)])
-    span = line[:, None] ^ blocks.mul_block(ctx, np.asarray(d2), subfield)
+    span = line[:, None] ^ blocks.mul_block(ctx, d2, subfield)
     assert tz.size == 1 << (2 * d) and np.array_equal(np.sort(span, axis=None), tz)
     return d1, d2
 
@@ -489,9 +489,10 @@ def _check_factorization_batch(state: _Thm1State, case2: list[int],
                                note: str | None) -> CheckResult:
     """check_case2_factorization for every Case-2 a at once, its sums as arrays over a.
 
-    full_sum is one `char_sum` lookup, the trace-zero sum and the two
-    factors are exact signed parity sums, and beta_i = c * d_i^(q^k) is a
-    fixed-multiplier linear table.  An a is reported at its first failing step.
+    Every sum is a lookup in Walsh bins: full_sum in g's (`char_sum`), the
+    trace-zero sum and the two factors in those of the w^E and of F_{q^k}
+    (`blocks.span_walsh`), at the masks of c and of beta_i = c * d_i^(q^k).
+    An a is reported at its first failing step.
     """
     ctx = state.ctx
 
@@ -500,16 +501,12 @@ def _check_factorization_batch(state: _Thm1State, case2: list[int],
     a_values = np.array(case2, dtype=np.int64)
     c = least_decompositions(ctx, a_values)
     masks = blocks.trace_masks(ctx)
-    tz_sum = blocks.signed_parity_sums(state.tz_powers, masks(c))
+    tz_sum = blocks.span_walsh(state.tz_powers, masks(c), ctx.m)
     full_sum = char_sum(state.g, a_values)
-    subfield = ctx.enumerate_subfield(d)
-    rel = blocks.linear_table(rel_trace_poly(ctx))
-    factors, both_zero = [], np.ones(len(case2), dtype=bool)
-    for di in state.basis:
-        e = ctx.frobenius(di, d)
-        beta = blocks.LinearTable([ctx.mul(e, 1 << j) for j in range(ctx.m)])(c)
-        factors.append(blocks.signed_parity_sums(subfield, masks(beta)))
-        both_zero &= rel(beta) == 0
+    powers = [[gf2linalg.apply(ctx.frobenius_images()[d], di)] for di in state.basis]   # d_i^(q^k)
+    betas = blocks.mul_block(ctx, c, powers)   # one row per d_i
+    factors = blocks.span_walsh(ctx.enumerate_subfield(d), masks(betas), ctx.m)
+    both_zero = (blocks.linear_table(rel_trace_poly(ctx))(betas) == 0).all(axis=0)
     restriction = full_sum != (1 << d) * tz_sum
     product = tz_sum != factors[0] * factors[1]
 

@@ -14,6 +14,9 @@ full-table sweep of the single-a check per a, the Case-1 witness by a
 scalar loop over F_{q^k}, and c from a filter of the whole domain.
 `walsh_spectrum_levels` is the spectrum as it was before the cache-blocked
 transform, one whole-array butterfly pass per level.
+`signed_parity_sums` is the Case-2 character sums as they were computed
+before they went through the Walsh bins: a masks-by-values parity
+matrix, one block of masks at a time.
 `charsum_run_lists` is the character-sum verdict as it was before the
 blocked pass: every sum in one list, then a scan for the first nonzero.
 `shift_checks_gather` is the batched shift check as it was before the
@@ -136,6 +139,16 @@ def walsh_spectrum_levels(fmap) -> np.ndarray:
         hi *= -2
         hi += lo
     return w
+
+
+def signed_parity_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The exact sum over v in values of (-1)^parity(M & v), for each mask M, as int64."""
+    out = np.empty(len(masks), dtype=np.int64)
+    step = max(1, blocks.BLOCK // max(1, len(values)))   # bounds the masks-by-values block
+    for i in range(0, len(masks), step):
+        odd = blocks.parity(masks[i:i + step, None] & values).sum(axis=1, dtype=np.int64)
+        out[i:i + step] = len(values) - 2 * odd
+    return out
 
 
 def char_sum_definitional(fmap, a: int) -> int:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from ppverify import FieldCtx, LinearizedPoly, blocks, gf2linalg
-from ppverify.constructions import build_L1, s2k
+from ppverify.constructions import build_L1, rel_trace_poly, s2k
+from ppverify.proofchecks import _Thm1State, tracezero_basis
+from reference import signed_parity_sums
 
 
 def _cube(ctx):
@@ -105,7 +107,8 @@ def test_linear_table_coset_is_the_map_on_every_aligned_block(m):
     assert table.coset(0, n) is not table.coset(0, n)   # a fresh array, never the cached one
 
 
-@pytest.mark.parametrize("start, n", [(1, 2), (4096, 1 << 16), ((1 << 16) + 1, 1 << 16), (0, 3)])
+@pytest.mark.parametrize("start, n", [(1, 2), (4096, 1 << 16), ((1 << 16) + 1, 1 << 16), (0, 3),
+                                      (-(1 << 16), 1 << 16), (1 << 17, 1 << 16)])
 def test_linear_table_coset_rejects_a_misaligned_block(start, n):
     table = blocks.LinearTable([1 << i for i in range(17)])
     with pytest.raises(ValueError, match="not aligned"):
@@ -145,13 +148,62 @@ def test_trace_masks_are_cached_and_linear():
     assert masks(np.arange(ctx.order)).tolist() == [ctx.trace_mask(a) for a in ctx.elements()]
 
 
-def test_signed_parity_sums_match_the_definition_across_blocks():
-    # 300 values put 218 masks in a block, so the 1000 masks span five blocks
+def test_span_walsh_matches_the_definition_and_the_parity_oracle():
+    # 16-bit values, so their span (16 dimensions) keeps the transform at 2^16 bins;
+    # 300 values put 218 masks in an oracle block, so the 1000 masks span five blocks
     rng = random.Random(7)
-    values = np.array([rng.getrandbits(24) for _ in range(300)], dtype=np.int64)
-    masks = np.array([rng.getrandbits(24) for _ in range(1000)], dtype=np.uint32)
+    values = np.array([rng.getrandbits(16) for _ in range(300)], dtype=np.int64)
+    masks = np.array([rng.getrandbits(16) for _ in range(1000)], dtype=np.uint32)
     want = [sum(1 - 2 * ((int(mask) & int(v)).bit_count() & 1) for v in values) for mask in masks]
-    assert blocks.signed_parity_sums(values, masks).tolist() == want
+    assert signed_parity_sums(values, masks).tolist() == want
+    got = blocks.span_walsh(values, masks, 16)
+    assert got.dtype == np.int32 and got.tolist() == want
+
+
+def _span_walsh_value_sets(ctx):
+    """The value sets of the Case-2 sums, a full-span set and all-zero values, by name."""
+    t, k = ctx.require_tower()
+    subfield = ctx.enumerate_subfield(t * k)
+    tz_powers = _Thm1State(ctx).tz_powers
+    rng = np.random.default_rng(ctx.m)
+    full = np.concatenate([1 << np.arange(ctx.m), rng.integers(0, ctx.order, 500)])
+    sets = {"tz_powers": tz_powers, "subfield": subfield, "full-span": full,
+            "zero": np.zeros_like(tz_powers)}
+    for i, di in enumerate(tracezero_basis(ctx)):
+        e = gf2linalg.apply(ctx.frobenius_images()[t * k], di)
+        sets[f"d{i + 1}^(q^k) F_q^k"] = blocks.mul_block(ctx, e, subfield)
+    return sets
+
+
+@pytest.mark.parametrize("t,k", [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1),
+                                 (2, 3), (1, 6), (2, 4), (1, 8)], ids=str)
+def test_span_walsh_matches_the_parity_oracle_on_the_case2_value_sets(t, k):
+    # every mask up to m = 12, seeded masks above (fewer at m = 24: the oracle is values x masks)
+    ctx = FieldCtx.from_tower(t, k)
+    if ctx.m <= 12:
+        masks = np.arange(ctx.order, dtype=np.uint32)
+    else:
+        rng = np.random.default_rng(ctx.m * 100 + t)
+        masks = rng.integers(0, ctx.order, 4096 if ctx.m < 24 else 512).astype(np.uint32)
+    for name, values in _span_walsh_value_sets(ctx).items():
+        assert np.array_equal(blocks.span_walsh(values, masks, ctx.m),
+                              signed_parity_sums(values, masks)), name
+
+
+def test_kernels_reject_entries_outside_their_input_range():
+    # unchecked, a masked or wrapped index reads these as [58, 0] and [5, -2018] at m = 6
+    ctx = FieldCtx.from_tower(1, 2)
+    rel = blocks.linear_table(rel_trace_poly(ctx))
+    with pytest.raises(ValueError, match=r"outside the range \[0, 2\^6\)"):
+        rel([-1, -64])
+    with pytest.raises(ValueError, match="element 64 outside"):
+        blocks.mul_block(ctx, [64, -1], [3, 1])
+    with pytest.raises(ValueError, match="element -1 outside"):
+        blocks.mul_block(ctx, [3, 1], [1, -1])
+    for wide in ([64], np.array([3, 1 << 40]), np.array([1 << 63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"outside the range \[0, 2\^6\)"):   # not IndexError
+            rel(wide)
+    assert rel(np.arange(ctx.order)).tolist() == [ctx.rel_trace(a, 2) for a in ctx.elements()]
 
 
 @pytest.mark.parametrize("width", [36, 48])

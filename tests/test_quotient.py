@@ -25,7 +25,8 @@ from ppverify.cli import run
 from ppverify.constructions import build_L1, s2k
 from ppverify.maps import FieldMap, _quotient, linearized_map
 from ppverify.pptest import shift_check, shift_checks
-from ppverify.proofchecks import _case_split, _check_eq23_batch, _Thm1State
+from ppverify.proofchecks import (_case_split, _check_eq23_batch, _check_factorization_batch,
+                                  _Thm1State)
 from reference import shift_checks_gather
 
 SMALL_TOWERS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
@@ -86,23 +87,30 @@ def test_quotient_spectrum_of_g1_at_m24():
 
 def test_quotient_route_never_transforms_the_whole_field(monkeypatch):
     lengths = []
-    transform = blocks.walsh_transform
+    transform = blocks.walsh
 
-    def recording(w):
-        lengths.append(len(w))
-        transform(w)
+    def recording(indices, bits):
+        lengths.append(1 << bits)
+        return transform(indices, bits)
 
-    monkeypatch.setattr(blocks, "walsh_transform", recording)
+    monkeypatch.setattr(blocks, "walsh", recording)
     ctx = FieldCtx.from_tower(2, 3)
     masks = np.arange(ctx.order)
     for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx)),
               linearized_map(build_L_note(ctx), "L")):
         g.walsh(masks)
     assert lengths and max(lengths) < ctx.order
+    # the Case-2 factorization row: g's bins, then the trace-zero and subfield sums
+    _, case2, _ = _case_split(ctx, 1729)
+    for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx))):
+        lengths.clear()
+        assert _check_factorization_batch(_Thm1State(ctx, g), case2, None).passed
+        assert len(lengths) == 3 and max(lengths) <= 1 << (2 * ctx.m // 3), g.name
     lengths.clear()
     FieldMap.from_table("table", ctx, build_g_thm1(ctx).table()).walsh(masks)
     assert lengths == [ctx.order]
     assert not hasattr(FieldMap, "spectrum")   # walsh is the one Walsh entry point
+    assert not hasattr(blocks, "signed_parity_sums")
 
 
 def test_quotient_pieces_are_cached_on_the_context():
