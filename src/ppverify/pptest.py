@@ -126,7 +126,8 @@ def _charsum_run(f: FieldMap, mode: str, n: int,
 
     In mode all the a go through `FieldMap.walsh` in blocks of blocks.BLOCK,
     made by np.arange, and the pass stops at the first nonzero sum; in mode
-    sample the drawn a are summed once, in one block.
+    sample the drawn a are summed once, in one block; n must be at least 1
+    (ValueError), since an empty sample would pass vacuously.
     """
     ctx = f.ctx
     if mode == "all":
@@ -135,6 +136,8 @@ def _charsum_run(f: FieldMap, mode: str, n: int,
         summed = ((a, char_sum(f, a)) for a in a_blocks)
         clean_verdict, by_a = PERMUTATION, None
     elif mode == "sample":
+        if n < 1:
+            raise ValueError(f"a character-sum sample needs n >= 1, got {n}")
         rng = random.Random(seed)
         drawn = np.array([rng.randrange(1, ctx.order) for _ in range(n)], dtype=np.int64)
         sums = char_sum(f, drawn)

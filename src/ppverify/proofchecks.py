@@ -7,11 +7,13 @@ trace-zero basis claim, and the character-sum factorization that closes
 Case 2.  The nine-line trace rewrite chain is checked at its endpoint
 only (equality over all x is stronger evidence than replaying each
 rewrite).  Pointwise identities are checked at every x, at every m:
-eq23 through the span of (g(x), S^E(x)) (on the cosets of ker S for g),
-and eq22, a sum of linear maps, on the m basis elements, which is exact
-at every x.  The per-a case checks cover every a up to PER_A_FULL_LIMIT_M
-and a seeded sample above it, as the report records.  The trace-zero
-set, S^E on it and the decomposition tables are built once per context.
+eq23 through one `g.span` of (g(x), S^E(x)) (on the cosets of ker S for
+the paper's g), and eq22, a sum of linear maps, on the m basis elements,
+which is exact at every x.  The per-a case checks cover every a up to
+PER_A_FULL_LIMIT_M and a seeded sample above it, as the report records.
+The trace-zero set and its basis, S^E on S's image and the decomposition
+tables are built once per context, by `FieldCtx.cached`; the Case-2 rows
+are functions of the map g alone and read them there.
 
 Each per-a row is decided for its whole a list in one batch, exactly,
 by GF(2) linear algebra over the tables: the trace conditions are linear
@@ -19,8 +21,8 @@ in the masks M_a, so a row costs one pass per table (the span of the
 values a condition must annihilate) plus a few array operations over a.
 The first failing a in list order is reported, its message built from
 the row's own arrays; eq23 finds its x by one parity sweep of that a.
-The one-a checks (`check_eq23`, `check_case2_factorization`) are
-one-element calls of the batched rows.
+The one-a checks (`check_eq23`, `check_case2_factorization`, for g1
+unless given another g) are one-element calls of the batched rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import functools
 import json
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -46,8 +48,30 @@ PER_A_FULL_LIMIT_M = 12   # per-a case loops cover every a up to here
 CHARSUM_ALL_LIMIT_M = 14  # verify_thm1 reports every character sum up to here
 
 
+class _Record:
+    """JSON dicts of a report dataclass, over its fields: the schema is stated only there."""
+
+    def to_dict(self) -> dict:
+        """The fields in order, None ones left out, millis rounded to 3 places, records as dicts."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "millis":
+                value = round(value, 3)
+            elif isinstance(value, list):
+                value = [v.to_dict() for v in value]
+            if value is not None:
+                out[f.name] = value
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        """The record of a `to_dict` dict; absent fields take defaults, other keys are ignored."""
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+
+
 @dataclass
-class CheckResult:
+class CheckResult(_Record):
     """One named check inside a verification report."""
     name: str
     status: str                      # "pass" | "fail"
@@ -61,26 +85,9 @@ class CheckResult:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "status": self.status,
-                     "count": self.count, "millis": round(self.millis, 3)}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        if self.note is not None:
-            out["note"] = self.note
-        if self.sums is not None:
-            out["sums"] = self.sums
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckResult":
-        return cls(name=data["name"], status=data["status"], count=data.get("count", 0),
-                   millis=data.get("millis", 0.0), counterexample=data.get("counterexample"),
-                   note=data.get("note"), sums=data.get("sums"))
-
 
 @dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Aggregated outcome of one theorem verification run."""
     theorem: str
     t: int
@@ -102,20 +109,11 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.overall == "pass"
 
-    def to_dict(self) -> dict:
-        return {"theorem": self.theorem, "t": self.t, "k": self.k, "m": self.m,
-                "modulus_hex": self.modulus_hex, "seed": self.seed,
-                "checks": [c.to_dict() for c in self.checks],
-                "overall": self.overall, "millis": self.millis,
-                "hypothesis_failure": self.hypothesis_failure}
-
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(theorem=data["theorem"], t=data["t"], k=data["k"], m=data["m"],
-                   modulus_hex=data["modulus_hex"], seed=data["seed"],
-                   checks=[CheckResult.from_dict(c) for c in data["checks"]],
-                   overall=data["overall"], millis=data["millis"],
-                   hypothesis_failure=data.get("hypothesis_failure", False))
+        report = super().from_dict(data)
+        report.checks = [CheckResult.from_dict(c) for c in report.checks]
+        return report
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -237,8 +235,6 @@ def decompose_a(ctx: FieldCtx, a: int) -> int:
     map is the trace-zero set).  The solution coset is c + F_{q^k}; no
     member lies in F_{q^k} because a is nonzero.
     """
-    if a == 0:
-        raise ValueError("a must be nonzero")
     return int(least_decompositions(ctx, [a])[0])
 
 
@@ -248,11 +244,13 @@ def least_decompositions(ctx: FieldCtx, a_values) -> np.ndarray:
     One lookup of the particular solution (it is linear in a), the least
     member of its coset over the q^k-element kernel, and an exact check
     that every c solves c + c^(q^k) = a: a ValueError names the first a
-    outside the map's image.  Every a must lie in [0, 2^m): ValueError
-    otherwise, before any lookup.
+    outside the map's image.  Every a must be nonzero and lie in [0, 2^m):
+    ValueError otherwise, before any lookup.
     """
     a_values = np.asarray(a_values, dtype=np.int64)
     ctx.check_element(a_values)
+    if (a_values == 0).any():
+        raise ValueError("a must be nonzero")
     phi, particular, kernel = _decomposition(ctx)
     c = (particular(a_values)[:, None] ^ kernel).min(axis=1)
     missed = phi(c) != a_values
@@ -276,67 +274,33 @@ def _decomposition(ctx: FieldCtx):
     return ctx.cached(("decomposition", d), build)
 
 
-class _Thm1State:
-    """Shared tables for the per-a Case-2 checks of one context.
+def _s_power(ctx: FieldCtx) -> blocks.ImageTable:
+    """S^E, E = 1 + 2q^k + q^(2k), tabled on S's image (`blocks.image_product`, cached).
 
-    S^E, E = 1 + 2q^k + q^(2k), is tabled once on S's image
-    (`blocks.image_product`, cached on the context): `s_power` reads it
-    through S's image coordinates, with the linear part (0, S), and
-    `tz_powers` is its value table, w^E for every w in the image, which is
-    the trace-zero set (the kernel-image row checks that), in
-    image-coordinate order; its 2^m table is built only on an eq23 failure.
+    Its `coords` map x to S(x)'s image coordinates and its `values` are
+    w^E for every w in the image, which is the trace-zero set (the
+    kernel-image row checks that); the 2^m table of S^E is built only to
+    name the x of a failing eq23 a.
     """
-
-    def __init__(self, ctx: FieldCtx, g: FieldMap | None = None):
-        t, k = ctx.require_tower()
-        self.ctx = ctx
-        self.g = g if g is not None else build_g_thm1(ctx)
-        self.exponent = 1 + (1 << (t * k + 1)) + (1 << (2 * t * k))
-        S = s2k(ctx)
-        self._image = blocks.image_product(S, (t * k + 1, 2 * t * k))
-        self.s_power = FieldMap("S^E", ctx, self._image.coset, (LinearizedPoly.zero(ctx), S))
-        self.tz_powers = self._image.values
-
-    @functools.cached_property
-    def basis(self) -> tuple[int, int]:
-        return tracezero_basis(self.ctx)
-
-    @functools.cached_property
-    def eq23_basis(self) -> list[int]:
-        """Basis of the span of z(x) = g(x) + S^E(x) * 2^m (2m-bit vectors) over every x.
-
-        When g = L + h(S) and S^E carry linear parts with the same S,
-        z(x + u) = z(x) + (L(u), 0) for u in K = ker S, so `g.span` reads z
-        on the coset representatives of K and on K's basis only, S^E
-        through its image table.  Otherwise it is one pass over the two
-        tables.
-        """
-        g, se, m = self.g, self.s_power, self.ctx.m
-        if g._linear is None or se._linear is None or g._linear[1] != se._linear[1]:
-            g, se = g.table(), se.table()
-            step = blocks.BLOCK
-            packed = (np.left_shift(se[i:i + step], m, dtype=np.uint64) | g[i:i + step]
-                      for i in range(0, g.size, step))
-            return blocks.span_basis(packed, 2 * m)
-        image, table = self._image, g.table()
-        return g.span(lambda xs: np.left_shift(image.values[image.coords(xs)], m,
-                                               dtype=np.uint64) | table[xs], 2 * m)
+    t, k = ctx.require_tower()
+    return blocks.image_product(s2k(ctx), (t * k + 1, 2 * t * k))
 
 
-def check_eq23(ctx: FieldCtx, a: int, state: _Thm1State | None = None) -> CheckResult:
+def check_eq23(ctx: FieldCtx, a: int, g: FieldMap | None = None) -> CheckResult:
     """Endpoint of the Case-2 trace rewrite: Tr(a*g(x)) = Tr(c*S(x)^E).
 
     E = 1 + 2q^k + q^(2k) and c is the least decomposition of a.  The
-    rewrite cancels S^q against S^4.  For g = g1 that makes it a q = 4
-    identity (the t=2 towers), and it fails pointwise at other q; for g3,
-    condition (ii) supplies the cancellation at every q.  Every x is
-    checked, through the span of (g(x), S^E(x)).  The count is 1, the one a.
+    rewrite cancels S^q against S^4.  For g = g1 (the default) that makes
+    it a q = 4 identity (the t=2 towers), and it fails pointwise at other
+    q; for g3, condition (ii) supplies the cancellation at every q.  Every
+    x is checked, through the span of (g(x), S^E(x)).  The count is 1, the
+    one a.
     """
-    return _check_eq23_batch(state if state is not None else _Thm1State(ctx), [a], None)
+    return _check_eq23_batch(g if g is not None else build_g_thm1(ctx), [a], None)
 
 
 def tracezero_basis(ctx: FieldCtx) -> tuple[int, int]:
-    """A greedy F_{q^k}-basis (d1, d2) of the trace-zero set.
+    """A greedy F_{q^k}-basis (d1, d2) of the trace-zero set, cached on the context.
 
     d1 is the first nonzero trace-zero element in encoding order and d2
     the first one outside d1 * F_{q^k}; their F_{q^k}-span is the whole
@@ -344,20 +308,23 @@ def tracezero_basis(ctx: FieldCtx) -> tuple[int, int]:
     """
     t, k = ctx.require_tower()
     d = t * k
-    tz = tracezero_set(ctx)
-    subfield = ctx.enumerate_subfield(d)
-    d1 = int(tz[1])                     # tz is ascending and tz[0] = 0
-    line = blocks.mul_block(ctx, d1, subfield)
-    on_line = np.zeros(tz.size, dtype=bool)
-    on_line[np.searchsorted(tz, line)] = True   # d1 * F_{q^k} lies in the trace-zero set
-    d2 = int(tz[np.argmin(on_line)])
-    span = line[:, None] ^ blocks.mul_block(ctx, d2, subfield)
-    assert tz.size == 1 << (2 * d) and np.array_equal(np.sort(span, axis=None), tz)
-    return d1, d2
+
+    def build():
+        tz = tracezero_set(ctx)
+        subfield = ctx.enumerate_subfield(d)
+        d1 = int(tz[1])                     # tz is ascending and tz[0] = 0
+        line = blocks.mul_block(ctx, d1, subfield)
+        on_line = np.zeros(tz.size, dtype=bool)
+        on_line[np.searchsorted(tz, line)] = True   # d1 * F_{q^k} lies in the trace-zero set
+        d2 = int(tz[np.argmin(on_line)])
+        span = line[:, None] ^ blocks.mul_block(ctx, d2, subfield)
+        assert tz.size == 1 << (2 * d) and np.array_equal(np.sort(span, axis=None), tz)
+        return d1, d2
+
+    return ctx.cached("tracezero-basis", build)
 
 
-def check_case2_factorization(ctx: FieldCtx, a: int,
-                              state: _Thm1State | None = None) -> CheckResult:
+def check_case2_factorization(ctx: FieldCtx, a: int, g: FieldMap | None = None) -> CheckResult:
     """The Case-2 chain: restriction to the trace-zero set, the two-factor
     product formula, the not-both-zero basis claim, and the vanishing sum.
 
@@ -369,9 +336,9 @@ def check_case2_factorization(ctx: FieldCtx, a: int,
           (-1)^Tr(c di^(q^k) u),
       (c) rel_trace(c d1^(q^k)) and rel_trace(c d2^(q^k)) are not both 0,
       (d) T = 0.
-    The count is 1, the one a.
+    g defaults to g1.  The count is 1, the one a.
     """
-    return _check_factorization_batch(state if state is not None else _Thm1State(ctx), [a], None)
+    return _check_factorization_batch(g if g is not None else build_g_thm1(ctx), [a], None)
 
 
 # ---------------------------------------------------------------------------
@@ -456,37 +423,53 @@ def _check_charsum(g: FieldMap, mode: str, sample_n: int, seed: int) -> CheckRes
     return CheckResult(name, "pass", count=verdict.checks, sums=sums)
 
 
+def _eq23_basis(g: FieldMap) -> list[int]:
+    """Basis of the span of z(x) = g(x) + S^E(x) * 2^m (2m-bit vectors) over every x.
+
+    One `g.span`, S^E read through its image table.  For g = L + h(S), z(x
+    + u) = z(x) + (L(u), 0) for u in K = ker S, so it reads z at the coset
+    representatives of K and K's basis; a g without a linear part reads
+    every x, and so does one whose linear part has another S, rewrapped
+    as a table.
+    """
+    ctx = g.ctx
+    if g._linear is not None and g._linear[1] != s2k(ctx):
+        g = FieldMap.from_table(g.name, ctx, g.table())
+    image, table = _s_power(ctx), g.table()
+    return g.span(lambda xs: np.left_shift(image.values[image.coords(xs)], ctx.m,
+                                           dtype=np.uint64) | table[xs], 2 * ctx.m)
+
+
 @_timed
-def _check_eq23_batch(state: _Thm1State, case2: list[int], note: str | None) -> CheckResult:
+def _check_eq23_batch(g: FieldMap, case2: list[int], note: str | None) -> CheckResult:
     """check_eq23 for every Case-2 a at once.
 
     Tr(a g(x)) = Tr(c S^E(x)) at every x iff the mask pair (M_a, M_c)
-    annihilates the span of (g(x), S^E(x)) over every x, whose basis
-    `eq23_basis` finds once per state.  A failing a gets its least
-    differing x from one parity sweep of that a, over the S^E table.
+    annihilates the span of (g(x), S^E(x)) over every x (`_eq23_basis`).
+    A failing a gets its least differing x from one parity sweep of that
+    a, over the 2^m S^E table, built only then.
     """
-    ctx = state.ctx
+    ctx = g.ctx
 
     a_values = np.array(case2, dtype=np.int64)
     masks = blocks.trace_masks(ctx)
     mask_c = masks(least_decompositions(ctx, a_values))   # first: it checks the a
     mask_a = masks(a_values)
     bad = np.zeros(len(case2), dtype=bool)
-    for z in state.eq23_basis:
+    for z in _eq23_basis(g):
         bad |= (blocks.parity(mask_a & (z & (ctx.order - 1)))
                 != blocks.parity(mask_c & (z >> ctx.m)))
 
     def why(i):
-        diff = (blocks.parity(state.g.table() & mask_a[i])
-                != blocks.parity(state.s_power.table() & mask_c[i]))
+        s_power = FieldMap("S^E", ctx, _s_power(ctx).coset).table()
+        diff = blocks.parity(g.table() & mask_a[i]) != blocks.parity(s_power & mask_c[i])
         return f"a={case2[i]:#x}, x={int(np.argmax(diff)):#x}"
 
     return _row("case2-eq23", case2, bad, note, why)
 
 
 @_timed
-def _check_factorization_batch(state: _Thm1State, case2: list[int],
-                               note: str | None) -> CheckResult:
+def _check_factorization_batch(g: FieldMap, case2: list[int], note: str | None) -> CheckResult:
     """check_case2_factorization for every Case-2 a at once, its sums as arrays over a.
 
     Every sum is a lookup in Walsh bins: full_sum in g's (`char_sum`), the
@@ -494,16 +477,17 @@ def _check_factorization_batch(state: _Thm1State, case2: list[int],
     (`blocks.span_walsh`), at the masks of c and of beta_i = c * d_i^(q^k).
     An a is reported at its first failing step.
     """
-    ctx = state.ctx
+    ctx = g.ctx
 
     t, k = ctx.require_tower()
     d = t * k
     a_values = np.array(case2, dtype=np.int64)
     c = least_decompositions(ctx, a_values)
     masks = blocks.trace_masks(ctx)
-    tz_sum = blocks.span_walsh(state.tz_powers, masks(c), ctx.m)
-    full_sum = char_sum(state.g, a_values)
-    powers = [[gf2linalg.apply(ctx.frobenius_images()[d], di)] for di in state.basis]   # d_i^(q^k)
+    tz_sum = blocks.span_walsh(_s_power(ctx).values, masks(c), ctx.m)
+    full_sum = char_sum(g, a_values)
+    powers = [[gf2linalg.apply(ctx.frobenius_images()[d], di)]   # d_i^(q^k)
+              for di in tracezero_basis(ctx)]
     betas = blocks.mul_block(ctx, c, powers)   # one row per d_i
     factors = blocks.span_walsh(ctx.enumerate_subfield(d), masks(betas), ctx.m)
     both_zero = (blocks.linear_table(rel_trace_poly(ctx))(betas) == 0).all(axis=0)
@@ -553,7 +537,6 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
     report.checks.append(check_kernel_image(ctx))
 
     g = build_g_thm1(ctx)
-    state = _Thm1State(ctx, g)
     report.checks.append(_check_pp_exhaustive(g))
     if charsum_mode is None:
         charsum_mode = "all" if ctx.m <= CHARSUM_ALL_LIMIT_M else "sample"
@@ -563,8 +546,8 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
     report.checks.append(_check_case1(g, build_L1(ctx), case1, sampled))
 
     note = f"sampled {len(case2)} a-values" if sampled else None
-    report.checks.append(_check_eq23_batch(state, case2, note))
-    report.checks.append(_check_factorization_batch(state, case2, note))
+    report.checks.append(_check_eq23_batch(g, case2, note))
+    report.checks.append(_check_factorization_batch(g, case2, note))
     return report.finish()
 
 

@@ -11,7 +11,9 @@ multiply on every x instead of once per image element.  The `*_per_a`
 oracles are the case loops as verify ran them before batching, and they
 hold the one-a sweeps the package replaced by its batched rows: one
 full-table sweep of the single-a check per a, the Case-1 witness by a
-scalar loop over F_{q^k}, and c from a filter of the whole domain.
+scalar loop over F_{q^k}, and c from a filter of the whole domain; the
+eq23 loop reads S^E at every x from `s_power_table`, by
+`s_power_block_direct`.
 `walsh_spectrum_levels` is the spectrum as it was before the cache-blocked
 transform, one whole-array butterfly pass per level.
 `signed_parity_sums` is the Case-2 character sums as they were computed
@@ -41,6 +43,7 @@ subspaces were enumerated before the echelon span table: a Python set
 closed under XOR one vector at a time, then sorted.
 """
 
+import functools
 import random
 from typing import Iterator
 
@@ -50,7 +53,7 @@ from ppverify import FieldCtx, FieldMap, binpoly, blocks, char_sum, gf2linalg
 from ppverify.constructions import s2k
 from ppverify.linearized import LinearizedPoly
 from ppverify.pptest import NOT_PERMUTATION, PERMUTATION, PROBABLE, PPVerdict, _char_sums
-from ppverify.proofchecks import CheckResult
+from ppverify.proofchecks import CheckResult, tracezero_basis, tracezero_set
 
 
 def trial_division_irreducible(f: int) -> bool:
@@ -344,11 +347,21 @@ def decomposition_cosets(ctx, a_values) -> list[list[int]]:
     return [np.flatnonzero(phi == a).tolist() for a in a_values]
 
 
-def eq23_one_a(state, a: int, c: int) -> str | None:
+@functools.lru_cache(maxsize=1)
+def s_power_table(ctx):
+    """S^E at every x by `s_power_block_direct`, one block of 2^16 x at a time, as uint32."""
+    out = np.empty(ctx.order, dtype=np.uint32)
+    for start in range(0, ctx.order, blocks.BLOCK):
+        out[start:start + blocks.BLOCK] = s_power_block_direct(
+            ctx, np.arange(start, min(start + blocks.BLOCK, ctx.order)))
+    return out
+
+
+def eq23_one_a(g, a: int, c: int) -> str | None:
     """Tr(a*g(x)) = Tr(c*S(x)^E) at every x, by one parity sweep per side; the counterexample or None."""
-    ctx = state.ctx
-    left = blocks.parity(state.g.table() & ctx.trace_mask(a))
-    right = blocks.parity(state.s_power.table() & ctx.trace_mask(c))
+    ctx = g.ctx
+    left = blocks.parity(g.table() & ctx.trace_mask(a))
+    right = blocks.parity(s_power_table(ctx) & ctx.trace_mask(c))
     diff = left ^ right
     if diff.any():
         x = int(np.argmax(diff))
@@ -356,19 +369,24 @@ def eq23_one_a(state, a: int, c: int) -> str | None:
     return None
 
 
-def factorization_one_a(state, a: int, c: int) -> str | None:
-    """The Case-2 chain for one a, with scalar factor sums; the counterexample or None."""
-    ctx = state.ctx
+def factorization_one_a(g, a: int, c: int, basis=None, tz_powers=None) -> str | None:
+    """The Case-2 chain for one a, with scalar factor sums; the counterexample or None.
+
+    basis defaults to `tracezero_basis`, and tz_powers, the w^E over the
+    trace-zero set, to two shift-and-XOR products on every w.
+    """
+    ctx = g.ctx
     t, k = ctx.require_tower()
     d = t * k
     mask_c = ctx.trace_mask(c)
-    tz_powers = state.tz_powers
+    if tz_powers is None:
+        tz_powers = blocks.frobenius_product(ctx, tracezero_set(ctx), (d + 1, 2 * d))
     odd = int(blocks.parity(tz_powers & mask_c).sum(dtype=np.int64))
     tz_sum = len(tz_powers) - 2 * odd
-    full_sum = char_sum(state.g, a)
+    full_sum = char_sum(g, a)
     if full_sum != (1 << d) * tz_sum:
         return f"a={a:#x}: full sum {full_sum} != q^k * {tz_sum} (eq. restriction step)"
-    d1, d2 = state.basis
+    d1, d2 = basis if basis is not None else tracezero_basis(ctx)
     subfield = ctx.enumerate_subfield(d).tolist()
     factors = []
     for di in (d1, d2):
@@ -404,13 +422,13 @@ def case1_per_a(g, case1, witness_for) -> CheckResult:
     return CheckResult("case1-shift-witness", "pass", count=len(case1))
 
 
-def case2_per_a(name, state, case2, check) -> CheckResult:
-    """A Case-2 row: check(state, a, c) for each a in turn, c its least decomposition.
+def case2_per_a(name, g, case2, check) -> CheckResult:
+    """A Case-2 row: check(g, a, c) for each a in turn, c its least decomposition.
 
     The first failure stands for all; the row counts the whole a list, pass or fail.
     """
-    for a, coset in zip(case2, decomposition_cosets(state.ctx, case2)):
-        why = check(state, a, coset[0])
+    for a, coset in zip(case2, decomposition_cosets(g.ctx, case2)):
+        why = check(g, a, coset[0])
         if why is not None:
             return CheckResult(name, "fail", count=len(case2), counterexample=why)
     return CheckResult(name, "pass", count=len(case2))

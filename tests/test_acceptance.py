@@ -17,7 +17,7 @@ from ppverify import (FieldCtx, binpoly, build_g_thm1, build_g_thm3, build_L_not
 from ppverify.constructions import s2k
 from ppverify.maps import FieldMap, linearized_map
 from ppverify.pptest import _char_sums
-from ppverify.proofchecks import _Thm1State, check_case2_factorization, check_eq23
+from ppverify.proofchecks import _s_power, check_case2_factorization, check_eq23
 
 from reference import decomposition_cosets, s_power
 
@@ -121,8 +121,7 @@ def test_criterion_07_gcd_identity():
 
 def test_criterion_08_case_analysis_exhaustive():
     ctx = FieldCtx.from_tower(2, 1)
-    state = _Thm1State(ctx)
-    g = state.g
+    g = build_g_thm1(ctx)
     case1 = [a for a in range(1, 64) if ctx.rel_trace(a, 2) != 0]
     case2 = [a for a in range(1, 64) if ctx.rel_trace(a, 2) == 0]
     ok = len(case1) == 48 and len(case2) == 15
@@ -134,8 +133,8 @@ def test_criterion_08_case_analysis_exhaustive():
 
     g_table = g.table()
     for a, coset in zip(case2, decomposition_cosets(ctx, case2)):
-        ok &= check_eq23(ctx, a, state).passed
-        ok &= check_case2_factorization(ctx, a, state).passed
+        ok &= check_eq23(ctx, a, g).passed
+        ok &= check_case2_factorization(ctx, a, g).passed
         # the conclusions hold for every member of the solution coset
         mask_a = ctx.trace_mask(a)
         ok &= len(coset) == 4
@@ -146,7 +145,7 @@ def test_criterion_08_case_analysis_exhaustive():
                       ((mask_c & s_power(ctx, x)).bit_count() & 1)
                       for x in ctx.elements())
             ok &= sum(1 - 2 * ((mask_c & int(w)).bit_count() & 1)
-                      for w in state.tz_powers) == 0
+                      for w in _s_power(ctx).values) == 0
     _report(8, ok, "48 Case-1 a's give shift constant 1; 15 Case-2 a's pass the "
             "identity chain, coset-invariantly")
 

@@ -9,6 +9,7 @@ against the scalar witness loops of `reference` the same way.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from ppverify.constructions import build_L1
 from ppverify.maps import FieldMap
 from ppverify.pptest import case1_witnesses
 from ppverify.proofchecks import (_case_split, _check_case1, _check_eq23_batch,
-                                  _check_factorization_batch, _Thm1State, decompose_a,
-                                  least_decompositions, tracezero_set)
+                                  _check_factorization_batch, decompose_a,
+                                  least_decompositions, tracezero_basis, tracezero_set)
 
 from reference import (adapted_witness, case1_per_a, case2_per_a, case_split_scalar,
                        decomposition_cosets, eq23_one_a, factorization_one_a,
@@ -33,7 +34,7 @@ def _row(check):
     return check.name, check.status, check.count, check.counterexample
 
 
-def _assert_rows_match(g, L, case1, case2, state):
+def _assert_rows_match(g, L, case1, case2):
     """Case-1, eq23 and factorization rows, batched against per a; returns the oracle rows.
 
     L is g's linear part, None for g1, whose Case-1 witness is the L1-free scalar loop.
@@ -42,11 +43,11 @@ def _assert_rows_match(g, L, case1, case2, state):
     witness_for = ((lambda a: find_case1_witness_scalar(ctx, a)) if L is None
                    else (lambda a: adapted_witness(ctx, L, a)))
     want = [case1_per_a(g, case1, witness_for),
-            case2_per_a("case2-eq23", state, case2, eq23_one_a),
-            case2_per_a("case2-factorization", state, case2, factorization_one_a)]
+            case2_per_a("case2-eq23", g, case2, eq23_one_a),
+            case2_per_a("case2-factorization", g, case2, factorization_one_a)]
     got = [_check_case1(g, build_L1(ctx) if L is None else L, case1, False),
-           _check_eq23_batch(state, case2, None),
-           _check_factorization_batch(state, case2, None)]
+           _check_eq23_batch(g, case2, None),
+           _check_factorization_batch(g, case2, None)]
     assert [_row(c) for c in got] == [_row(c) for c in want]
     return want
 
@@ -67,7 +68,7 @@ def test_every_a_matches_oracle_up_to_m12(t, k, which):
     g = build_g_thm1(ctx) if L is None else build_g_thm3(ctx, L)
     case1, case2, sampled = _case_split(ctx, 1729)
     assert not sampled and len(case1) + len(case2) == ctx.order - 1
-    rows = _assert_rows_match(g, L, case1, case2, _Thm1State(ctx, g))
+    rows = _assert_rows_match(g, L, case1, case2)
     if which == "g3" or t == 2:
         assert all(row.passed for row in rows)
     else:
@@ -93,7 +94,7 @@ def test_random_L_matches_oracle(seed):
     L = LinearizedPoly(ctx, [rng.randrange(ctx.order) for _ in range(ctx.m)])
     g = build_g_thm3(ctx, L)
     case1, case2, _ = _case_split(ctx, 1729)
-    _assert_rows_match(g, L, case1, case2, _Thm1State(ctx, g))
+    _assert_rows_match(g, L, case1, case2)
 
 
 @pytest.mark.parametrize("x0, bit, passed", [
@@ -105,35 +106,46 @@ def test_flipped_g_entry_fails_like_oracle_at_m12(x0, bit, passed):
     ctx = FieldCtx.from_tower(2, 2)
     g = _flipped(build_g_thm1(ctx), x0, bit)
     case1, case2, _ = _case_split(ctx, 1729)
-    rows = _assert_rows_match(g, None, case1, case2, _Thm1State(ctx, g))
+    rows = _assert_rows_match(g, None, case1, case2)
     assert [row.passed for row in rows] == passed
 
 
-@pytest.mark.parametrize("x0, bit", [(0x3c, 5), (0xabc, 7)])
-def test_flipped_s_power_entry_fails_like_oracle_at_m12(x0, bit):
+def _eq23_flip(g, x0, a):
+    """g with one bit of its entry at x0 flipped, a bit b with Tr(a * 2^b) = 1.
+
+    Tr(a g(x)) then changes at x0 alone, so eq23 fails for a at x0 as long
+    as it held at every x before.
+    """
+    mask = g.ctx.trace_mask(a)
+    return _flipped(g, x0, (mask & -mask).bit_length() - 1)
+
+
+@pytest.mark.parametrize("x0", [0x3c, 0xabc])
+def test_flipped_g_entry_names_its_x_in_eq23_like_oracle_at_m12(x0):
+    # the row reads S^E through its image table and the oracle through s_power_block_direct
     ctx = FieldCtx.from_tower(2, 2)
-    g = build_g_thm1(ctx)
-    state = _Thm1State(ctx, g)
-    state.s_power = _flipped(state.s_power, x0, bit)
     case1, case2, _ = _case_split(ctx, 1729)
-    rows = _assert_rows_match(g, None, case1, case2, state)
-    assert [row.passed for row in rows] == [True, False, True]
-    assert rows[1].counterexample.endswith(f"x={x0:#x}")
+    rows = _assert_rows_match(_eq23_flip(build_g_thm1(ctx), x0, case2[0]), None, case1, case2)
+    assert not rows[1].passed
+    assert rows[1].counterexample == f"a={case2[0]:#x}, x={x0:#x}"
 
 
 @pytest.mark.parametrize("zero_g", [False, True])
-def test_broken_trace_zero_basis_fails_like_oracle_at_m12(zero_g):
+def test_broken_trace_zero_basis_fails_like_oracle_at_m12(zero_g, monkeypatch):
     # d2 = d1 spans one line only, so the product step fails; with g and every w^E
     # zeroed as well, the restriction step holds and the basis-trace step fails first
     ctx = FieldCtx.from_tower(2, 2)
     g = FieldMap.from_table("zero", ctx, [0] * ctx.order) if zero_g else build_g_thm1(ctx)
-    state = _Thm1State(ctx, g)
-    state.basis = (state.basis[0],) * 2
+    d1, _ = tracezero_basis(ctx)
+    monkeypatch.setattr(proofchecks, "tracezero_basis", lambda _: (d1, d1))
+    tz_powers = None
     if zero_g:
-        state.tz_powers = np.zeros_like(state.tz_powers)
+        tz_powers = np.zeros(1 << (2 * ctx.m // 3), dtype=np.uint32)
+        monkeypatch.setattr(proofchecks, "_s_power", lambda _: SimpleNamespace(values=tz_powers))
     _, case2, _ = _case_split(ctx, 1729)
-    want = case2_per_a("case2-factorization", state, case2, factorization_one_a)
-    assert _row(_check_factorization_batch(state, case2, None)) == _row(want)
+    want = case2_per_a("case2-factorization", g, case2, lambda g, a, c: factorization_one_a(
+        g, a, c, basis=(d1, d1), tz_powers=tz_powers))
+    assert _row(_check_factorization_batch(g, case2, None)) == _row(want)
     assert want.counterexample.endswith("both basis traces vanish" if zero_g else "(product step)")
 
 
@@ -185,31 +197,27 @@ def m18():
     g = build_g_thm1(ctx)
     case1, case2, sampled = _case_split(ctx, 1729)
     assert sampled
-    return ctx, g, _Thm1State(ctx, g), case1, case2
+    return ctx, g, case1, case2
 
 
 def test_seeded_a_match_oracle_at_m18(m18):
-    ctx, g, state, case1, case2 = m18
-    rows = _assert_rows_match(g, None, case1, case2, state)
+    ctx, g, case1, case2 = m18
+    rows = _assert_rows_match(g, None, case1, case2)
     assert all(row.passed for row in rows)
     L = build_L_note(ctx)
     g3 = build_g_thm3(ctx, L)
-    rows = _assert_rows_match(g3, L, case1, case2, _Thm1State(ctx, g3))
+    rows = _assert_rows_match(g3, L, case1, case2)
     assert all(row.passed for row in rows)
 
 
 def test_mutants_beyond_the_first_block_fail_like_oracle_at_m18(m18):
-    # the flips sit past the first 2^16 x, where only the span's residual pass sees them
-    ctx, g, state, case1, case2 = m18
-    mutant = _flipped(g, 0x2b4e1, 5)
-    rows = _assert_rows_match(mutant, None, case1, case2,
-                              _Thm1State(ctx, mutant))
+    # the flips sit past the first 2^16 x, where only the every-x span of a table sees them
+    ctx, g, case1, case2 = m18
+    rows = _assert_rows_match(_flipped(g, 0x2b4e1, 5), None, case1, case2)
     assert not any(row.passed for row in rows)
-    bad_state = _Thm1State(ctx, g)
-    bad_state.s_power = _flipped(state.s_power, 0x3fffe, 16)
-    rows = _assert_rows_match(g, None, case1, case2, bad_state)
-    assert [row.passed for row in rows] == [True, False, True]
-    assert rows[1].counterexample.endswith("x=0x3fffe")
+    rows = _assert_rows_match(_eq23_flip(g, 0x3fffe, case2[0]), None, case1, case2)
+    assert not rows[1].passed
+    assert rows[1].counterexample == f"a={case2[0]:#x}, x=0x3fffe"
 
 
 @pytest.mark.parametrize("t,k,seed", [(2, 3, 1729), (1, 6, 5), (2, 4, 1729), (1, 8, 24)])
@@ -251,20 +259,18 @@ def m24():
     ctx = FieldCtx.from_tower(2, 4)
     g = build_g_thm1(ctx)
     case1, case2, _ = _case_split(ctx, 1729)
-    return ctx, g, _Thm1State(ctx, g), case1[:4], case2[:4]   # the oracle sweeps 2^24 x per a
+    return ctx, g, case1[:4], case2[:4]   # the oracle sweeps 2^24 x per a
 
 
 def test_seeded_a_and_a_mutant_match_oracle_at_m24(m24):
-    ctx, g, state, case1, case2 = m24
-    rows = _assert_rows_match(g, None, case1, case2, state)
+    ctx, g, case1, case2 = m24
+    rows = _assert_rows_match(g, None, case1, case2)
     assert all(row.passed for row in rows)
-    bad_state = _Thm1State(ctx, g)
-    # only eq23 reads S^E; the flipped bit has Tr(c * 2^bit) = 1 for the first a's c
-    mask = ctx.trace_mask(decompose_a(ctx, case2[0]))
-    bad_state.s_power = _flipped(state.s_power, 0xd00d1e, (mask & -mask).bit_length() - 1)
-    want = case2_per_a("case2-eq23", bad_state, case2, eq23_one_a)
-    assert not want.passed and want.counterexample.endswith("x=0xd00d1e")
-    assert _row(_check_eq23_batch(bad_state, case2, None)) == _row(want)
+    # the eq23 row alone: the flipped bit has Tr(a * 2^bit) = 1 for the first a
+    mutant = _eq23_flip(g, 0xd00d1e, case2[0])
+    want = case2_per_a("case2-eq23", mutant, case2, eq23_one_a)
+    assert want.counterexample == f"a={case2[0]:#x}, x=0xd00d1e"
+    assert _row(_check_eq23_batch(mutant, case2, None)) == _row(want)
 
 
 def test_mask_table_matches_trace_mask_at_m24(m24):

@@ -9,7 +9,7 @@ import pytest
 
 from ppverify import FieldCtx, LinearizedPoly, blocks, gf2linalg
 from ppverify.constructions import build_L1, rel_trace_poly, s2k
-from ppverify.proofchecks import _Thm1State, tracezero_basis
+from ppverify.proofchecks import _s_power, tracezero_basis
 from reference import signed_parity_sums
 
 
@@ -164,7 +164,7 @@ def _span_walsh_value_sets(ctx):
     """The value sets of the Case-2 sums, a full-span set and all-zero values, by name."""
     t, k = ctx.require_tower()
     subfield = ctx.enumerate_subfield(t * k)
-    tz_powers = _Thm1State(ctx).tz_powers
+    tz_powers = _s_power(ctx).values
     rng = np.random.default_rng(ctx.m)
     full = np.concatenate([1 << np.arange(ctx.m), rng.integers(0, ctx.order, 500)])
     sets = {"tz_powers": tz_powers, "subfield": subfield, "full-span": full,

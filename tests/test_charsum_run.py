@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ppverify import FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note, pptest
+from ppverify import (FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note, pptest,
+                      verify_thm1)
 from ppverify.maps import FieldMap
 from ppverify.pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, PPVerdict, _charsum_run, char_sum,
                              pp_verdict_charsum)
@@ -107,3 +108,18 @@ def test_charsum_all_at_m21_within_memory_budget():
         tracemalloc.stop()
     assert verdict == PPVerdict("permutation", "charsum-all", ctx.order - 1)
     assert peak < 16 << 20
+
+
+def test_an_empty_sample_is_rejected_not_passed():
+    # n < 1 sums no a, so it used to pass vacuously with checks = 0, even on a collision
+    ctx = FieldCtx.from_tower(2, 1)
+    table = build_g_thm1(ctx).table().copy()
+    table[3] = table[7]
+    mutant = FieldMap.from_table("mutant", ctx, table)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1"):
+            pp_verdict_charsum(mutant, mode="sample", n=n)
+        with pytest.raises(ValueError, match="n >= 1"):
+            verify_thm1(ctx, sample_n=n, charsum_mode="sample")
+    assert pp_verdict_charsum(mutant, mode="sample", n=1).checks == 1
+    assert verify_thm1(ctx, sample_n=0, charsum_mode="all").passed   # n sizes a sample only

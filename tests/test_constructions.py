@@ -10,7 +10,7 @@ from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_th
                       search_L_candidates)
 from ppverify.constructions import build_L1, condition_ii_sides, rel_trace_poly, s2k
 from ppverify.maps import FieldMap, format_table_lines, linearized_map, parse_table_file
-from ppverify.proofchecks import _Thm1State
+from ppverify.proofchecks import _s_power
 
 from reference import g_block_direct, g_scalar, s_power, s_power_block_direct
 
@@ -186,7 +186,8 @@ def test_image_tables_match_per_x_products(t, k):
     L = build_L_note(ctx)
     assert np.array_equal(build_g_thm1(ctx).table(), g_block_direct(ctx, xs))
     assert np.array_equal(build_g_thm3(ctx, L).table(), g_block_direct(ctx, xs, L))
-    assert np.array_equal(_Thm1State(ctx).s_power.table(), s_power_block_direct(ctx, xs))
+    image = _s_power(ctx)
+    assert np.array_equal(image.values[image.coords(xs)], s_power_block_direct(ctx, xs))
 
 
 @pytest.mark.parametrize("t,k", [(7, 1), (2, 4)], ids=str)
@@ -197,7 +198,8 @@ def test_image_tables_match_scalar_oracles_above_m18(t, k):
     L = build_L_note(ctx)
     g1 = build_g_thm1(ctx).table()[xs]
     g3 = build_g_thm3(ctx, L).table()[xs]
-    se = _Thm1State(ctx).s_power.table()[xs]
+    image = _s_power(ctx)
+    se = image.values[image.coords(xs)]
     for i, x in enumerate(xs.tolist()):
         assert int(g1[i]) == g_scalar(ctx, x)
         assert int(g3[i]) == g_scalar(ctx, x, L)

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from ppverify import (FieldCtx, LinearizedPoly, VerificationReport, blocks, build_g_thm1,
-                      build_L_note, char_sum, check_case2_factorization, check_eq22,
-                      check_eq23, check_kernel_image, decompose_a, is_permutation_exhaustive,
-                      pp_verdict_charsum, tracezero_basis, verify_thm1, verify_thm3)
+from ppverify import (CheckResult, FieldCtx, LinearizedPoly, VerificationReport, blocks,
+                      build_g_thm1, build_L_note, char_sum, check_case2_factorization,
+                      check_eq22, check_eq23, check_kernel_image, decompose_a,
+                      is_permutation_exhaustive, pp_verdict_charsum, tracezero_basis,
+                      verify_thm1, verify_thm3)
 from ppverify.constructions import build_L1, s2k
 from ppverify.maps import FieldMap
 from ppverify.pptest import case1_witnesses, find_case1_witness, shift_check, shift_checks
-from ppverify.proofchecks import _Thm1State, least_decompositions, tracezero_set
+from ppverify.proofchecks import _s_power, least_decompositions, tracezero_set
 
 from reference import decomposition_cosets, s_power
 
@@ -49,7 +50,7 @@ def test_tz_powers_are_s_power_over_the_trace_zero_set(t, k):
     # (its kernel F_{q^k} meets it in 0), so S(w)^E over w there is the same multiset
     ctx = FieldCtx.from_tower(t, k)
     want = sorted(s_power(ctx, w) for w in tracezero_set(ctx))
-    assert sorted(_Thm1State(ctx).tz_powers.tolist()) == want
+    assert sorted(_s_power(ctx).values.tolist()) == want
 
 
 def test_eq22_coefficient_cancellation_pattern():
@@ -117,24 +118,26 @@ def test_decompose_a_rejects_case1_and_zero():
 
 
 def test_eq23_exponent_value():
-    state = _Thm1State(FieldCtx.from_tower(2, 1))
-    assert state.exponent == 25  # 1 + 2q + q^2 at q = 4
+    # E = 1 + 2q + q^2 = 25 at q = 4: the S^E image table reads S(x)^25 at every x
+    ctx = FieldCtx.from_tower(2, 1)
+    table = FieldMap("S^E", ctx, _s_power(ctx).coset).table()
+    assert table.tolist() == [ctx.pow(s2k(ctx)(x), 25) for x in ctx.elements()]
 
 
 def test_eq23_all_valid_a_at_21():
     ctx = FieldCtx.from_tower(2, 1)
-    state = _Thm1State(ctx)
+    g = build_g_thm1(ctx)
     for a in (x for x in range(1, 64) if ctx.rel_trace(x, 2) == 0):
-        assert check_eq23(ctx, a, state).passed
+        assert check_eq23(ctx, a, g).passed
 
 
 def test_eq23_both_sides_vanish_on_subfield():
     ctx = FieldCtx.from_tower(2, 1)
-    state = _Thm1State(ctx)
+    g = build_g_thm1(ctx)
     a = next(x for x in range(1, 64) if ctx.rel_trace(x, 2) == 0)
     c = decompose_a(ctx, a)
     for z in ctx.enumerate_subfield(2):
-        assert ctx.abs_trace(ctx.mul(a, state.g(z))) == 0
+        assert ctx.abs_trace(ctx.mul(a, g(z))) == 0
         assert ctx.abs_trace(ctx.mul(c, s_power(ctx, z))) == 0
 
 
@@ -142,23 +145,22 @@ def test_eq23_detects_mutated_g():
     ctx = FieldCtx.from_tower(2, 1)
     table = build_g_thm1(ctx).table().tolist()
     table[5], table[9] = table[9], table[5]
-    state = _Thm1State(ctx, FieldMap.from_table("mutated", ctx, table))
+    mutated = FieldMap.from_table("mutated", ctx, table)
     failures = sum(1 for a in range(1, 64)
-                   if ctx.rel_trace(a, 2) == 0 and not check_eq23(ctx, a, state).passed)
+                   if ctx.rel_trace(a, 2) == 0 and not check_eq23(ctx, a, mutated).passed)
     assert failures > 0
 
 
 def test_eq23_checks_every_x_at_m24():
-    # thm1 k = 4: check_eq23 reads every x from the 2^24-entry tables of g and S^E;
-    # it is the one-a call of the batched row, which counts its a list
+    # thm1 k = 4: check_eq23 decides every x, g1 through the quotient by ker S and the
+    # mutant table at every x; it is the one-a call of the batched row, which counts its a list
     ctx = FieldCtx.from_tower(2, 4)
     g = build_g_thm1(ctx)
-    state = _Thm1State(ctx, g)
     rng = random.Random(3)
     for c in (0x123456, 0xabcdef):
         a = c ^ ctx.frobenius(c, 8)   # a = c + c^(q^k) is a nonzero Case-2 element
         assert a and ctx.rel_trace(a, 8) == 0
-        result = check_eq23(ctx, a, state)
+        result = check_eq23(ctx, a, g)
         assert result.passed and result.count == 1 and result.note is None
         # flip Tr(a*g) at one seeded point, and nowhere else
         x0 = rng.randrange(ctx.order)
@@ -166,10 +168,7 @@ def test_eq23_checks_every_x_at_m24():
         flip = mask & -mask               # Tr(a * flip) = parity(mask & flip) = 1
         values = g.table().copy()
         values[x0] ^= flip
-        mutant = FieldMap.from_table("flipped", ctx, values)
-        bad_state = _Thm1State(ctx, mutant)
-        bad_state.s_power = state.s_power   # reuse the S^E table: only g differs
-        bad = check_eq23(ctx, a, bad_state)
+        bad = check_eq23(ctx, a, FieldMap.from_table("flipped", ctx, values))
         assert not bad.passed
         assert bad.counterexample == f"a={a:#x}, x={x0:#x}"
 
@@ -197,16 +196,15 @@ def test_tracezero_basis_at_11():
 
 def test_case2_factorization_all_a_at_21():
     ctx = FieldCtx.from_tower(2, 1)
-    state = _Thm1State(ctx)
+    g = build_g_thm1(ctx)
     valid = [a for a in range(1, 64) if ctx.rel_trace(a, 2) == 0]
     for a in valid:
-        assert check_case2_factorization(ctx, a, state).passed
+        assert check_case2_factorization(ctx, a, g).passed
 
 
 def test_case2_factor_sums_are_zero_or_qk():
     ctx = FieldCtx.from_tower(2, 1)
-    state = _Thm1State(ctx)
-    d1, d2 = state.basis
+    d1, d2 = tracezero_basis(ctx)
     subfield = ctx.enumerate_subfield(2)
     for a in (x for x in range(1, 64) if ctx.rel_trace(x, 2) == 0):
         c = decompose_a(ctx, a)
@@ -220,11 +218,10 @@ def test_case2_factor_sums_are_zero_or_qk():
 
 def test_case2_factorization_all_a_at_11():
     ctx = FieldCtx.from_tower(1, 1)
-    state = _Thm1State(ctx)
     valid = [a for a in range(1, 8) if ctx.rel_trace(a, 1) == 0]
     assert len(valid) == 3
     for a in valid:
-        assert check_case2_factorization(ctx, a, state).passed
+        assert check_case2_factorization(ctx, a).passed
 
 
 def test_eq23_is_specific_to_q4():
@@ -233,16 +230,14 @@ def test_eq23_is_specific_to_q4():
     # first driver), even though the factorization chain above still
     # closes because both sides vanish
     ctx = FieldCtx.from_tower(1, 1)
-    state = _Thm1State(ctx)
-    failures = [a for a in (2, 4, 6) if not check_eq23(ctx, a, state).passed]
+    failures = [a for a in (2, 4, 6) if not check_eq23(ctx, a).passed]
     assert failures
 
 
 def test_case2_conclusions_are_coset_invariant():
     # the proof never picks a specific c: sweep the whole solution coset
     ctx = FieldCtx.from_tower(2, 1)
-    state = _Thm1State(ctx)
-    g_table = state.g.table()
+    g_table = build_g_thm1(ctx).table()
     case2 = [x for x in range(1, 64) if ctx.rel_trace(x, 2) == 0]
     for a, coset in zip(case2, decomposition_cosets(ctx, case2)):
         for c in coset:
@@ -253,7 +248,7 @@ def test_case2_conclusions_are_coset_invariant():
                 rhs = (mask_c & s_power(ctx, x)).bit_count() & 1
                 assert lhs == rhs
             tz_sum = sum(1 - 2 * ((mask_c & int(w)).bit_count() & 1)
-                         for w in state.tz_powers)
+                         for w in _s_power(ctx).values)
             assert tz_sum == 0
 
 
@@ -385,14 +380,14 @@ def test_eq24_scaling_is_exact():
     # rides on the rewrite endpoint, so it is a q = 4 statement
     for t, k in [(2, 1), (2, 2)]:
         ctx = FieldCtx.from_tower(t, k)
-        state = _Thm1State(ctx)
+        g = build_g_thm1(ctx)
         d = t * k
         for a in (x for x in range(1, ctx.order) if ctx.rel_trace(x, d) == 0):
             c = decompose_a(ctx, a)
             mask_c = ctx.trace_mask(c)
             tz_sum = sum(1 - 2 * ((mask_c & int(w)).bit_count() & 1)
-                         for w in state.tz_powers)
-            assert char_sum(state.g, a) == (1 << d) * tz_sum
+                         for w in _s_power(ctx).values)
+            assert char_sum(g, a) == (1 << d) * tz_sum
 
 
 def test_checks_are_deterministic():
@@ -419,3 +414,36 @@ def test_case1_and_case2_entry_points_reject_values_outside_the_field(bad):
     a = int(tracezero_set(ctx)[1])
     assert check_eq23(ctx, a).passed and check_case2_factorization(ctx, a).passed
     assert shift_check(g1, 63, find_case1_witness(ctx, 63)) == 1
+
+
+def test_case2_entry_points_reject_a_zero():
+    # a = 0 has no Case-2 decomposition c with c outside F_{q^k}: every entry point raises
+    # the same error, where check_eq23 used to pass vacuously and the factorization to fail
+    ctx = FieldCtx.from_tower(2, 1)
+    for call in (lambda: decompose_a(ctx, 0), lambda: least_decompositions(ctx, [5, 0]),
+                 lambda: check_eq23(ctx, 0), lambda: check_case2_factorization(ctx, 0)):
+        with pytest.raises(ValueError, match="a must be nonzero"):
+            call()
+    assert least_decompositions(ctx, [5]).tolist() == [decompose_a(ctx, 5)]
+
+
+def test_report_dicts_follow_the_dataclass_fields():
+    # the keys come in field order, None fields are left out and millis is rounded;
+    # from_dict fills absent optional fields with their defaults and ignores unknown keys
+    check = CheckResult("eq22", "fail", count=3, millis=1.23456, counterexample="x")
+    assert check.to_dict() == {"name": "eq22", "status": "fail", "count": 3, "millis": 1.235,
+                               "counterexample": "x"}
+    assert list(check.to_dict()) == ["name", "status", "count", "millis", "counterexample"]
+    assert CheckResult.from_dict({"name": "eq22", "status": "pass", "extra": 1}) == \
+        CheckResult("eq22", "pass")
+    report = VerificationReport("thm1", 2, 1, 6, "5b", 7, [check, CheckResult("a", "pass")],
+                                "fail", 2.5)
+    data = report.to_dict()
+    assert list(data) == ["theorem", "t", "k", "m", "modulus_hex", "seed", "checks", "overall",
+                          "millis", "hypothesis_failure"]
+    assert data["checks"] == [check.to_dict(), {"name": "a", "status": "pass", "count": 0,
+                                                "millis": 0.0}]
+    back = VerificationReport.from_dict(json.loads(json.dumps(data)))
+    assert back.to_dict() == data and isinstance(back.checks[0], CheckResult)
+    del data["hypothesis_failure"]
+    assert VerificationReport.from_dict(data).hypothesis_failure is False

@@ -19,15 +19,14 @@ import numpy as np
 import pytest
 
 from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_thm3,
-                      build_L_note, char_sum, gf2linalg, proofchecks, verify_thm1,
-                      verify_thm3)
+                      build_L_note, char_sum, gf2linalg, verify_thm1, verify_thm3)
 from ppverify.cli import run
 from ppverify.constructions import build_L1, s2k
 from ppverify.maps import FieldMap, _quotient, linearized_map
 from ppverify.pptest import shift_check, shift_checks
 from ppverify.proofchecks import (_case_split, _check_eq23_batch, _check_factorization_batch,
-                                  _Thm1State)
-from reference import shift_checks_gather
+                                  _eq23_basis)
+from reference import s_power_table, shift_checks_gather
 
 SMALL_TOWERS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
 TOWERS_M18_M21 = [(1, 6), (2, 3), (3, 2), (6, 1), (1, 7), (7, 1)]
@@ -104,7 +103,7 @@ def test_quotient_route_never_transforms_the_whole_field(monkeypatch):
     _, case2, _ = _case_split(ctx, 1729)
     for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx))):
         lengths.clear()
-        assert _check_factorization_batch(_Thm1State(ctx, g), case2, None).passed
+        assert _check_factorization_batch(g, case2, None).passed
         assert len(lengths) == 3 and max(lengths) <= 1 << (2 * ctx.m // 3), g.name
     lengths.clear()
     FieldMap.from_table("table", ctx, build_g_thm1(ctx).table()).walsh(masks)
@@ -229,18 +228,14 @@ def _row_maps(ctx, seed):
 
 
 def _check_eq23_routes(t, k):
-    """eq23_basis and the eq23 row through the quotient against from_table copies of g and S^E."""
+    """The eq23 basis and row through the quotient against the from_table copy of g."""
     ctx = FieldCtx.from_tower(t, k)
     _, case2, _ = _case_split(ctx, 1729)
     statuses = []
     for g in _row_maps(ctx, 10 * t + k):
-        state = _Thm1State(ctx, g)
-        basis = state.eq23_basis
-        assert state.s_power._table is None
-        oracle = _Thm1State(ctx, _oracle(g))
-        oracle.s_power = _oracle(state.s_power)
-        assert basis == oracle.eq23_basis, g.name
-        got, want = (_check_eq23_batch(s, case2, None) for s in (state, oracle))
+        oracle = _oracle(g)
+        assert _eq23_basis(g) == _eq23_basis(oracle), g.name
+        got, want = (_check_eq23_batch(f, case2, None) for f in (g, oracle))
         assert (got.status, got.count, got.counterexample) == \
             (want.status, want.count, want.counterexample)
         statuses.append(got.status)
@@ -256,6 +251,40 @@ def test_eq23_span_through_the_quotient_matches_the_table_pass(t, k):
 @pytest.mark.parametrize("t,k", [(2, 3), (6, 1), (1, 7), (2, 4)], ids=str)
 def test_eq23_span_through_the_quotient_matches_the_table_pass_above_m12(t, k):
     _check_eq23_routes(t, k)
+
+
+@pytest.fixture
+def span_reads(monkeypatch):
+    """The number of points each `blocks.span_basis` call reads, in call order."""
+    read = []
+    span_basis = blocks.span_basis
+
+    def recording(vector_blocks, width):
+        vector_blocks = list(vector_blocks)
+        read.append(sum(len(v) for v in vector_blocks))
+        return span_basis(vector_blocks, width)
+
+    monkeypatch.setattr(blocks, "span_basis", recording)
+    return read
+
+
+@pytest.mark.parametrize("t,k", SMALL_TOWERS, ids=str)
+def test_eq23_basis_of_every_route_matches_the_echelon_of_every_pair(t, k, span_reads):
+    # g1 and g3 span_reads the pairs (g(x), S^E(x)) at the coset representatives of K = ker S and
+    # K's basis; a from_table copy reads every x, and so does a linearized map, whose
+    # linear part has S = 0 and is rewrapped as a table.  S^E here is s_power_block_direct.
+    ctx = FieldCtx.from_tower(t, k)
+    m, xs = ctx.m, np.arange(ctx.order)
+    se = s_power_table(ctx)
+    quotient_reads = (1 << (m - t * k)) + t * k
+    maps = [(g, quotient_reads) for g in _row_maps(ctx, 10 * t + k)]
+    maps += [(linearized_map(L, "L"), ctx.order) for L in (build_L1(ctx), build_L_note(ctx))]
+    for g, reads in maps + [(_oracle(g), ctx.order) for g, _ in maps]:
+        table = g.table()
+        want = gf2linalg.echelon(np.unique(np.left_shift(se, m, dtype=np.uint64) | table).tolist())
+        span_reads.clear()
+        assert _eq23_basis(g) == want, g.name
+        assert span_reads == [reads], g.name
 
 
 @pytest.mark.parametrize("t,k", SMALL_TOWERS + [(2, 3), (1, 6)], ids=str)
@@ -306,18 +335,9 @@ def test_shift_checks_take_the_pass_where_the_table_disagrees_with_the_linear_pa
     assert (got == -1).any()
 
 
-def test_built_in_maps_never_reach_the_shift_pass(monkeypatch):
+def test_built_in_maps_never_reach_the_shift_pass(span_reads):
     # every span g1 or g3 takes reads 2^(m - dim K) + dim K points, for y in K and outside
     # it and in whole batteries; a from_table copy reads every x
-    read = []
-    span_basis = blocks.span_basis
-
-    def recording(vector_blocks, width):
-        vector_blocks = list(vector_blocks)
-        read.append(sum(len(v) for v in vector_blocks))
-        return span_basis(vector_blocks, width)
-
-    monkeypatch.setattr(blocks, "span_basis", recording)
     for t, k in [(2, 2), (1, 4), (2, 3)]:
         ctx = FieldCtx.from_tower(t, k)
         bound = (1 << (ctx.m - t * k)) + t * k
@@ -327,20 +347,20 @@ def test_built_in_maps_never_reach_the_shift_pass(monkeypatch):
         assert len(outside) == 4
         for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx))):
             for y in kernel + outside:
-                read.clear()
+                span_reads.clear()
                 shift_check(g, 1, y)
-                assert read and max(read) <= bound, (g.name, y, read)
-            read.clear()
+                assert span_reads and max(span_reads) <= bound, (g.name, y, span_reads)
+            span_reads.clear()
             shift_check(_oracle(g), 1, outside[0])
-            assert read == [ctx.order]
-    read.clear()
+            assert span_reads == [ctx.order]
+    span_reads.clear()
     assert verify_thm1(FieldCtx.from_tower(2, 3)).passed
-    assert read and max(read) <= (1 << 12) + 6
+    assert span_reads and max(span_reads) <= (1 << 12) + 6
     for t, k in [(1, 6), (2, 2)]:
         ctx = FieldCtx.from_tower(t, k)
-        read.clear()
+        span_reads.clear()
         assert verify_thm3(ctx, build_L_note(ctx)).passed
-        assert read and max(read) <= (1 << (ctx.m - t * k)) + t * k
+        assert span_reads and max(span_reads) <= (1 << (ctx.m - t * k)) + t * k
 
 
 @pytest.mark.parametrize("t,k", SMALL_TOWERS, ids=str)
@@ -353,7 +373,7 @@ def test_fieldmap_span_matches_the_echelon_of_every_value(t, k):
     kernel = ctx.enumerate_subfield(t * k).tolist()
     outside = [y for y in (rng.randrange(ctx.order) for _ in range(8)) if y not in kernel][:4]
     for g in _row_maps(ctx, 10 * t + k):
-        table, se = g.table(), _Thm1State(ctx, g).s_power.table()
+        table, se = g.table(), s_power_table(ctx)
         values = [(lambda v, y=y: table[v] ^ table[v ^ y] ^ table[0] ^ table[y], m)
                   for y in kernel[1:3] + outside]
         values.append((lambda v: np.left_shift(se[v], m, dtype=np.uint64) | table[v], 2 * m))
@@ -364,14 +384,25 @@ def test_fieldmap_span_matches_the_echelon_of_every_value(t, k):
 
 
 def test_passing_verify_thm1_at_m18_builds_no_s_power_table(monkeypatch):
-    states = []
+    # the battery fills g's table alone; the 2^m S^E table is built only to name the x
+    # of a failing eq23 a
+    built = []
+    table = FieldMap.table
 
-    class Recording(_Thm1State):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            states.append(self)
+    def recording(fmap):
+        if fmap._table is None:
+            built.append(fmap.name)
+        return table(fmap)
 
-    monkeypatch.setattr(proofchecks, "_Thm1State", Recording)
-    assert verify_thm1(FieldCtx.from_tower(2, 3)).passed
-    assert len(states) == 1 and states[0].s_power._table is None
-    assert states[0].g._table is not None
+    monkeypatch.setattr(FieldMap, "table", recording)
+    ctx = FieldCtx.from_tower(2, 3)
+    assert verify_thm1(ctx).passed
+    assert built == ["builtin:g-thm1"]
+    _, case2, _ = _case_split(ctx, 1729)
+    values = build_g_thm1(ctx).table().copy()
+    values[5] ^= 1 << 7
+    mutant = FieldMap.from_table("mutant", ctx, values)
+    failing = [a for a in case2 if ctx.trace_mask(a) >> 7 & 1][:1]
+    built.clear()
+    assert not _check_eq23_batch(mutant, failing, None).passed
+    assert built == ["S^E"]
