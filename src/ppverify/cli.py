@@ -205,6 +205,8 @@ def _cmd_verify(args) -> int:
     reports: list[VerificationReport] = []
     jobs: list[tuple[str, int, int]] = []
     if args.theorem is None:
+        if args.tee is not None or args.kay is not None:
+            raise ConfigError("--t/--k need a theorem: `verify thm1` or `verify thm3`")
         jobs += [("thm1", t, k) for t, k in SMOKE_TOWERS_THM1]
         jobs += [("thm3", t, k) for t, k in SMOKE_TOWERS_THM3]
     else:

@@ -2,9 +2,12 @@
 
 Field elements are plain ints in [0, 2^m): bit i is the coordinate of
 x^i in the power basis of the modulus, so addition is XOR and zero/one
-are literally 0 and 1.  Multiplication is shift-and-XOR reduction,
-which is plenty at desk scale (m <= 24); the heavy sweeps go through
-the numpy kernels in `blocks` instead.
+are literally 0 and 1.  The scalar core is small: the shift-and-XOR
+product, squaring, the Frobenius images of the basis and the trace
+row, enough to build the vectorized tables of `blocks`, which every
+check reads.  Traces, powers and inverses element by element are not
+here: they are the slow oracles of `tests/reference.py`, which pin
+those tables.
 
 A context may carry tower parameters (t, k) with m = 3*t*k and
 q = 2^t, giving the subfield ladder F_2 <= F_{q^k} <= F_{q^{3k}} that
@@ -113,27 +116,35 @@ class FieldCtx:
             self._cache[key] = build()
         return self._cache[key]
 
-    def elements(self) -> range:
-        """All 2^m element encodings in ascending order."""
-        return range(self.order)
-
     # -- arithmetic ---------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
 
     def check_element(self, a) -> None:
         """ValueError unless a is an element encoding, an int in [0, 2^m); elementwise for an array.
 
-        For an array, the error names its first entry outside the range.
+        A non-integer scalar (a bool included), or a non-empty array whose
+        dtype is not an integer type, is a TypeError: it is rejected as
+        given, never truncated.  For an array, the error names its first
+        entry outside the range.
         """
         if isinstance(a, np.ndarray):
-            if not a.size or (a.min() >= 0 and a.max() < self.order):
+            if not a.size:
+                return
+            if not np.issubdtype(a.dtype, np.integer):
+                raise TypeError(f"field elements must be integers, got an array of {a.dtype}")
+            if a.min() >= 0 and a.max() < self.order:
                 return
             flat = a.ravel()
             a = flat[np.argmax((flat < 0) | (flat >= self.order))]
+        elif isinstance(a, bool) or not isinstance(a, (int, np.integer)):
+            raise TypeError(f"a field element must be an integer, got {a!r}")
         if not 0 <= a < self.order:
             raise ValueError(f"element {a} outside the field range [0, 2^{self.m})")
+
+    def element_array(self, a) -> np.ndarray:
+        """a as an int64 array, once `check_element` has accepted it as given."""
+        a = np.asarray(a)
+        self.check_element(a)
+        return a.astype(np.int64, copy=False)
 
     def mul(self, a: int, b: int) -> int:
         if (a | b) >> self.m:   # nonzero iff a or b is negative or at least 2^m
@@ -161,23 +172,6 @@ class FieldCtx:
             a ^= self.modulus
         return a
 
-    def pow(self, a: int, e: int) -> int:
-        """a^e for e >= 0, by square and multiply (0^0 = 1)."""
-        if e < 0:
-            raise ValueError("negative exponent; use inv and a positive power")
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.sqr(a)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
-
     def frobenius_images(self) -> list[list[int]]:
         """images[i][j] = (x^j)^(2^i): the basis under every Frobenius power, cached.
 
@@ -202,46 +196,10 @@ class FieldCtx:
 
     # -- traces and subfields -----------------------------------------------
 
-    def abs_trace(self, a: int) -> int:
-        """Absolute trace onto GF(2): sum of a^(2^i) for i < m, as a bit."""
-        acc = 0
-        v = a
-        for _ in range(self.m):
-            acc ^= v
-            v = self.sqr(v)
-        assert acc in (0, 1)
-        return acc
-
-    def rel_trace(self, a: int, d: int) -> int:
-        """Trace onto the subfield GF(2^d): sum of a^(2^(d*i)) for i < m/d."""
-        self._check_subfield_degree(d)
-        acc = 0
-        v = a
-        for _ in range(self.m // d):
-            acc ^= v
-            v = self.frobenius(v, d)
-        return acc
-
-    def subfield_trace(self, z: int, d: int) -> int:
-        """Trace of z from GF(2^d) down to GF(2); z must lie in GF(2^d)."""
-        self._check_subfield_degree(d)
-        if self.frobenius(z, d) != z:
-            raise ValueError(f"element {z:#x} is not in the subfield GF(2^{d})")
-        acc = 0
-        v = z
-        for _ in range(d):
-            acc ^= v
-            v = self.sqr(v)
-        assert acc in (0, 1)
-        return acc
-
-    def in_subfield(self, a: int, d: int) -> bool:
-        self._check_subfield_degree(d)
-        return self.frobenius(a, d) == a
-
     def enumerate_subfield(self, d: int) -> np.ndarray:
         """The 2^d elements fixed by x -> x^(2^d), ascending: one cached read-only uint32 array."""
-        self._check_subfield_degree(d)
+        if d < 1 or self.m % d:
+            raise ValueError(f"subfield degree {d} does not divide m={self.m}")
 
         def build():   # the columns of v -> v + v^(2^d), from the cached Frobenius images
             cols = [v ^ (1 << j) for j, v in enumerate(self.frobenius_images()[d % self.m])]
@@ -273,10 +231,6 @@ class FieldCtx:
             assert bit in (0, 1)
             row |= bit << j
         return row
-
-    def _check_subfield_degree(self, d: int) -> None:
-        if d < 1 or self.m % d != 0:
-            raise ValueError(f"subfield degree {d} does not divide m={self.m}")
 
 
 def parse_pair(text: str) -> tuple[int, int]:

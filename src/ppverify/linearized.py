@@ -4,7 +4,10 @@ Coefficient vectors always have length exactly m (exponents reduced
 mod m, valid because x^(2^m) = x on the field), so reduced polynomials
 are in bijection with the F2-linear maps they induce; coefficient
 equality is functional equality.  q-linearized polynomials embed by
-placing coefficients at stride t when q = 2^t.
+placing coefficients at stride t when q = 2^t.  A polynomial is
+evaluated only through its columns (`matrix_columns`), as the lookup
+table of `blocks.linear_table`; the term-by-term sum is the oracle that
+pins that table, in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -85,19 +88,7 @@ class LinearizedPoly:
         """Indices of nonzero coefficients."""
         return [i for i, c in enumerate(self.coeffs) if c]
 
-    # -- evaluation and composition --------------------------------------------
-
-    def __call__(self, x: int) -> int:
-        """Sum of c_i * x^(2^i); additive in x."""
-        ctx = self.ctx
-        ctx.check_element(x)
-        acc = 0
-        xp = x
-        for c in self.coeffs:
-            if c:
-                acc ^= ctx.mul(c, xp)
-            xp = ctx.sqr(xp)
-        return acc
+    # -- composition -------------------------------------------------------------
 
     def compose(self, inner: "LinearizedPoly") -> "LinearizedPoly":
         """self after inner: coefficient h picks up A[i] * B[j]^(2^i) for i+j = h mod m.

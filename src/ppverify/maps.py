@@ -146,16 +146,15 @@ class FieldMap:
 
     @classmethod
     def from_table(cls, name: str, ctx: FieldCtx, values) -> "FieldMap":
-        """Wrap an explicit value table (length 2^m, entries in range), stored as uint32.
+        """Wrap an explicit value table (length 2^m, entries checked by `FieldCtx.check_element`).
 
-        A uint32 array is taken over without a copy and made read-only.
+        The table is stored as uint32; a uint32 array is taken over
+        without a copy and made read-only.
         """
-        uint32 = isinstance(values, np.ndarray) and values.dtype == np.uint32
-        table = values if uint32 else np.asarray(values, dtype=np.int64)
+        table = np.asarray(values)
         if table.shape != (ctx.order,):
             raise ValueError(f"table must have exactly {ctx.order} entries, got {table.shape}")
-        if table.size and (table.min() < 0 or table.max() >= ctx.order):
-            raise ValueError("table entry out of field range")
+        ctx.check_element(table)
         table = table.astype(np.uint32, copy=False)
         table.setflags(write=False)
         fmap = cls(name, ctx, lambda start, n: table[start:start + n])

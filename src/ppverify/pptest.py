@@ -94,12 +94,10 @@ def char_sum(f: FieldMap, a):
 
     Given an array of a, returns the array of their sums: one gather of
     the trace masks from their linear table, then `FieldMap.walsh` at
-    those masks.  Every a must lie in [0, 2^m): ValueError otherwise,
-    before any lookup.
+    those masks.  Every a must be an int in [0, 2^m): TypeError or
+    ValueError otherwise, before any lookup.
     """
-    a_arr = np.asarray(a)
-    f.ctx.check_element(a_arr)
-    sums = f.walsh(blocks.trace_masks(f.ctx)(a_arr.astype(np.int64, copy=False)))
+    sums = f.walsh(blocks.trace_masks(f.ctx)(f.ctx.element_array(a)))
     return sums if np.ndim(a) else int(sums)
 
 
@@ -179,10 +177,9 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
     constant on the cosets of K, and only the 2^(m - dim K) coset
     representatives and K's basis are read (for y in K, D is L(y) there).
     One span per y, whatever the number of a.  y and every a must lie in
-    [0, 2^m): ValueError otherwise, before any lookup.
+    [0, 2^m), as ints: TypeError or ValueError otherwise, before any lookup.
     """
-    a_values = np.asarray(a_values, dtype=np.int64)
-    f.ctx.check_element(a_values)
+    a_values = f.ctx.element_array(a_values)
     f.ctx.check_element(y)
     table = f.table()
     d0 = int(table[0] ^ table[y])
@@ -200,10 +197,10 @@ def case1_witnesses(ctx: FieldCtx, L: LinearizedPoly, r_values) -> np.ndarray:
     F_{q^k}.  There Tr_{q^k/2} is the absolute trace (m/d = 3 is odd), so
     the test is parity(M_r & L(y)), one masked pass over L(F_{q^k}).  g1 is
     g3 with L1, which is the identity on F_{q^k}: one search serves both.
-    Every r must lie in [0, 2^m): ValueError otherwise, before any lookup.
+    Every r must be an int in [0, 2^m): TypeError or ValueError otherwise,
+    before any lookup.
     """
-    r_values = np.asarray(r_values, dtype=np.int64)
-    ctx.check_element(r_values)
+    r_values = ctx.element_array(r_values)
     t, k = ctx.require_tower()
     d = t * k
     ys = ctx.enumerate_subfield(d)
@@ -220,7 +217,7 @@ def find_case1_witness(ctx: FieldCtx, a: int) -> int:
 
     Only defined for a with nonzero relative trace; the trace form on
     the subfield is nondegenerate, so a witness always exists.  a must
-    lie in [0, 2^m): ValueError otherwise.
+    be an int in [0, 2^m): TypeError or ValueError otherwise.
     """
     ctx.check_element(a)
     r = int(blocks.linear_table(rel_trace_poly(ctx))(a))

@@ -21,8 +21,8 @@ in the masks M_a, so a row costs one pass per table (the span of the
 values a condition must annihilate) plus a few array operations over a.
 The first failing a in list order is reported, its message built from
 the row's own arrays; eq23 finds its x by one parity sweep of that a.
-The one-a checks (`check_eq23`, `check_case2_factorization`, for g1
-unless given another g) are one-element calls of the batched rows.
+The one-a checks (`check_eq23(g, a)`, `check_case2_factorization(g,
+a)`) are one-element calls of the batched rows.
 """
 
 from __future__ import annotations
@@ -244,11 +244,10 @@ def least_decompositions(ctx: FieldCtx, a_values) -> np.ndarray:
     One lookup of the particular solution (it is linear in a), the least
     member of its coset over the q^k-element kernel, and an exact check
     that every c solves c + c^(q^k) = a: a ValueError names the first a
-    outside the map's image.  Every a must be nonzero and lie in [0, 2^m):
-    ValueError otherwise, before any lookup.
+    outside the map's image.  Every a must be a nonzero int in [0, 2^m):
+    TypeError or ValueError otherwise, before any lookup.
     """
-    a_values = np.asarray(a_values, dtype=np.int64)
-    ctx.check_element(a_values)
+    a_values = ctx.element_array(a_values)
     if (a_values == 0).any():
         raise ValueError("a must be nonzero")
     phi, particular, kernel = _decomposition(ctx)
@@ -286,17 +285,17 @@ def _s_power(ctx: FieldCtx) -> blocks.ImageTable:
     return blocks.image_product(s2k(ctx), (t * k + 1, 2 * t * k))
 
 
-def check_eq23(ctx: FieldCtx, a: int, g: FieldMap | None = None) -> CheckResult:
+def check_eq23(g: FieldMap, a: int) -> CheckResult:
     """Endpoint of the Case-2 trace rewrite: Tr(a*g(x)) = Tr(c*S(x)^E).
 
-    E = 1 + 2q^k + q^(2k) and c is the least decomposition of a.  The
-    rewrite cancels S^q against S^4.  For g = g1 (the default) that makes
-    it a q = 4 identity (the t=2 towers), and it fails pointwise at other
-    q; for g3, condition (ii) supplies the cancellation at every q.  Every
-    x is checked, through the span of (g(x), S^E(x)).  The count is 1, the
+    E = 1 + 2q^k + q^(2k), c is the least decomposition of a and the field
+    is g's.  The rewrite cancels S^q against S^4.  For g = g1 that makes it
+    a q = 4 identity (the t=2 towers), and it fails pointwise at other q;
+    for g3, condition (ii) supplies the cancellation at every q.  Every x
+    is checked, through the span of (g(x), S^E(x)).  The count is 1, the
     one a.
     """
-    return _check_eq23_batch(g if g is not None else build_g_thm1(ctx), [a], None)
+    return _check_eq23_batch(g, [a], None)
 
 
 def tracezero_basis(ctx: FieldCtx) -> tuple[int, int]:
@@ -324,7 +323,7 @@ def tracezero_basis(ctx: FieldCtx) -> tuple[int, int]:
     return ctx.cached("tracezero-basis", build)
 
 
-def check_case2_factorization(ctx: FieldCtx, a: int, g: FieldMap | None = None) -> CheckResult:
+def check_case2_factorization(g: FieldMap, a: int) -> CheckResult:
     """The Case-2 chain: restriction to the trace-zero set, the two-factor
     product formula, the not-both-zero basis claim, and the vanishing sum.
 
@@ -336,9 +335,9 @@ def check_case2_factorization(ctx: FieldCtx, a: int, g: FieldMap | None = None) 
           (-1)^Tr(c di^(q^k) u),
       (c) rel_trace(c d1^(q^k)) and rel_trace(c d2^(q^k)) are not both 0,
       (d) T = 0.
-    g defaults to g1.  The count is 1, the one a.
+    The count is 1, the one a.
     """
-    return _check_factorization_batch(g if g is not None else build_g_thm1(ctx), [a], None)
+    return _check_factorization_batch(g, [a], None)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +450,9 @@ def _check_eq23_batch(g: FieldMap, case2: list[int], note: str | None) -> CheckR
     """
     ctx = g.ctx
 
-    a_values = np.array(case2, dtype=np.int64)
+    a_values = ctx.element_array(case2)
     masks = blocks.trace_masks(ctx)
-    mask_c = masks(least_decompositions(ctx, a_values))   # first: it checks the a
+    mask_c = masks(least_decompositions(ctx, a_values))   # first: it rejects an a outside Case 2
     mask_a = masks(a_values)
     bad = np.zeros(len(case2), dtype=bool)
     for z in _eq23_basis(g):
@@ -481,7 +480,7 @@ def _check_factorization_batch(g: FieldMap, case2: list[int], note: str | None) 
 
     t, k = ctx.require_tower()
     d = t * k
-    a_values = np.array(case2, dtype=np.int64)
+    a_values = ctx.element_array(case2)
     c = least_decompositions(ctx, a_values)
     masks = blocks.trace_masks(ctx)
     tz_sum = blocks.span_walsh(_s_power(ctx).values, masks(c), ctx.m)

@@ -2,7 +2,13 @@
 
 Everything here prefers the dumbest correct algorithm: trial division,
 exhaustive filters, definitional sums, one masked sweep per character
-sum.  Deliberately disjoint from the implementation's Frobenius/gcd
+sum.  The scalar field oracles come first: `power` and `inverse` by
+square and multiply, `abs_trace`, `rel_trace` and `subfield_trace` by
+repeated squaring, and `lin_eval`, a linearized polynomial as the sum
+of its terms c_i * x^(2^i).  They are the package's former `FieldCtx`
+and `LinearizedPoly.__call__` methods, moved here unchanged and built on
+the scalar product alone, so they share nothing with the tables and
+linear algebra they pin.  Deliberately disjoint from the implementation's Frobenius/gcd
 irreducibility test, kernel-basis subfield enumeration, Walsh-spectrum
 character sums, popcount parity kernel, image-table map formulas and
 vectorized collision search.  The `*_block_direct` oracles reuse the
@@ -56,6 +62,79 @@ from ppverify.pptest import NOT_PERMUTATION, PERMUTATION, PROBABLE, PPVerdict, _
 from ppverify.proofchecks import CheckResult, tracezero_basis, tracezero_set
 
 
+def _check_subfield_degree(ctx, d: int) -> None:
+    if d < 1 or ctx.m % d != 0:
+        raise ValueError(f"subfield degree {d} does not divide m={ctx.m}")
+
+
+def power(ctx, a: int, e: int) -> int:
+    """a^e for e >= 0, by square and multiply (0^0 = 1)."""
+    if e < 0:
+        raise ValueError("negative exponent; use inverse and a positive power")
+    result = 1
+    while e:
+        if e & 1:
+            result = ctx.mul(result, a)
+        a = ctx.sqr(a)
+        e >>= 1
+    return result
+
+
+def inverse(ctx, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    return power(ctx, a, ctx.order - 2)
+
+
+def abs_trace(ctx, a: int) -> int:
+    """Absolute trace onto GF(2): sum of a^(2^i) for i < m, as a bit."""
+    acc = 0
+    v = a
+    for _ in range(ctx.m):
+        acc ^= v
+        v = ctx.sqr(v)
+    assert acc in (0, 1)
+    return acc
+
+
+def rel_trace(ctx, a: int, d: int) -> int:
+    """Trace onto the subfield GF(2^d): sum of a^(2^(d*i)) for i < m/d."""
+    _check_subfield_degree(ctx, d)
+    acc = 0
+    v = a
+    for _ in range(ctx.m // d):
+        acc ^= v
+        v = ctx.frobenius(v, d)
+    return acc
+
+
+def subfield_trace(ctx, z: int, d: int) -> int:
+    """Trace of z from GF(2^d) down to GF(2); z must lie in GF(2^d)."""
+    _check_subfield_degree(ctx, d)
+    if ctx.frobenius(z, d) != z:
+        raise ValueError(f"element {z:#x} is not in the subfield GF(2^{d})")
+    acc = 0
+    v = z
+    for _ in range(d):
+        acc ^= v
+        v = ctx.sqr(v)
+    assert acc in (0, 1)
+    return acc
+
+
+def lin_eval(L: LinearizedPoly, x: int) -> int:
+    """L(x) = sum of c_i * x^(2^i), term by term; additive in x."""
+    ctx = L.ctx
+    ctx.check_element(x)
+    acc = 0
+    xp = x
+    for c in L.coeffs:
+        if c:
+            acc ^= ctx.mul(c, xp)
+        xp = ctx.sqr(xp)
+    return acc
+
+
 def trial_division_irreducible(f: int) -> bool:
     """No divisor of degree 1..deg(f)//2, by dividing by every candidate."""
     n = binpoly.degree(f)
@@ -90,7 +169,7 @@ def mul_via_polymod(ctx, a: int, b: int) -> int:
 
 def subfield_by_filter(ctx, d: int) -> list[int]:
     """Exhaustive filter of the frobenius fixed-point condition."""
-    return [a for a in ctx.elements() if ctx.frobenius(a, d) == a]
+    return [a for a in range(ctx.order) if ctx.frobenius(a, d) == a]
 
 
 def columns_of_map(m: int, fn) -> list[int]:
@@ -157,7 +236,7 @@ def signed_parity_sums(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def char_sum_definitional(fmap, a: int) -> int:
     """Sum of (-1)^Tr(a*f(x)) term by term, no masks."""
     ctx = fmap.ctx
-    return sum(1 - 2 * ctx.abs_trace(ctx.mul(a, fmap(x))) for x in ctx.elements())
+    return sum(1 - 2 * abs_trace(ctx, ctx.mul(a, fmap(x))) for x in range(ctx.order))
 
 
 def char_sums_masked(fmap, a_values) -> list[int]:
@@ -202,7 +281,7 @@ def charsum_run_lists(f, mode: str, n: int, seed: int):
 def tracezero_set_scalar(ctx) -> list[int]:
     """The relative-trace-zero subspace, spanned by the kernel of the scalar rel_trace's columns."""
     t, k = ctx.require_tower()
-    cols = columns_of_map(ctx.m, lambda v: ctx.rel_trace(v, t * k))
+    cols = columns_of_map(ctx.m, lambda v: rel_trace(ctx, v, t * k))
     return span_by_closure(gf2linalg.kernel_image(cols)[0])
 
 
@@ -217,32 +296,32 @@ def case_split_scalar(ctx, seed: int, n: int = 128) -> tuple[list[int], list[int
         if a in seen:
             continue
         seen.add(a)
-        if ctx.rel_trace(a, t * k) != 0:
+        if rel_trace(ctx, a, t * k) != 0:
             case1.append(a)
     case2 = [a for a in tracezero_set_scalar(ctx) if a != 0]
     return case1, sorted(rng.sample(case2, min(n, len(case2))))
 
 
 def kernel_by_sweep(L) -> set[int]:
-    return {x for x in L.ctx.elements() if L(x) == 0}
+    return {x for x in range(L.ctx.order) if lin_eval(L, x) == 0}
 
 
 def image_by_sweep(L) -> set[int]:
-    return {L(x) for x in L.ctx.elements()}
+    return {lin_eval(L, x) for x in range(L.ctx.order)}
 
 
 def g_scalar(ctx, x: int, L=None) -> int:
     """g1(x), or g3(x) given L, with s = S(x) and s^(q^k+3) = s * s^2 * s^(q^k), by scalar ops."""
     t, k = ctx.require_tower()
-    s = s2k(ctx)(x)
-    head = x ^ ctx.frobenius(s, 2 * t * k) if L is None else L(x)
+    s = lin_eval(s2k(ctx), x)
+    head = x ^ ctx.frobenius(s, 2 * t * k) if L is None else lin_eval(L, x)
     return head ^ ctx.mul(ctx.mul(s, ctx.sqr(s)), ctx.frobenius(s, t * k))
 
 
 def s_power(ctx, x: int) -> int:
     """S(x)^(1 + 2q^k + q^(2k)) = v * v^(2^(tk+1)) * v^(2^(2tk)) with v = S(x), by scalar ops."""
     t, k = ctx.require_tower()
-    v = s2k(ctx)(x)
+    v = lin_eval(s2k(ctx), x)
     return ctx.mul(ctx.mul(v, ctx.frobenius(v, t * k + 1)), ctx.frobenius(v, 2 * t * k))
 
 
@@ -300,8 +379,8 @@ def subfield_permutation_scalar(L, d: int) -> tuple[bool, str | None]:
     ctx = L.ctx
     seen: dict[int, int] = {}
     for z in ctx.enumerate_subfield(d).tolist():
-        w = L(z)
-        if not ctx.in_subfield(w, d):
+        w = lin_eval(L, z)
+        if ctx.frobenius(w, d) != w:
             return False, f"not subfield-stable: L({z:#x}) = {w:#x} outside GF(2^{d})"
         if w in seen:
             return False, f"not injective: L({seen[w]:#x}) = L({z:#x}) = {w:#x}"
@@ -313,11 +392,11 @@ def find_case1_witness_scalar(ctx, a: int) -> int:
     """First y in F_{q^k} (enumeration order) with Tr_{q^k/2}(y * rel_trace(a)) = 1, by scalar ops."""
     t, k = ctx.require_tower()
     d = t * k
-    r = ctx.rel_trace(a, d)
+    r = rel_trace(ctx, a, d)
     if r == 0:
         raise ValueError(f"a={a:#x} has zero relative trace; it belongs to Case 2")
     for y in ctx.enumerate_subfield(d).tolist():
-        if ctx.subfield_trace(ctx.mul(y, r), d) == 1:
+        if subfield_trace(ctx, ctx.mul(y, r), d) == 1:
             return y
     raise AssertionError("nondegenerate trace form yielded no witness")
 
@@ -329,12 +408,12 @@ def adapted_witness(ctx, L, a: int) -> int | None:
     """
     t, k = ctx.require_tower()
     d = t * k
-    r = ctx.rel_trace(a, d)
+    r = rel_trace(ctx, a, d)
     for y in ctx.enumerate_subfield(d).tolist():
-        ly = L(y)
-        if not ctx.in_subfield(ly, d):
+        ly = lin_eval(L, y)
+        if ctx.frobenius(ly, d) != ly:
             return None
-        if ctx.subfield_trace(ctx.mul(ly, r), d) == 1:
+        if subfield_trace(ctx, ctx.mul(ly, r), d) == 1:
             return y
     return None
 
@@ -396,7 +475,7 @@ def factorization_one_a(g, a: int, c: int, basis=None, tz_powers=None) -> str | 
     if tz_sum != factors[0] * factors[1]:
         return (f"a={a:#x}: trace-zero sum {tz_sum} != "
                 f"{factors[0]} * {factors[1]} (product step)")
-    rts = [ctx.rel_trace(ctx.mul(c, ctx.frobenius(di, d)), d) for di in (d1, d2)]
+    rts = [rel_trace(ctx, ctx.mul(c, ctx.frobenius(di, d)), d) for di in (d1, d2)]
     if rts[0] == 0 and rts[1] == 0:
         return f"a={a:#x}: both basis traces vanish"
     if tz_sum != 0:

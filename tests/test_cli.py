@@ -38,6 +38,14 @@ def test_verify_thm3_needs_t(capsys):
     assert run(["verify", "thm3", "--k", "2"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--t", "9", "--k", "9"], ["--k", "1"], ["--t", "2"]])
+def test_verify_t_k_without_a_theorem_is_config_error(capsys, flags):
+    # the smoke suite runs fixed towers: a tower given without thm1/thm3 is not silently dropped
+    assert run(["verify"] + flags) == 2
+    captured = capsys.readouterr()
+    assert "--t/--k need a theorem" in captured.err and captured.out == ""
+
+
 def test_verify_rejects_oversized_tower(capsys):
     assert run(["verify", "thm3", "--t", "3", "--k", "3"]) == 2
 

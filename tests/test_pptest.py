@@ -12,20 +12,21 @@ from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_th
 from ppverify.maps import FieldMap, linearized_map
 from ppverify.pptest import PPVerdict, _char_sums, shift_checks
 
-from reference import (char_sum_definitional, char_sums_masked, first_collision, shift_check_sweep,
-                       shift_checks_gather, walsh_spectrum_levels)
+from reference import (abs_trace, char_sum_definitional, char_sums_masked, first_collision, power,
+                       rel_trace, shift_check_sweep, shift_checks_gather, subfield_trace,
+                       walsh_spectrum_levels)
 
 
 def cube_map_f4():
     ctx = FieldCtx(2)
-    return FieldMap.from_table("x^3", ctx, [ctx.pow(x, 3) for x in ctx.elements()])
+    return FieldMap.from_table("x^3", ctx, [power(ctx, x, 3) for x in range(ctx.order)])
 
 
 def test_exhaustive_identity_and_squaring():
     ctx = FieldCtx(5)
     ident = linearized_map(LinearizedPoly.identity(ctx), "id")
     assert is_permutation_exhaustive(ident).verdict == "permutation"
-    sq = FieldMap.from_table("x^2", ctx, [ctx.sqr(x) for x in ctx.elements()])
+    sq = FieldMap.from_table("x^2", ctx, [ctx.sqr(x) for x in range(ctx.order)])
     assert is_permutation_exhaustive(sq).verdict == "permutation"
 
 
@@ -58,7 +59,7 @@ def test_char_sum_cube_f4():
     # enumerate x in {0, 1, w, w^2}: terms +1, -1, -1, -1
     cube = cube_map_f4()
     omega = 2
-    assert cube.ctx.abs_trace(omega) == 1
+    assert abs_trace(cube.ctx, omega) == 1
     assert char_sum(cube, omega) == -2
 
 
@@ -78,7 +79,7 @@ def test_char_sum_parity():
     rng = random.Random(8)
     table = [rng.randrange(16) for _ in range(16)]
     fmap = FieldMap.from_table("random", ctx, table)
-    for a in ctx.elements():
+    for a in range(ctx.order):
         assert char_sum(fmap, a) % 2 == 0  # same parity as 2^m
 
 
@@ -89,7 +90,7 @@ def test_char_sum_orthogonality(m):
     rng = random.Random(m * 7)
     table = [rng.randrange(ctx.order) for _ in range(ctx.order)]
     fmap = FieldMap.from_table("random", ctx, table)
-    total = sum(char_sum(fmap, a) for a in ctx.elements())
+    total = sum(char_sum(fmap, a) for a in range(ctx.order))
     zeros = sum(1 for v in table if v == 0)
     assert total == ctx.order * zeros
 
@@ -178,8 +179,8 @@ def test_shift_check_zero_shift():
 def test_shift_check_case1_witness_gives_constant_one():
     ctx = FieldCtx.from_tower(2, 1)
     g = build_g_thm1(ctx)
-    for a in ctx.elements():
-        if a and ctx.rel_trace(a, 2) != 0:
+    for a in range(ctx.order):
+        if a and rel_trace(ctx, a, 2) != 0:
             y = find_case1_witness(ctx, a)
             assert shift_check(g, a, y) == 1
             # shift-difference lemma: constant 1 forces a vanishing sum
@@ -195,17 +196,17 @@ def test_shift_check_not_constant():
 def test_find_case1_witness_for_a_equals_one():
     ctx = FieldCtx.from_tower(2, 1)
     # rel_trace(1) = 1 + 1 + 1 = 1 in characteristic 2
-    assert ctx.rel_trace(1, 2) == 1
+    assert rel_trace(ctx, 1, 2) == 1
     y = find_case1_witness(ctx, 1)
     subfield = ctx.enumerate_subfield(2)
-    expected = next(z for z in subfield if ctx.subfield_trace(z, 2) == 1)
+    expected = next(z for z in subfield if subfield_trace(ctx, z, 2) == 1)
     assert y == expected
     assert y not in (0, 1)  # 0 and 1 have subfield trace 0 in F_4
 
 
 def test_find_case1_witness_rejects_case2_a():
     ctx = FieldCtx.from_tower(2, 1)
-    case2_a = next(a for a in range(1, 64) if ctx.rel_trace(a, 2) == 0)
+    case2_a = next(a for a in range(1, 64) if rel_trace(ctx, a, 2) == 0)
     with pytest.raises(ValueError, match="Case 2"):
         find_case1_witness(ctx, case2_a)
 
@@ -230,8 +231,8 @@ def test_char_sums_match_definitional_for_all_a_at_m6():
     ctx = FieldCtx.from_tower(2, 1)
     g1 = build_g_thm1(ctx)
     for fmap in (g1, one_collision_mutant(g1, 5, 40)):
-        assert _char_sums(fmap, list(ctx.elements())) == [
-            char_sum_definitional(fmap, a) for a in ctx.elements()]
+        assert _char_sums(fmap, list(range(ctx.order))) == [
+            char_sum_definitional(fmap, a) for a in range(ctx.order)]
 
 
 def test_spectrum_is_exact_int32_and_read_only():
@@ -292,7 +293,7 @@ def test_shift_check_on_table_matches_definition():
         mask = ctx.trace_mask(a)
         for y in (0, 1, 9, 63):
             bits = {((mask & mutant(x)).bit_count() ^ (mask & mutant(x ^ y)).bit_count()) & 1
-                    for x in ctx.elements()}
+                    for x in range(ctx.order)}
             want = bits.pop() if len(bits) == 1 else None
             assert shift_check(mutant, a, y) == want
 
@@ -325,7 +326,7 @@ def test_char_sums_above_table_limit():
     fmap = collision_map_m19(x1, x2)
     ctx = fmap.ctx
     def term(a, x):
-        return 1 - 2 * ctx.abs_trace(ctx.mul(a, x))
+        return 1 - 2 * abs_trace(ctx, ctx.mul(a, x))
 
     a_values = [0, 1, 2, 0x1234, (1 << 19) - 1]
     expected = [term(a, x1) - term(a, x2) if a else ctx.order for a in a_values]
@@ -341,12 +342,12 @@ def test_shift_check_at_m19_high_shift(y):
     ctx = collide.ctx
     ident = linearized_map(LinearizedPoly.identity(ctx), "id")
     for a in (1, 0x2b, 0x5a5a5, (1 << 19) - 1):
-        assert shift_check(ident, a, y) == ctx.abs_trace(ctx.mul(a, y))
+        assert shift_check(ident, a, y) == abs_trace(ctx, ctx.mul(a, y))
     # only x2 and x2 + y see the changed value, where the bit moves by Tr(a*(x1+x2))
-    a_moved = next(a for a in range(1, ctx.order) if ctx.abs_trace(ctx.mul(a, x1 ^ x2)) == 1)
-    a_fixed = next(a for a in range(1, ctx.order) if ctx.abs_trace(ctx.mul(a, x1 ^ x2)) == 0)
+    a_moved = next(a for a in range(1, ctx.order) if abs_trace(ctx, ctx.mul(a, x1 ^ x2)) == 1)
+    a_fixed = next(a for a in range(1, ctx.order) if abs_trace(ctx, ctx.mul(a, x1 ^ x2)) == 0)
     assert shift_check(collide, a_moved, y) is None
-    assert shift_check(collide, a_fixed, y) == ctx.abs_trace(ctx.mul(a_fixed, y))
+    assert shift_check(collide, a_fixed, y) == abs_trace(ctx, ctx.mul(a_fixed, y))
 
 
 def test_exhaustive_identity_above_table_limit():
@@ -390,9 +391,9 @@ def test_shift_checks_match_shift_check_for_every_a_and_y_at_m6():
     g = build_g_thm1(ctx)
     rng = random.Random(6)
     noise = FieldMap.from_table("noise", ctx, [rng.randrange(64) for _ in range(64)])
-    a_values = list(ctx.elements())
+    a_values = list(range(ctx.order))
     for fmap in (g, one_collision_mutant(g, 3, 50), noise):
-        for y in ctx.elements():
+        for y in range(ctx.order):
             assert shift_checks(fmap, a_values, y).tolist() == \
                 _as_checks(shift_check_sweep(fmap, a, y) for a in a_values)
 

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ppverify import (CheckResult, FieldCtx, LinearizedPoly, VerificationReport, blocks,
@@ -15,7 +16,7 @@ from ppverify.maps import FieldMap
 from ppverify.pptest import case1_witnesses, find_case1_witness, shift_check, shift_checks
 from ppverify.proofchecks import _s_power, least_decompositions, tracezero_set
 
-from reference import decomposition_cosets, s_power
+from reference import abs_trace, decomposition_cosets, lin_eval, power, rel_trace, s_power
 
 
 TOWERS_M6_TO_24 = [(t, k) for t in range(1, 9) for k in range(1, 9) if 6 <= 3 * t * k <= 24]
@@ -41,7 +42,7 @@ def test_eq22_basis_step_names_the_least_nonzero_x(monkeypatch):
     monkeypatch.setattr(blocks, "linear_table", lambda poly: identity)
     result = check_eq22(ctx)
     assert not result.passed and result.count == ctx.order
-    assert result.counterexample == f"sum = {s2k(ctx)(2):#x} at x=0x2"
+    assert result.counterexample == f"sum = {lin_eval(s2k(ctx), 2):#x} at x=0x2"
 
 
 @pytest.mark.parametrize("t,k", SMALL_TOWERS + [(2, 3)], ids=str)
@@ -80,29 +81,29 @@ def test_kernel_image_passes(t, k):
 def test_kernel_image_sizes_at_21():
     ctx = FieldCtx.from_tower(2, 1)
     S = s2k(ctx)
-    kernel = {x for x in ctx.elements() if S(x) == 0}
-    image = {S(x) for x in ctx.elements()}
+    kernel = {x for x in range(ctx.order) if lin_eval(S, x) == 0}
+    image = {lin_eval(S, x) for x in range(ctx.order)}
     assert len(kernel) == 4 and len(image) == 16
     assert kernel == set(ctx.enumerate_subfield(2))
-    assert image == {x for x in ctx.elements() if ctx.rel_trace(x, 2) == 0}
+    assert image == {x for x in range(ctx.order) if rel_trace(ctx, x, 2) == 0}
 
 
 def test_kernel_image_sizes_at_12():
     # q = 2, k = 2 inside F_64: kernel F_4 (4 elements), image 16
     ctx = FieldCtx.from_tower(1, 2)
     S = s2k(ctx)
-    assert len({x for x in ctx.elements() if S(x) == 0}) == 4
-    assert len({S(x) for x in ctx.elements()}) == 16
+    assert len({x for x in range(ctx.order) if lin_eval(S, x) == 0}) == 4
+    assert len({lin_eval(S, x) for x in range(ctx.order)}) == 16
 
 
 def test_decompose_a_exhaustive_at_21():
     ctx = FieldCtx.from_tower(2, 1)
-    valid = [a for a in range(1, 64) if ctx.rel_trace(a, 2) == 0]
+    valid = [a for a in range(1, 64) if rel_trace(ctx, a, 2) == 0]
     assert len(valid) == 15  # q^(2k) - 1
     for a, coset in zip(valid, decomposition_cosets(ctx, valid)):
         c = decompose_a(ctx, a)
         assert c ^ ctx.frobenius(c, 2) == a
-        assert not ctx.in_subfield(c, 2)
+        assert ctx.frobenius(c, 2) != c
         assert len(coset) == 4  # one solution per subfield element
         assert c == coset[0] == min(coset)
         assert all(cc ^ ctx.frobenius(cc, 2) == a for cc in coset)
@@ -110,7 +111,7 @@ def test_decompose_a_exhaustive_at_21():
 
 def test_decompose_a_rejects_case1_and_zero():
     ctx = FieldCtx.from_tower(2, 1)
-    assert ctx.rel_trace(1, 2) == 1
+    assert rel_trace(ctx, 1, 2) == 1
     with pytest.raises(ValueError, match="Case 1"):
         decompose_a(ctx, 1)
     with pytest.raises(ValueError):
@@ -121,24 +122,24 @@ def test_eq23_exponent_value():
     # E = 1 + 2q + q^2 = 25 at q = 4: the S^E image table reads S(x)^25 at every x
     ctx = FieldCtx.from_tower(2, 1)
     table = FieldMap("S^E", ctx, _s_power(ctx).coset).table()
-    assert table.tolist() == [ctx.pow(s2k(ctx)(x), 25) for x in ctx.elements()]
+    assert table.tolist() == [power(ctx, lin_eval(s2k(ctx), x), 25) for x in range(ctx.order)]
 
 
 def test_eq23_all_valid_a_at_21():
     ctx = FieldCtx.from_tower(2, 1)
     g = build_g_thm1(ctx)
-    for a in (x for x in range(1, 64) if ctx.rel_trace(x, 2) == 0):
-        assert check_eq23(ctx, a, g).passed
+    for a in (x for x in range(1, 64) if rel_trace(ctx, x, 2) == 0):
+        assert check_eq23(g, a).passed
 
 
 def test_eq23_both_sides_vanish_on_subfield():
     ctx = FieldCtx.from_tower(2, 1)
     g = build_g_thm1(ctx)
-    a = next(x for x in range(1, 64) if ctx.rel_trace(x, 2) == 0)
+    a = next(x for x in range(1, 64) if rel_trace(ctx, x, 2) == 0)
     c = decompose_a(ctx, a)
     for z in ctx.enumerate_subfield(2):
-        assert ctx.abs_trace(ctx.mul(a, g(z))) == 0
-        assert ctx.abs_trace(ctx.mul(c, s_power(ctx, z))) == 0
+        assert abs_trace(ctx, ctx.mul(a, g(z))) == 0
+        assert abs_trace(ctx, ctx.mul(c, s_power(ctx, z))) == 0
 
 
 def test_eq23_detects_mutated_g():
@@ -147,7 +148,7 @@ def test_eq23_detects_mutated_g():
     table[5], table[9] = table[9], table[5]
     mutated = FieldMap.from_table("mutated", ctx, table)
     failures = sum(1 for a in range(1, 64)
-                   if ctx.rel_trace(a, 2) == 0 and not check_eq23(ctx, a, mutated).passed)
+                   if rel_trace(ctx, a, 2) == 0 and not check_eq23(mutated, a).passed)
     assert failures > 0
 
 
@@ -159,8 +160,8 @@ def test_eq23_checks_every_x_at_m24():
     rng = random.Random(3)
     for c in (0x123456, 0xabcdef):
         a = c ^ ctx.frobenius(c, 8)   # a = c + c^(q^k) is a nonzero Case-2 element
-        assert a and ctx.rel_trace(a, 8) == 0
-        result = check_eq23(ctx, a, g)
+        assert a and rel_trace(ctx, a, 8) == 0
+        result = check_eq23(g, a)
         assert result.passed and result.count == 1 and result.note is None
         # flip Tr(a*g) at one seeded point, and nowhere else
         x0 = rng.randrange(ctx.order)
@@ -168,7 +169,7 @@ def test_eq23_checks_every_x_at_m24():
         flip = mask & -mask               # Tr(a * flip) = parity(mask & flip) = 1
         values = g.table().copy()
         values[x0] ^= flip
-        bad = check_eq23(ctx, a, FieldMap.from_table("flipped", ctx, values))
+        bad = check_eq23(FieldMap.from_table("flipped", ctx, values), a)
         assert not bad.passed
         assert bad.counterexample == f"a={a:#x}, x={x0:#x}"
 
@@ -181,7 +182,7 @@ def test_tracezero_basis_at_21():
     assert d2 not in {ctx.mul(d1, u) for u in subfield}
     spanned = {ctx.mul(d1, u) ^ ctx.mul(d2, v) for u in subfield for v in subfield}
     assert len(spanned) == 16
-    assert all(ctx.rel_trace(w, 2) == 0 for w in spanned)
+    assert all(rel_trace(ctx, w, 2) == 0 for w in spanned)
 
 
 def test_tracezero_basis_at_11():
@@ -189,7 +190,7 @@ def test_tracezero_basis_at_11():
     ctx = FieldCtx.from_tower(1, 1)
     tz = tracezero_set(ctx)
     assert len(tz) == 4
-    assert tz.tolist() == [x for x in ctx.elements() if ctx.rel_trace(x, 1) == 0]
+    assert tz.tolist() == [x for x in range(ctx.order) if rel_trace(ctx, x, 1) == 0]
     d1, d2 = tracezero_basis(ctx)
     assert {d1 ^ 0, d2 ^ 0} <= set(tz)
 
@@ -197,31 +198,32 @@ def test_tracezero_basis_at_11():
 def test_case2_factorization_all_a_at_21():
     ctx = FieldCtx.from_tower(2, 1)
     g = build_g_thm1(ctx)
-    valid = [a for a in range(1, 64) if ctx.rel_trace(a, 2) == 0]
+    valid = [a for a in range(1, 64) if rel_trace(ctx, a, 2) == 0]
     for a in valid:
-        assert check_case2_factorization(ctx, a, g).passed
+        assert check_case2_factorization(g, a).passed
 
 
 def test_case2_factor_sums_are_zero_or_qk():
     ctx = FieldCtx.from_tower(2, 1)
     d1, d2 = tracezero_basis(ctx)
     subfield = ctx.enumerate_subfield(2)
-    for a in (x for x in range(1, 64) if ctx.rel_trace(x, 2) == 0):
+    for a in (x for x in range(1, 64) if rel_trace(ctx, x, 2) == 0):
         c = decompose_a(ctx, a)
         factors = []
         for di in (d1, d2):
             beta = ctx.mul(c, ctx.frobenius(di, 2))
-            factors.append(sum(1 - 2 * ctx.abs_trace(ctx.mul(beta, u)) for u in subfield))
+            factors.append(sum(1 - 2 * abs_trace(ctx, ctx.mul(beta, u)) for u in subfield))
         assert all(f in (0, 4) for f in factors)
         assert 0 in factors  # the not-both-zero claim makes the product vanish
 
 
 def test_case2_factorization_all_a_at_11():
     ctx = FieldCtx.from_tower(1, 1)
-    valid = [a for a in range(1, 8) if ctx.rel_trace(a, 1) == 0]
+    valid = [a for a in range(1, 8) if rel_trace(ctx, a, 1) == 0]
     assert len(valid) == 3
+    g = build_g_thm1(ctx)
     for a in valid:
-        assert check_case2_factorization(ctx, a).passed
+        assert check_case2_factorization(g, a).passed
 
 
 def test_eq23_is_specific_to_q4():
@@ -230,7 +232,8 @@ def test_eq23_is_specific_to_q4():
     # first driver), even though the factorization chain above still
     # closes because both sides vanish
     ctx = FieldCtx.from_tower(1, 1)
-    failures = [a for a in (2, 4, 6) if not check_eq23(ctx, a).passed]
+    g = build_g_thm1(ctx)
+    failures = [a for a in (2, 4, 6) if not check_eq23(g, a).passed]
     assert failures
 
 
@@ -238,12 +241,12 @@ def test_case2_conclusions_are_coset_invariant():
     # the proof never picks a specific c: sweep the whole solution coset
     ctx = FieldCtx.from_tower(2, 1)
     g_table = build_g_thm1(ctx).table()
-    case2 = [x for x in range(1, 64) if ctx.rel_trace(x, 2) == 0]
+    case2 = [x for x in range(1, 64) if rel_trace(ctx, x, 2) == 0]
     for a, coset in zip(case2, decomposition_cosets(ctx, case2)):
         for c in coset:
             mask_a = ctx.trace_mask(a)
             mask_c = ctx.trace_mask(c)
-            for x in ctx.elements():
+            for x in range(ctx.order):
                 lhs = (mask_a & int(g_table[x])).bit_count() & 1
                 rhs = (mask_c & s_power(ctx, x)).bit_count() & 1
                 assert lhs == rhs
@@ -254,8 +257,8 @@ def test_case2_conclusions_are_coset_invariant():
 
 def test_case_partition():
     ctx = FieldCtx.from_tower(2, 1)
-    case1 = [a for a in range(1, 64) if ctx.rel_trace(a, 2) != 0]
-    case2 = [a for a in range(1, 64) if ctx.rel_trace(a, 2) == 0]
+    case1 = [a for a in range(1, 64) if rel_trace(ctx, a, 2) != 0]
+    case2 = [a for a in range(1, 64) if rel_trace(ctx, a, 2) == 0]
     assert len(case1) + len(case2) == 63
     assert len(case2) == 15  # q^(2k) - 1
     assert set(case1) & set(case2) == set()
@@ -382,7 +385,7 @@ def test_eq24_scaling_is_exact():
         ctx = FieldCtx.from_tower(t, k)
         g = build_g_thm1(ctx)
         d = t * k
-        for a in (x for x in range(1, ctx.order) if ctx.rel_trace(x, d) == 0):
+        for a in (x for x in range(1, ctx.order) if rel_trace(ctx, x, d) == 0):
             c = decompose_a(ctx, a)
             mask_c = ctx.trace_mask(c)
             tz_sum = sum(1 - 2 * ((mask_c & int(w)).bit_count() & 1)
@@ -407,21 +410,48 @@ def test_case1_and_case2_entry_points_reject_values_outside_the_field(bad):
              lambda: shift_checks(g1, [1, bad], 1), lambda: find_case1_witness(ctx, bad),
              lambda: case1_witnesses(ctx, build_L1(ctx), [1, bad])]
     case2 = [lambda: decompose_a(ctx, bad), lambda: least_decompositions(ctx, [5, bad]),
-             lambda: check_eq23(ctx, bad), lambda: check_case2_factorization(ctx, bad)]
+             lambda: check_eq23(g1, bad), lambda: check_case2_factorization(g1, bad)]
     for call in case1 + case2:
         with pytest.raises(ValueError, match=message):
             call()
     a = int(tracezero_set(ctx)[1])
-    assert check_eq23(ctx, a).passed and check_case2_factorization(ctx, a).passed
+    assert check_eq23(g1, a).passed and check_case2_factorization(g1, a).passed
     assert shift_check(g1, 63, find_case1_witness(ctx, 63)) == 1
+
+
+def test_entry_points_reject_non_integer_elements():
+    # a float must not be truncated to an element (1.5 read as 1) nor fail as an IndexError:
+    # every entry point rejects it as given, before any cast to int64
+    ctx = FieldCtx.from_tower(2, 1)
+    g1 = build_g_thm1(ctx)
+    a = int(tracezero_set(ctx)[1])
+    calls = [lambda: FieldMap.from_table("x", FieldCtx(2), [0.5, 1, 2, 3]),
+             lambda: blocks.mul_block(ctx, [1.5], [2]), lambda: blocks.mul_block(ctx, [2], 2.0),
+             lambda: decompose_a(ctx, 3.7), lambda: least_decompositions(ctx, [a, 1.5]),
+             lambda: shift_checks(g1, [1.5], 1), lambda: shift_checks(g1, [1], 2.0),
+             lambda: case1_witnesses(ctx, build_L1(ctx), [1.5]),
+             lambda: char_sum(g1, [1.5]), lambda: char_sum(g1, 1.5), lambda: g1(1.5),
+             lambda: g1.walsh(np.array([1.0])), lambda: shift_check(g1, 1, 2.0),
+             lambda: shift_check(g1, 1.5, 1), lambda: find_case1_witness(ctx, 1.5),
+             lambda: check_eq23(g1, 1.5), lambda: check_case2_factorization(g1, 1.5),
+             lambda: ctx.trace_mask(np.float64(2)), lambda: ctx.check_element(np.array([True])),
+             lambda: g1(True)]
+    for call in calls:
+        with pytest.raises(TypeError, match="integer"):
+            call()
+    # every integer type is taken, and an empty array of any dtype
+    assert char_sum(g1, np.array([a], dtype=np.uint8)).tolist() == [char_sum(g1, a)]
+    assert decompose_a(ctx, np.int16(a)) == decompose_a(ctx, a)
+    assert shift_checks(g1, [], 1).size == 0
 
 
 def test_case2_entry_points_reject_a_zero():
     # a = 0 has no Case-2 decomposition c with c outside F_{q^k}: every entry point raises
     # the same error, where check_eq23 used to pass vacuously and the factorization to fail
     ctx = FieldCtx.from_tower(2, 1)
+    g1 = build_g_thm1(ctx)
     for call in (lambda: decompose_a(ctx, 0), lambda: least_decompositions(ctx, [5, 0]),
-                 lambda: check_eq23(ctx, 0), lambda: check_case2_factorization(ctx, 0)):
+                 lambda: check_eq23(g1, 0), lambda: check_case2_factorization(g1, 0)):
         with pytest.raises(ValueError, match="a must be nonzero"):
             call()
     assert least_decompositions(ctx, [5]).tolist() == [decompose_a(ctx, 5)]
