@@ -5,9 +5,10 @@ The multiply computes in int64 (products before reduction reach 2m-1 <
 tables of `maps`.  Linear maps get split-table lookups built from their
 columns, uint32 and cached per coefficient vector; the trace masks a ->
 M_a are one of them.  Both reject an entry outside their input range.
-A map table is filled one aligned block x = start ^ i (i < n,
-start a multiple of n) at a time, and there a linear map is one cached
-low table XOR L(start) (`LinearTable.coset`).  General products use a
+A map is read one aligned block x = start ^ i (i < n, start a multiple
+of n) at a time, and there a linear map is one cached low table XOR
+L(start) (`LinearTable.coset`), or at any given x (`LinearTable` and
+`ImageTable` calls).  General products use a
 vectorized shift-and-XOR multiply, and a map that is nonlinear only
 through a linear map's value is tabled on that map's image (`ImageTable`),
 so products run once per image element, never once per input; g's
@@ -141,6 +142,8 @@ class LinearTable:
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs)
+        if not np.issubdtype(xs.dtype, np.integer):
+            raise TypeError(f"linear-table inputs must be integers, got an array of {xs.dtype}")
         if xs.dtype == np.uint64:
             xs = xs.view(np.int64)
         last = len(self.tables) - 1
@@ -157,11 +160,12 @@ class LinearTable:
                 out = table[part]
         return out
 
-    def coset(self, start: int, n: int) -> np.ndarray:
+    def coset(self, start: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """The map at start ^ i for i < n: its cached table on range(n), XOR its value at start.
 
         n must be a power of two and start a multiple of it (then start ^ i
-        = start + i) in the input range; otherwise ValueError.
+        = start + i) in the input range; otherwise ValueError.  The values
+        go to out if given (n entries), as in numpy's ufuncs.
         """
         if n < 1 or n & (n - 1) or start % n or start >> len(self.images):
             raise ValueError(f"block (start={start:#x}, n={n}) is not aligned: n must be a power "
@@ -169,7 +173,7 @@ class LinearTable:
         if n not in self._low:   # filled in place: no n-entry temporaries beside it
             self._low[n] = gf2linalg.span_table(self.images[:n.bit_length() - 1],
                                                 self.tables[0].dtype)
-        return self._low[n] ^ gf2linalg.apply(self.images, start)
+        return np.bitwise_xor(self._low[n], gf2linalg.apply(self.images, start), out=out)
 
 
 def image_product(poly: LinearizedPoly, exponents) -> "ImageTable":
@@ -201,17 +205,32 @@ class ImageTable:
 
     `coords` maps x to the coordinates c of poly(x) (`image_coords`) and
     `values[c]` is fn at the image element with coordinates c, so the map
-    on an aligned block is one gather, values[coords.coset(start, n)].
+    is one gather, values[coords(xs)] at any x and values[coords.coset(start,
+    n)] on an aligned block.
     """
 
     def __init__(self, poly: LinearizedPoly, fn: Callable[[np.ndarray], np.ndarray]):
         self.coords, basis = image_coords(poly)
         self.values = fn(gf2linalg.span_table(basis)).astype(np.uint32)
         self.values.setflags(write=False)   # cached on the context, shared by every reader
+        self._coords: np.ndarray | None = None   # coset's coordinate buffer
 
-    def coset(self, start: int, n: int) -> np.ndarray:
-        """The map at start ^ i for i < n, with start a multiple of the power of two n."""
-        return self.values[self.coords.coset(start, n)]
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        """The map at every x in xs, checked as `LinearTable` inputs."""
+        return self.values[self.coords(xs)]
+
+    def coset(self, start: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The map at start ^ i for i < n, with start a multiple of the power of two n.
+
+        With out given (n entries), the values go there, and the coordinates
+        to a buffer kept for the next such call: no block allocates.
+        """
+        if out is None:
+            return self.values[self.coords.coset(start, n)]
+        if self._coords is None or len(self._coords) != n:
+            self._coords = np.empty(n, dtype=np.intp)
+        coords = self.coords.coset(start, n, self._coords)   # in range: "clip" never clips
+        return np.take(self.values, coords, out=out, mode="clip")
 
 
 def trace_masks(ctx: FieldCtx) -> LinearTable:

@@ -84,16 +84,15 @@ def build_g_thm3(ctx: FieldCtx, L: LinearizedPoly) -> FieldMap:
 
 
 def _g_map(ctx: FieldCtx, L: LinearizedPoly, name: str) -> FieldMap:
-    """L(x) + P(x) with P(x) = s * s^2 * s^(q^k): per block, a coset of L and a gather for P.
+    """L(x) + P(x) with P(x) = s * s^2 * s^(q^k), from its parts: L's table and P's on S's image.
 
     P depends on x only through s = S(x), so its products run once per
     element of S's q^(2k)-element image; that value table is cached on the
     context and shared by every map with the same S; (L, S) is the map's linear part.
     """
     t, k = ctx.require_tower()
-    S, l_tab = s2k(ctx), blocks.linear_table(L)
-    p_tab = blocks.image_product(S, (1, t * k))
-    return FieldMap(name, ctx, lambda start, n: l_tab.coset(start, n) ^ p_tab.coset(start, n),
+    S = s2k(ctx)
+    return FieldMap(name, ctx, (blocks.linear_table(L), blocks.image_product(S, (1, t * k))),
                     (L, S))
 
 

@@ -1,27 +1,32 @@
 """Named evaluators from field elements to field elements.
 
-A FieldMap is defined by one block function, its only evaluation path:
-block_fn(start, n) returns the map's values at x = start ^ i for i < n,
-where n = min(2^16, 2^m) and start is a multiple of n.  The paper's maps
-are linear maps plus functions of a linear map's value, and on such a
-coset a linear map is one cached low table XOR one value
-(`blocks.LinearTable.coset`), so no block needs the x themselves.  Only
-`table()` calls the block function: the full 2^m value table, uint32
-(64 MB at m = 24), filled block by block and cached, is the way every
-check reads a map, down to a single value g(x).  Its Walsh spectrum is
-read at given masks through `walsh`, from int32 bins (`blocks.walsh`)
-cached beside the table.  A map with a known linear part (L, S), f = L +
-h(S) (the paper's g; a linearized map, with S = 0; S^E, with L = 0),
-satisfies f(x + u) = f(x) + L(u) for every u in K = ker S.  So its
-spectrum is 0 off a subspace span(N) and takes its bins through the
-quotient by K: one per element of span(N), 2^(2m/3) for g (256 KB at
-m = 24), from f on the 2^(m - dim K) coset representatives, and a mask
-is looked up by its coordinates in N (`gf2linalg.coordinate_columns`).
-No 2^m spectrum array is made for it, and `span` reads the proof rows'
-spans (of a V with V(x + u) + V(x) constant in x for u in K) at the
-representatives and K's basis.  Any other map (an imported table,
-`from_table`) keeps the whole spectrum, from the histogram of its
-table, and its `span` reads every x.
+A FieldMap has one evaluation source, read two ways: on the aligned
+blocks x = start ^ i (i < n, n = min(2^16, 2^m), start a multiple of n),
+in turn, and at any given x (`at`).  The paper's maps are a linear map
+plus a function of a linear map's value, f = L + h(S) (the paper's g; a
+linearized map, with h = 0), and are built from their parts: L's lookup
+table and h's table on S's image (`blocks.LinearTable`,
+`blocks.ImageTable`).  On an aligned block a linear map is one cached low
+table XOR one value (`blocks.LinearTable.coset`), so no block needs the x
+themselves, and at a given x each part is a lookup.  Such a map has no
+2^m table on any path that passes: the bijection sweep scatters its
+blocks as they are made (`value_blocks`), and every other check reads it
+through `at`, only at the points it needs.  `table()`, the full 2^m
+value table as uint32 (64 MB at m = 24), filled block by block and
+cached, is for export and for naming a witness.  A map given by a bare
+block function (an imported table, `from_table`) is read through that
+cached table.  Its Walsh spectrum is read at given masks through
+`walsh`, from int32 bins (`blocks.walsh`) cached beside the table.  A
+map with a known linear part (L, S) satisfies f(x + u) = f(x) + L(u)
+for every u in K = ker S.  So its spectrum is 0 off a subspace span(N)
+and takes its bins through the quotient by K: one per element of
+span(N), 2^(2m/3) for g (256 KB at m = 24), from f on the 2^(m - dim K)
+coset representatives, and a mask is looked up by its coordinates in N
+(`gf2linalg.coordinate_columns`).  No 2^m spectrum array is made for
+it, and `span` reads the proof rows' spans (of a V with V(x + u) + V(x)
+constant in x for u in K) at the representatives and K's basis.  Any
+other map keeps the whole spectrum, from the histogram of its table,
+and its `span` reads every x.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
 
@@ -55,41 +60,106 @@ from .linearized import LinearizedPoly
 
 
 class FieldMap:
-    """A named, pure map on GF(2^m) element encodings, read through its value table.
+    """A named, pure map on GF(2^m) element encodings.
 
-    block_fn(start, n) gives the values at start ^ i for i < n, as any
-    integer array; `table()` calls it on the aligned blocks start = 0, n,
-    2n, ... with n = min(blocks.BLOCK, 2^m), and nothing else calls it.
-    linear = (L, S), if given, means f(x) = L(x) + h(S(x)): `walsh` and `span` read the quotient.
+    source is the map's evaluation source: either its parts (l_tab, p_tab),
+    with f(x) = l_tab(x) ^ p_tab(x), a `blocks.LinearTable` and a
+    `blocks.ImageTable` or None, read at given x and by `coset` on aligned
+    blocks; or a block function block_fn(start, n) giving the values at
+    start ^ i for i < n, as any integer array, called on the aligned blocks
+    start = 0, n, 2n, ... with n = min(blocks.BLOCK, 2^m) and read through
+    the cached table.  linear = (L, S), if given, means f(x) = L(x) +
+    h(S(x)): `walsh` and `span` read the quotient; a map with parts has one.
     """
 
-    def __init__(self, name: str, ctx: FieldCtx, block_fn: Callable[[int, int], np.ndarray],
+    def __init__(self, name: str, ctx: FieldCtx,
+                 source: Callable[[int, int], np.ndarray]
+                 | tuple[blocks.LinearTable, blocks.ImageTable | None],
                  linear: tuple[LinearizedPoly, LinearizedPoly] | None = None):
         self.name = name
         self.ctx = ctx
-        self._block_fn = block_fn
+        self._source = source
         self._linear = linear
         self._table: np.ndarray | None = None
         self._bins: np.ndarray | None = None
+        self._kept: tuple | None = None   # the parts' lookups at the quotient's read set
 
     def __call__(self, x: int) -> int:
         self.ctx.check_element(x)
+        if isinstance(self._source, tuple):
+            return int(self._shifted(0, 0, int(x)))   # f(0 + x): L and c vanish at 0
         return int(self.table()[x])
 
     def __repr__(self) -> str:
         return f"FieldMap({self.name!r}, m={self.ctx.m})"
 
+    def value_blocks(self) -> Iterator[np.ndarray]:
+        """The values on the aligned blocks start = 0, n, 2n, ..., n = min(blocks.BLOCK, 2^m).
+
+        Slices of the cached table when there is one, else blocks made
+        from the source one at a time; a map with parts makes them in two
+        reused buffers, so each is valid only until the next is asked for.
+        """
+        n = min(blocks.BLOCK, self.ctx.order)
+        starts = range(0, self.ctx.order, n)
+        if self._table is not None:
+            yield from (self._table[start:start + n] for start in starts)
+        elif not isinstance(self._source, tuple):
+            yield from (self._source(start, n) for start in starts)
+        else:
+            l_tab, p_tab = self._source
+            values, image = np.empty(n, dtype=np.uint32), np.empty(n, dtype=np.uint32)
+            for start in starts:
+                l_tab.coset(start, n, values)
+                if p_tab is not None:
+                    values ^= p_tab.coset(start, n, image)
+                yield values
+
     def table(self) -> np.ndarray:
-        """The full 2^m value table as read-only uint32, filled block by block and cached."""
+        """The full 2^m value table as read-only uint32, filled from `value_blocks` and cached."""
         if self._table is None:
-            order = self.ctx.order
-            n = min(blocks.BLOCK, order)
-            table = np.empty(order, dtype=np.uint32)
-            for start in range(0, order, n):
-                table[start:start + n] = self._block_fn(start, n)
+            table = np.empty(self.ctx.order, dtype=np.uint32)
+            start = 0
+            for values in self.value_blocks():
+                table[start:start + len(values)] = values
+                start += len(values)
             table.setflags(write=False)
             self._table = table
         return self._table
+
+    def at(self, xs, y: int = 0) -> np.ndarray:
+        """The map at x ^ y for every x in xs, as uint32; xs and y go through `check_element`.
+
+        A map with parts reads them at those x alone.  For the quotient's
+        read set (`span`'s) L(x) and S(x)'s image coordinates c(x) are kept,
+        so a shift y costs two XORs and one gather (`_shifted`).  A map
+        given by a block function reads its cached table.
+        """
+        self.ctx.check_element(y)
+        y = int(y)
+        if isinstance(self._source, tuple) and xs is _quotient(*self._linear)[0]:
+            if self._kept is None:
+                self._kept = self._lookups(xs)
+            return self._shifted(*self._kept, y)
+        xs = np.asarray(xs)
+        self.ctx.check_element(xs)
+        if isinstance(self._source, tuple):
+            return self._shifted(*self._lookups(xs), y)
+        return self.table()[xs ^ y]
+
+    def _lookups(self, xs: np.ndarray) -> tuple:
+        """The parts' lookups at xs: L(x), and S(x)'s image coordinates c(x) (None without h)."""
+        l_tab, p_tab = self._source
+        return l_tab(xs), None if p_tab is None else p_tab.coords(xs)
+
+    def _shifted(self, lx, cx, y: int):
+        """f(x + y) = L(x) + L(y) + values[c(x) + c(y)], with L(y) and c(y) from the columns."""
+        l_tab, p_tab = self._source
+        out = lx ^ gf2linalg.apply(l_tab.images, y)
+        if p_tab is not None:
+            cy = gf2linalg.apply(p_tab.coords.images, y)
+            out ^= p_tab.values[cx ^ cy if cy else cx]
+        return out
 
     def walsh(self, masks) -> np.ndarray:
         """The Walsh spectrum W[M] = sum_x (-1)^popcount(M & f(x)) at each mask M, as int32.
@@ -102,8 +172,8 @@ class FieldMap:
         c M's pivot coordinates in N, W[M] is bins[c] if span(N)[c] = M,
         else 0; bins is |K| times the `blocks.walsh` of f(x_s)'s pairings
         with N (`gf2linalg.coordinate_columns`) over the representatives
-        x_s: 2^dim(N) values.  Without one, bins is the `blocks.walsh` of
-        the table.  Every |W[M]| <= 2^m, so int32 is exact.
+        x_s (read by `at`): 2^dim(N) values.  Without one, bins is the
+        `blocks.walsh` of the table.  Every |W[M]| <= 2^m, so int32 is exact.
         """
         masks = np.asarray(masks)
         self.ctx.check_element(masks)
@@ -119,8 +189,9 @@ class FieldMap:
             if self._linear is None:
                 w = blocks.walsh(self.table(), self.ctx.m)
             else:
-                reps, coords, _, span_n, size_k = _quotient(*self._linear)
-                w = blocks.walsh(coords(self.table()[reps]), span_n.size.bit_length() - 1)
+                reads, coords, _, span_n, size_k = _quotient(*self._linear)
+                reps = self.at(reads)[:self.ctx.order // size_k]
+                w = blocks.walsh(coords(reps), span_n.size.bit_length() - 1)
                 w *= np.int32(size_k)
             w.setflags(write=False)
             self._bins = w
@@ -132,17 +203,15 @@ class FieldMap:
         values_at(xs) gives the width-bit values V(x) at an integer array
         of x.  With a linear part (L, S), V(x + u) + V(x) must not depend
         on x for u in K = ker S; it is then V(u) + V(0), so V at the
-        2^(m - dim K) coset representatives of K (0 among them) and at K's
-        basis spans every V(x).  Without one, V is read at every x, in
-        `blocks.BLOCK`-sized aranges.
+        quotient's read set, the 2^(m - dim K) coset representatives of K
+        (0 among them) and K's basis, spans every V(x).  Without one, V is
+        read at every x, in `blocks.BLOCK`-sized aranges.
         """
         if self._linear is None:
             n = min(blocks.BLOCK, self.ctx.order)
             return blocks.span_basis((values_at(np.arange(start, start + n, dtype=np.intp))
                                       for start in range(0, self.ctx.order, n)), width)
-        kernel = np.array(self._linear[1].kernel_image()[0], dtype=np.intp)
-        xs = np.concatenate([_quotient(*self._linear)[0], kernel])
-        return blocks.span_basis([values_at(xs)], width)
+        return blocks.span_basis([values_at(_quotient(*self._linear)[0])], width)
 
     @classmethod
     def from_table(cls, name: str, ctx: FieldCtx, values) -> "FieldMap":
@@ -167,31 +236,35 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
 
     N is the echelon basis of the annihilator of L(K), K = ker S: the
     kernel of the pairings with L(K).  Returns the coset representatives
-    of K (the span of the bits that are not pivots of K's echelon basis, as
-    intp), N's pairings y -> (parity(N_j & y))_j as an intp linear table,
-    its pivot coordinates M -> (M's bit at N_j's pivot)_j as a uint32 one
-    (its gathers are faster; both `gf2linalg.coordinate_columns`), the
-    span of N in coordinate order (uint32), and |K|.
+    of K (the span of the bits that are not pivots of K's echelon basis)
+    followed by K's basis, as one intp array, the read set of `span` and
+    `FieldMap.at`; N's pairings y -> (parity(N_j & y))_j as an intp linear
+    table, its pivot coordinates M -> (M's bit at N_j's pivot)_j as a
+    uint32 one (its gathers are faster; both
+    `gf2linalg.coordinate_columns`), the span of N in coordinate order
+    (uint32), and |K|.
     """
     def build():
         m = L.ctx.m
         kernel = S.kernel_image()[0]
         on_k, _ = gf2linalg.coordinate_columns(gf2linalg.echelon(kernel), m)
         reps = gf2linalg.span_table([1 << b for b in range(m) if not on_k[b]], np.intp)
+        reads = np.concatenate([reps, np.array(kernel, dtype=np.intp)])
+        reads.setflags(write=False)
         cols = L.matrix_columns()
         lk = [gf2linalg.apply(cols, u) for u in kernel]
         basis = gf2linalg.echelon(gf2linalg.kernel_image(gf2linalg.coordinate_columns(lk, m)[1])[0])
         pivots, pairings = gf2linalg.coordinate_columns(basis, m)
         coords = blocks.LinearTable(pairings, dtype=np.intp)
         pivot_bits = blocks.LinearTable(pivots)
-        return reps, coords, pivot_bits, gf2linalg.span_table(basis), 1 << len(kernel)
+        return reads, coords, pivot_bits, gf2linalg.span_table(basis), 1 << len(kernel)
 
     return L.ctx.cached(("quotient", L.coeffs, S.coeffs), build)
 
 
 def linearized_map(L: LinearizedPoly, name: str) -> FieldMap:
-    """View a linearized polynomial as a FieldMap, filled from its cached lookup table's cosets."""
-    return FieldMap(name, L.ctx, blocks.linear_table(L).coset, (L, LinearizedPoly.zero(L.ctx)))
+    """View a linearized polynomial as a FieldMap, read through its cached lookup table."""
+    return FieldMap(name, L.ctx, (blocks.linear_table(L), None), (L, LinearizedPoly.zero(L.ctx)))
 
 
 _READ_BYTES = 1 << 18       # bytes read per block of a table file, cut back to a line end

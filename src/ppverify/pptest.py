@@ -6,12 +6,14 @@ exact integer sum of (-1)^Tr(a*f(x)) over the field; f is a permutation
 iff every such sum vanishes.  Sums are accumulated as machine integers
 (each term is +-1), so there is no rounding anywhere.
 
-Both read the map's cached value table.  Character sums use the
+The definitional check scatters the map's values block by block, as
+they are made (`FieldMap.value_blocks`), so a map built from its parts
+never fills its 2^m table unless it collides.  Character sums use the
 linearity of the trace: Tr(a*y) = parity(M_a & y) for a per-a bitmask
 M_a, so the sum at a is W[M_a], where W is the map's Walsh spectrum
 (`FieldMap.walsh`): one exact integer transform per map, at every m.
 For the paper's g it is a transform of 2^(2m/3) coset bins (the quotient
-by ker S, so a second route to g beside the table), and W[M_a] is one
+by ker S, so a second route to g beside the blocks), and W[M_a] is one
 lookup in those bins, 0 unless M_a lies in their span; an imported map
 keeps the transform of its whole table.  M_a is linear in a too, so the
 masks of any number of a are one table lookup.
@@ -21,9 +23,9 @@ Tr(a*(f(x+y) + f(x))) is constant in x iff M_a annihilates the span of
 the differences, so one span per shift y decides every a
 (`shift_checks`).  The span is `FieldMap.span`'s: for the paper's g the
 differences are constant on the cosets of ker S, so they are read at the
-2^(m - dim K) coset representatives only; an imported map reads them at
-every x.  One pass over L(F_{q^k}) finds the Case-1 shift y of every
-relative trace (`case1_witnesses`).  `shift_check` and
+2^(m - dim K) coset representatives only (`FieldMap.at`); an imported
+map reads them at every x.  One pass over L(F_{q^k}) finds the Case-1
+shift y of every relative trace (`case1_witnesses`).  `shift_check` and
 `find_case1_witness` are their one-element calls.
 """
 
@@ -67,21 +69,25 @@ class PPVerdict:
 
 
 def is_permutation_exhaustive(f: FieldMap) -> PPVerdict:
-    """Scatter the whole table; permutation iff every value is hit.
+    """Scatter every value; permutation iff every value is hit.
 
-    The scatter runs on blocks of `blocks.BLOCK` values, each cast to
-    intp (numpy would convert uint32 indices itself, more slowly), so no
-    full-size index copy is made.  On a collision the witness is the
-    first colliding pair in enumeration order: the least x2 whose value
-    already appeared, paired with that value's first preimage.
+    The scatter runs on the map's `value_blocks` (`blocks.BLOCK` values,
+    from its table if it has one, else made one block at a time), each
+    cast to intp (numpy would convert uint32 indices itself, more
+    slowly), so neither a table nor a full-size index copy is made.  On a
+    collision the table is built and the witness is the first colliding
+    pair in enumeration order: the least x2 whose value already
+    appeared, paired with that value's first preimage.
     """
-    table = f.table()
     seen = np.zeros(f.ctx.order, dtype=bool)
-    for start in range(0, table.size, blocks.BLOCK):
-        seen[table[start:start + blocks.BLOCK].astype(np.intp)] = True
+    index = np.empty(min(blocks.BLOCK, f.ctx.order), dtype=np.intp)
+    for values in f.value_blocks():
+        index[:] = values
+        seen[index] = True
     if np.count_nonzero(seen) == f.ctx.order:
         return PPVerdict(PERMUTATION, "exhaustive", f.ctx.order)
     # first[v] = the least preimage of v; x2 is the least x that is not its value's first
+    table = f.table()
     xs = np.arange(table.size, dtype=np.uint32)
     first = np.full(f.ctx.order, table.size, dtype=np.uint32)
     np.minimum.at(first, table, xs)
@@ -172,7 +178,7 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
     With D(x) = f(x) + f(x+y), Tr(a*D(x)) = parity(M_a & D(x)) is constant
     in x iff the trace mask M_a annihilates the span of D(x) + D(0) over
     every x, and the constant is then parity(M_a & D(0)).  The span is
-    `FieldMap.span` of D(x) + D(0), read from the table: for a map with a
+    `FieldMap.span` of D(x) + D(0), read by `FieldMap.at`: for a map with a
     linear part (L, S), f(x + u) = f(x) + L(u) for u in K = ker S, so D is
     constant on the cosets of K, and only the 2^(m - dim K) coset
     representatives and K's basis are read (for y in K, D is L(y) there).
@@ -181,11 +187,10 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
     """
     a_values = f.ctx.element_array(a_values)
     f.ctx.check_element(y)
-    table = f.table()
-    d0 = int(table[0] ^ table[y])
+    d0 = f(0) ^ f(y)
     masks = blocks.trace_masks(f.ctx)(a_values)
     const = blocks.parity(masks & d0).astype(np.int8)
-    for b in f.span(lambda xs: table[xs] ^ table[xs ^ y] ^ d0, f.ctx.m):
+    for b in f.span(lambda xs: f.at(xs) ^ f.at(xs, y) ^ d0, f.ctx.m):
         const[blocks.parity(masks & b) == 1] = -1
     return const
 

@@ -379,7 +379,7 @@ def _check_case1(g: FieldMap, L: LinearizedPoly, case1: list[int], sampled: bool
     """
     ctx = g.ctx
 
-    a_values = np.array(case1, dtype=np.int64)
+    a_values = ctx.element_array(case1)
     rel = blocks.linear_table(rel_trace_poly(ctx))(a_values)
     r_values, inverse = np.unique(rel, return_inverse=True)
     ys = case1_witnesses(ctx, L, r_values)[inverse]
@@ -425,18 +425,18 @@ def _check_charsum(g: FieldMap, mode: str, sample_n: int, seed: int) -> CheckRes
 def _eq23_basis(g: FieldMap) -> list[int]:
     """Basis of the span of z(x) = g(x) + S^E(x) * 2^m (2m-bit vectors) over every x.
 
-    One `g.span`, S^E read through its image table.  For g = L + h(S), z(x
-    + u) = z(x) + (L(u), 0) for u in K = ker S, so it reads z at the coset
-    representatives of K and K's basis; a g without a linear part reads
-    every x, and so does one whose linear part has another S, rewrapped
-    as a table.
+    One `g.span`, g read by `g.at` and S^E through its image table.  For g
+    = L + h(S), z(x + u) = z(x) + (L(u), 0) for u in K = ker S, so it
+    reads z at the coset representatives of K and K's basis; a g without
+    a linear part reads every x, and so does one whose linear part has
+    another S, rewrapped as a table.
     """
     ctx = g.ctx
     if g._linear is not None and g._linear[1] != s2k(ctx):
         g = FieldMap.from_table(g.name, ctx, g.table())
-    image, table = _s_power(ctx), g.table()
-    return g.span(lambda xs: np.left_shift(image.values[image.coords(xs)], ctx.m,
-                                           dtype=np.uint64) | table[xs], 2 * ctx.m)
+    image = _s_power(ctx)
+    return g.span(lambda xs: np.left_shift(image(xs), ctx.m, dtype=np.uint64) | g.at(xs),
+                  2 * ctx.m)
 
 
 @_timed
