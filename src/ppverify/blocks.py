@@ -164,10 +164,10 @@ class LinearTable:
         """The map at start ^ i for i < n: its cached table on range(n), XOR its value at start.
 
         n must be a power of two and start a multiple of it (then start ^ i
-        = start + i) in the input range; otherwise ValueError.  The values
-        go to out if given (n entries), as in numpy's ufuncs.
+        = start + i), the block inside the input range; otherwise ValueError.
+        The values go to out if given (n entries), as in numpy's ufuncs.
         """
-        if n < 1 or n & (n - 1) or start % n or start >> len(self.images):
+        if n < 1 or n & (n - 1) or start % n or (start | (n - 1)) >> len(self.images):
             raise ValueError(f"block (start={start:#x}, n={n}) is not aligned: n must be a power "
                              f"of two and start a multiple of n in [0, 2^{len(self.images)})")
         if n not in self._low:   # filled in place: no n-entry temporaries beside it

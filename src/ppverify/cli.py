@@ -108,20 +108,25 @@ def _modulus_for(m: int, modulus_file: str | None) -> int | None:
     return table.get(m)
 
 
-def _build_ctx(args, t: int | None = None, k: int | None = None) -> FieldCtx:
-    """Context from --t/--k (tower) or --m (bare field)."""
+def _build_ctx(args, t: int | None = None, k: int | None = None) -> FieldCtx | None:
+    """Context from --t and --k (tower; --m, if also given, must be 3tk) or --m, else None."""
     t = t if t is not None else getattr(args, "tee", None)
     k = k if k is not None else getattr(args, "kay", None)
-    m_flag = getattr(args, "m", None)
+    m = getattr(args, "m", None)
+    if (t is None) != (k is None):
+        raise ConfigError("--t and --k go together: give both (tower) or neither")
+    if t is not None:
+        if m not in (None, 3 * t * k):
+            raise ConfigError(f"--m {m} conflicts with --t {t} --k {k}, whose degree is "
+                              f"3tk = {3 * t * k}")
+        m = 3 * t * k
+    if m is None:
+        return None
     try:
-        if t is not None and k is not None:
-            m = 3 * t * k
-            return FieldCtx.from_tower(t, k, _modulus_for(m, args.modulus_file))
-        if m_flag is not None:
-            return FieldCtx(m_flag, _modulus_for(m_flag, args.modulus_file))
+        modulus = _modulus_for(m, args.modulus_file)
+        return FieldCtx.from_tower(t, k, modulus) if t is not None else FieldCtx(m, modulus)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError("need either --t and --k (tower) or --m (bare field)")
 
 
 def _parse_L(spec: str, ctx: FieldCtx) -> LinearizedPoly:
@@ -254,10 +259,7 @@ def _verdict_lines(tag: str, verdict) -> list[str]:
 
 
 def _cmd_pptest(args) -> int:
-    ctx = None
-    if (args.tee is not None and args.kay is not None) or args.m is not None:
-        ctx = _build_ctx(args)
-    fmap = _build_map(args.map, ctx)
+    fmap = _build_map(args.map, _build_ctx(args))
     if args.export:
         _atomic_write(args.export, format_table_lines(fmap))
         print(f"exported table to {args.export}")
@@ -282,10 +284,7 @@ def _cmd_pptest(args) -> int:
 
 
 def _cmd_charsum(args) -> int:
-    ctx = None
-    if (args.tee is not None and args.kay is not None) or args.m is not None:
-        ctx = _build_ctx(args)
-    fmap = _build_map(args.map, ctx)
+    fmap = _build_map(args.map, _build_ctx(args))
     if re.fullmatch("[0-9a-fA-F]+", args.a) is None:   # int(_, 16) also takes 0x, _, signs
         raise ConfigError(f"--a expects a hex element in ASCII digits, got {args.a!r}")
     a = int(args.a, 16)
@@ -319,6 +318,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_field_info(args) -> int:
     ctx = _build_ctx(args)
+    if ctx is None:
+        raise ConfigError("need either --t and --k (tower) or --m (bare field)")
     print(f"m = {ctx.m} (field order {ctx.order})")
     if ctx.tower:
         t, k = ctx.tower

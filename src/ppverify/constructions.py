@@ -92,8 +92,7 @@ def _g_map(ctx: FieldCtx, L: LinearizedPoly, name: str) -> FieldMap:
     """
     t, k = ctx.require_tower()
     S = s2k(ctx)
-    return FieldMap(name, ctx, (blocks.linear_table(L), blocks.image_product(S, (1, t * k))),
-                    (L, S))
+    return FieldMap(name, ctx, (L, S), blocks.image_product(S, (1, t * k)))
 
 
 def rel_trace_poly(ctx: FieldCtx) -> LinearizedPoly:

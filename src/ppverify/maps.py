@@ -1,32 +1,31 @@
 """Named evaluators from field elements to field elements.
 
-A FieldMap has one evaluation source, read two ways: on the aligned
-blocks x = start ^ i (i < n, n = min(2^16, 2^m), start a multiple of n),
-in turn, and at any given x (`at`).  The paper's maps are a linear map
-plus a function of a linear map's value, f = L + h(S) (the paper's g; a
-linearized map, with h = 0), and are built from their parts: L's lookup
-table and h's table on S's image (`blocks.LinearTable`,
-`blocks.ImageTable`).  On an aligned block a linear map is one cached low
-table XOR one value (`blocks.LinearTable.coset`), so no block needs the x
-themselves, and at a given x each part is a lookup.  Such a map has no
-2^m table on any path that passes: the bijection sweep scatters its
-blocks as they are made (`value_blocks`), and every other check reads it
-through `at`, only at the points it needs.  `table()`, the full 2^m
-value table as uint32 (64 MB at m = 24), filled block by block and
-cached, is for export and for naming a witness.  A map given by a bare
-block function (an imported table, `from_table`) is read through that
-cached table.  Its Walsh spectrum is read at given masks through
-`walsh`, from int32 bins (`blocks.walsh`) cached beside the table.  A
-map with a known linear part (L, S) satisfies f(x + u) = f(x) + L(u)
-for every u in K = ker S.  So its spectrum is 0 off a subspace span(N)
-and takes its bins through the quotient by K: one per element of
-span(N), 2^(2m/3) for g (256 KB at m = 24), from f on the 2^(m - dim K)
-coset representatives, and a mask is looked up by its coordinates in N
-(`gf2linalg.coordinate_columns`).  No 2^m spectrum array is made for
-it, and `span` reads the proof rows' spans (of a V with V(x + u) + V(x)
-constant in x for u in K) at the representatives and K's basis.  Any
-other map keeps the whole spectrum, from the histogram of its table,
-and its `span` reads every x.
+A FieldMap is built from its parts or given by its table, and is read
+two ways: on the aligned blocks x = start ^ i (i < n, n = min(2^16,
+2^m), start a multiple of n), in turn (`value_blocks`), and at any given
+x (`at`).  The paper's maps are a linear map plus a function of a linear
+map's value, f = L + h(S) (the paper's g; a linearized map, with h = 0),
+and are built from those parts: L's lookup table and h's table on S's
+image (`blocks.LinearTable`, `blocks.ImageTable`).  On an aligned block
+a linear map is one cached low table XOR one value
+(`blocks.LinearTable.coset`), and at a given x each part is a lookup.
+Such a map has no 2^m table on a passing path, nor to name eq23's
+failing x: the sweeps read its blocks as they are made, and every other
+check reads it through `at`, only at the points it needs.  `table()`,
+the full 2^m value table as uint32 (64 MB at m = 24), filled block by
+block and cached, is for export and for naming a collision.  Any other
+map (an imported one) is given by its table (`from_table`), and every
+read is a lookup in it.  The Walsh spectrum is read at given masks
+through `walsh`, from int32 bins (`blocks.walsh`) cached on the map.  A
+map built from its parts satisfies f(x + u) = f(x) + L(u) for every u in
+K = ker S.  So its spectrum is 0 off a subspace span(N) and takes its
+bins through the quotient by K: one per element of span(N), 2^(2m/3) for
+g (256 KB at m = 24), from f on the 2^(m - dim K) coset representatives,
+and a mask is looked up by its coordinates in N
+(`gf2linalg.coordinate_columns`).  `span` reads the proof rows' spans (of
+a V with V(x + u) + V(x) constant in x for u in K) at the representatives
+and K's basis.  A map given by its table keeps the whole spectrum, from
+the histogram of its table, and its `span` reads every x.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
 
@@ -60,35 +59,31 @@ from .linearized import LinearizedPoly
 
 
 class FieldMap:
-    """A named, pure map on GF(2^m) element encodings.
+    """A named, pure map on GF(2^m) element encodings, built from its parts or given by its table.
 
-    source is the map's evaluation source: either its parts (l_tab, p_tab),
-    with f(x) = l_tab(x) ^ p_tab(x), a `blocks.LinearTable` and a
-    `blocks.ImageTable` or None, read at given x and by `coset` on aligned
-    blocks; or a block function block_fn(start, n) giving the values at
-    start ^ i for i < n, as any integer array, called on the aligned blocks
-    start = 0, n, 2n, ... with n = min(blocks.BLOCK, 2^m) and read through
-    the cached table.  linear = (L, S), if given, means f(x) = L(x) +
-    h(S(x)): `walsh` and `span` read the quotient; a map with parts has one.
+    Built from its parts, linear = (L, S) and image, h's `blocks.ImageTable`
+    on S's image or None when h = 0, it is f(x) = L(x) + h(S(x)), read
+    through L's `blocks.linear_table` and image; `walsh` and `span` read the
+    quotient by ker S.  `from_table` passes None for both.
     """
 
     def __init__(self, name: str, ctx: FieldCtx,
-                 source: Callable[[int, int], np.ndarray]
-                 | tuple[blocks.LinearTable, blocks.ImageTable | None],
-                 linear: tuple[LinearizedPoly, LinearizedPoly] | None = None):
+                 linear: tuple[LinearizedPoly, LinearizedPoly] | None,
+                 image: blocks.ImageTable | None):
         self.name = name
         self.ctx = ctx
-        self._source = source
         self._linear = linear
+        self._l_tab = None if linear is None else blocks.linear_table(linear[0])
+        self._image = image
         self._table: np.ndarray | None = None
         self._bins: np.ndarray | None = None
         self._kept: tuple | None = None   # the parts' lookups at the quotient's read set
 
     def __call__(self, x: int) -> int:
         self.ctx.check_element(x)
-        if isinstance(self._source, tuple):
-            return int(self._shifted(0, 0, int(x)))   # f(0 + x): L and c vanish at 0
-        return int(self.table()[x])
+        if self._linear is None:
+            return int(self._table[x])
+        return int(self._shifted(0, 0, int(x)))   # f(0 + x): L and c vanish at 0
 
     def __repr__(self) -> str:
         return f"FieldMap({self.name!r}, m={self.ctx.m})"
@@ -96,24 +91,21 @@ class FieldMap:
     def value_blocks(self) -> Iterator[np.ndarray]:
         """The values on the aligned blocks start = 0, n, 2n, ..., n = min(blocks.BLOCK, 2^m).
 
-        Slices of the cached table when there is one, else blocks made
-        from the source one at a time; a map with parts makes them in two
+        Slices of the table when there is one (always, for a map given by
+        its table), else blocks made from the parts one at a time in two
         reused buffers, so each is valid only until the next is asked for.
         """
         n = min(blocks.BLOCK, self.ctx.order)
         starts = range(0, self.ctx.order, n)
         if self._table is not None:
             yield from (self._table[start:start + n] for start in starts)
-        elif not isinstance(self._source, tuple):
-            yield from (self._source(start, n) for start in starts)
-        else:
-            l_tab, p_tab = self._source
-            values, image = np.empty(n, dtype=np.uint32), np.empty(n, dtype=np.uint32)
-            for start in starts:
-                l_tab.coset(start, n, values)
-                if p_tab is not None:
-                    values ^= p_tab.coset(start, n, image)
-                yield values
+            return
+        values, image = np.empty(n, dtype=np.uint32), np.empty(n, dtype=np.uint32)
+        for start in starts:
+            self._l_tab.coset(start, n, values)
+            if self._image is not None:
+                values ^= self._image.coset(start, n, image)
+            yield values
 
     def table(self) -> np.ndarray:
         """The full 2^m value table as read-only uint32, filled from `value_blocks` and cached."""
@@ -128,52 +120,48 @@ class FieldMap:
         return self._table
 
     def at(self, xs, y: int = 0) -> np.ndarray:
-        """The map at x ^ y for every x in xs, as uint32; xs and y go through `check_element`.
+        """The map at x ^ y for every x in xs, as uint32; xs and y are checked field elements.
 
-        A map with parts reads them at those x alone.  For the quotient's
-        read set (`span`'s) L(x) and S(x)'s image coordinates c(x) are kept,
-        so a shift y costs two XORs and one gather (`_shifted`).  A map
-        given by a block function reads its cached table.
+        A map built from its parts reads them at those x alone.  For the
+        quotient's read set (`span`'s) L(x) and S(x)'s image coordinates
+        c(x) are kept, so a shift y costs two XORs and one gather
+        (`_shifted`).  A map given by its table reads it.
         """
         self.ctx.check_element(y)
         y = int(y)
-        if isinstance(self._source, tuple) and xs is _quotient(*self._linear)[0]:
+        if self._linear is None:
+            return self._table[self.ctx.element_array(xs) ^ y]
+        if xs is _quotient(*self._linear)[0]:
             if self._kept is None:
                 self._kept = self._lookups(xs)
             return self._shifted(*self._kept, y)
-        xs = np.asarray(xs)
-        self.ctx.check_element(xs)
-        if isinstance(self._source, tuple):
-            return self._shifted(*self._lookups(xs), y)
-        return self.table()[xs ^ y]
+        return self._shifted(*self._lookups(self.ctx.element_array(xs)), y)
 
     def _lookups(self, xs: np.ndarray) -> tuple:
         """The parts' lookups at xs: L(x), and S(x)'s image coordinates c(x) (None without h)."""
-        l_tab, p_tab = self._source
-        return l_tab(xs), None if p_tab is None else p_tab.coords(xs)
+        return self._l_tab(xs), None if self._image is None else self._image.coords(xs)
 
     def _shifted(self, lx, cx, y: int):
         """f(x + y) = L(x) + L(y) + values[c(x) + c(y)], with L(y) and c(y) from the columns."""
-        l_tab, p_tab = self._source
-        out = lx ^ gf2linalg.apply(l_tab.images, y)
-        if p_tab is not None:
-            cy = gf2linalg.apply(p_tab.coords.images, y)
-            out ^= p_tab.values[cx ^ cy if cy else cx]
+        out = lx ^ gf2linalg.apply(self._l_tab.images, y)
+        if self._image is not None:
+            cy = gf2linalg.apply(self._image.coords.images, y)
+            out ^= self._image.values[cx ^ cy if cy else cx]
         return out
 
     def walsh(self, masks) -> np.ndarray:
         """The Walsh spectrum W[M] = sum_x (-1)^popcount(M & f(x)) at each mask M, as int32.
 
         masks is an integer array with entries in [0, 2^m), checked before
-        any lookup (ValueError).  With a linear part (L, S), through the
+        any lookup (ValueError).  Built from its parts (L, S), through the
         quotient by K = ker S: f(x + u) = f(x) + L(u) for u in K, so the sum
         over a coset x_s + K is 0 unless M annihilates L(K), and then |K|
         (-1)^(M . f(x_s)).  With N an echelon basis of that annihilator and
         c M's pivot coordinates in N, W[M] is bins[c] if span(N)[c] = M,
         else 0; bins is |K| times the `blocks.walsh` of f(x_s)'s pairings
         with N (`gf2linalg.coordinate_columns`) over the representatives
-        x_s (read by `at`): 2^dim(N) values.  Without one, bins is the
-        `blocks.walsh` of the table.  Every |W[M]| <= 2^m, so int32 is exact.
+        x_s (read by `at`): 2^dim(N) values.  Given by its table, bins is
+        the `blocks.walsh` of the table.  Every |W[M]| <= 2^m, so int32 is exact.
         """
         masks = np.asarray(masks)
         self.ctx.check_element(masks)
@@ -201,11 +189,11 @@ class FieldMap:
         """The echelon basis (`blocks.span_basis`) of span{V(x)} over every x.
 
         values_at(xs) gives the width-bit values V(x) at an integer array
-        of x.  With a linear part (L, S), V(x + u) + V(x) must not depend
+        of x.  Built from its parts (L, S), V(x + u) + V(x) must not depend
         on x for u in K = ker S; it is then V(u) + V(0), so V at the
         quotient's read set, the 2^(m - dim K) coset representatives of K
-        (0 among them) and K's basis, spans every V(x).  Without one, V is
-        read at every x, in `blocks.BLOCK`-sized aranges.
+        (0 among them) and K's basis, spans every V(x).  Given by its table,
+        V is read at every x, in `blocks.BLOCK`-sized aranges.
         """
         if self._linear is None:
             n = min(blocks.BLOCK, self.ctx.order)
@@ -226,7 +214,7 @@ class FieldMap:
         ctx.check_element(table)
         table = table.astype(np.uint32, copy=False)
         table.setflags(write=False)
-        fmap = cls(name, ctx, lambda start, n: table[start:start + n])
+        fmap = cls(name, ctx, None, None)
         fmap._table = table
         return fmap
 
@@ -264,7 +252,7 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
 
 def linearized_map(L: LinearizedPoly, name: str) -> FieldMap:
     """View a linearized polynomial as a FieldMap, read through its cached lookup table."""
-    return FieldMap(name, L.ctx, (blocks.linear_table(L), None), (L, LinearizedPoly.zero(L.ctx)))
+    return FieldMap(name, L.ctx, (L, LinearizedPoly.zero(L.ctx)), None)
 
 
 _READ_BYTES = 1 << 18       # bytes read per block of a table file, cut back to a line end

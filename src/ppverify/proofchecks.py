@@ -20,7 +20,7 @@ by GF(2) linear algebra over the tables: the trace conditions are linear
 in the masks M_a, so a row costs one pass per table (the span of the
 values a condition must annihilate) plus a few array operations over a.
 The first failing a in list order is reported, its message built from
-the row's own arrays; eq23 finds its x by one parity sweep of that a.
+the row's own arrays; eq23 finds its x by a blockwise parity sweep of that a.
 The one-a checks (`check_eq23(g, a)`, `check_case2_factorization(g,
 a)`) are one-element calls of the batched rows.
 """
@@ -278,8 +278,8 @@ def _s_power(ctx: FieldCtx) -> blocks.ImageTable:
 
     Its `coords` map x to S(x)'s image coordinates and its `values` are
     w^E for every w in the image, which is the trace-zero set (the
-    kernel-image row checks that); the 2^m table of S^E is built only to
-    name the x of a failing eq23 a.
+    kernel-image row checks that); eq23 reads it on aligned blocks
+    (`coset`) only to name the x of a failing a, and never as a 2^m table.
     """
     t, k = ctx.require_tower()
     return blocks.image_product(s2k(ctx), (t * k + 1, 2 * t * k))
@@ -446,7 +446,7 @@ def _check_eq23_batch(g: FieldMap, case2: list[int], note: str | None) -> CheckR
     Tr(a g(x)) = Tr(c S^E(x)) at every x iff the mask pair (M_a, M_c)
     annihilates the span of (g(x), S^E(x)) over every x (`_eq23_basis`).
     A failing a gets its least differing x from one parity sweep of that
-    a, over the 2^m S^E table, built only then.
+    a over g's and S^E's blocks, up to the first block that holds one.
     """
     ctx = g.ctx
 
@@ -460,9 +460,12 @@ def _check_eq23_batch(g: FieldMap, case2: list[int], note: str | None) -> CheckR
                 != blocks.parity(mask_c & (z >> ctx.m)))
 
     def why(i):
-        s_power = FieldMap("S^E", ctx, _s_power(ctx).coset).table()
-        diff = blocks.parity(g.table() & mask_a[i]) != blocks.parity(s_power & mask_c[i])
-        return f"a={case2[i]:#x}, x={int(np.argmax(diff)):#x}"
+        s_power, n = _s_power(ctx), min(blocks.BLOCK, ctx.order)
+        for start, values in zip(range(0, ctx.order, n), g.value_blocks()):
+            diff = (blocks.parity(values & mask_a[i])
+                    != blocks.parity(s_power.coset(start, n) & mask_c[i]))
+            if diff.any():
+                return f"a={case2[i]:#x}, x={start + int(np.argmax(diff)):#x}"
 
     return _row("case2-eq23", case2, bad, note, why)
 

@@ -108,7 +108,7 @@ def test_linear_table_coset_is_the_map_on_every_aligned_block(m):
 
 
 @pytest.mark.parametrize("start, n", [(1, 2), (4096, 1 << 16), ((1 << 16) + 1, 1 << 16), (0, 3),
-                                      (-(1 << 16), 1 << 16), (1 << 17, 1 << 16)])
+                                      (-(1 << 16), 1 << 16), (1 << 17, 1 << 16), (0, 1 << 18)])
 def test_linear_table_coset_rejects_a_misaligned_block(start, n):
     table = blocks.LinearTable([1 << i for i in range(17)])
     with pytest.raises(ValueError, match="not aligned"):

@@ -315,6 +315,38 @@ def test_missing_context_is_config_error(capsys):
     assert run(["pptest", "--map", "builtin:g-thm1"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["field-info", "--t", "1", "--k", "1", "--m", "7"], "conflicts"),
+    (["pptest", "--t", "1", "--k", "1", "--m", "5", "--map", "builtin:g-thm1"], "conflicts"),
+    (["charsum", "--t", "2", "--k", "1", "--m", "4", "--map", "builtin:g-thm1", "--a", "1"],
+     "conflicts"),
+    (["field-info", "--t", "1"], "go together"),
+    (["field-info", "--k", "2", "--m", "6"], "go together"),
+    (["pptest", "--k", "1", "--map", "builtin:g-thm1"], "go together"),
+    (["search-L", "--t", "1", "--budget", "8"], "needs --t and --k"),
+])
+def test_conflicting_field_flags_are_config_errors(argv, message, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err, err
+
+
+def test_one_tower_flag_beside_a_table_is_a_config_error(tmp_path, capsys):
+    # a lone --t beside a table is malformed input, not a flag to drop
+    table = tmp_path / "t.txt"
+    assert run(["pptest", "--t", "2", "--k", "1", "--map", "builtin:L-note",
+                "--method", "exhaustive", "--export", str(table)]) == 0
+    capsys.readouterr()
+    assert run(["pptest", "--t", "1", "--map", str(table)]) == 2
+    assert "go together" in capsys.readouterr().err
+    assert run(["pptest", "--map", str(table), "--method", "exhaustive"]) == 0
+
+
+def test_matching_m_beside_the_tower_is_taken(capsys):
+    assert run(["field-info", "--t", "1", "--k", "1", "--m", "3"]) == 0
+    assert "m = 3" in capsys.readouterr().out
+
+
 def test_no_command_prints_help(capsys):
     assert run([]) == 2
 

@@ -108,6 +108,15 @@ def test_point_reads_reject_non_integer_and_outside_inputs():
                               blocks.trace_masks(ctx)(xs))
 
 
+def test_at_no_x_is_an_empty_uint32_array():
+    ctx = FieldCtx.from_tower(2, 1)
+    g1 = build_g_thm1(ctx)
+    for fmap in (g1, FieldMap.from_table("t", ctx, g1.table())):
+        for xs in ([], np.array([], dtype=np.uint64)):
+            got = fmap.at(xs, 3)
+            assert got.dtype == np.uint32 and got.shape == (0,), fmap.name
+
+
 def _sweep_matches_the_table_oracle(g):
     verdict = is_permutation_exhaustive(g)        # streamed: the map has no table yet
     if verdict.verdict == "permutation":

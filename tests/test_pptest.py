@@ -252,8 +252,8 @@ def _walsh_maps(m):
     if ctx.tower:
         g = build_g_thm1(ctx)
     else:
-        g = FieldMap("x^3", ctx, lambda start, n: blocks.frobenius_product(
-            ctx, np.arange(start, start + n, dtype=np.int64), [1]))
+        g = FieldMap.from_table("x^3", ctx, blocks.frobenius_product(
+            ctx, np.arange(ctx.order, dtype=np.int64), [1]))
     constant = FieldMap.from_table("constant", ctx,
                                    np.full(ctx.order, ctx.order - 1, dtype=np.uint32))
     return g, one_collision_mutant(g, 0, ctx.order - 1), constant
@@ -301,12 +301,9 @@ def test_shift_check_on_table_matches_definition():
 def collision_map_m19(x1, x2):
     """Identity on GF(2^19) except g(x2) = x1: cheap to tabulate."""
     ctx = FieldCtx(19)
-
-    def block(start, n):
-        xs = np.arange(start, start + n, dtype=np.int64)
-        return np.where(xs == x2, x1, xs)
-
-    return FieldMap(f"collide-{x1:x}-{x2:x}", ctx, block)
+    table = np.arange(ctx.order, dtype=np.uint32)
+    table[x2] = x1
+    return FieldMap.from_table(f"collide-{x1:x}-{x2:x}", ctx, table)
 
 
 @pytest.mark.parametrize("x1, x2", [

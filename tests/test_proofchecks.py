@@ -121,7 +121,7 @@ def test_decompose_a_rejects_case1_and_zero():
 def test_eq23_exponent_value():
     # E = 1 + 2q + q^2 = 25 at q = 4: the S^E image table reads S(x)^25 at every x
     ctx = FieldCtx.from_tower(2, 1)
-    table = FieldMap("S^E", ctx, _s_power(ctx).coset).table()
+    table = _s_power(ctx)(np.arange(ctx.order))
     assert table.tolist() == [power(ctx, lin_eval(s2k(ctx), x), 25) for x in range(ctx.order)]
 
 

@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from ppverify.constructions import build_L1, s2k
 from ppverify.maps import FieldMap, _quotient, linearized_map
 from ppverify.pptest import shift_check, shift_checks
 from ppverify.proofchecks import (_case_split, _check_eq23_batch, _check_factorization_batch,
-                                  _eq23_basis)
-from reference import s_power_table, shift_checks_gather
+                                  _eq23_basis, least_decompositions)
+from reference import abs_trace, g_scalar, s_power, s_power_table, shift_checks_gather
 
 SMALL_TOWERS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
 TOWERS_M18_M21 = [(1, 6), (2, 3), (3, 2), (6, 1), (1, 7), (7, 1)]
@@ -319,22 +320,6 @@ def test_shift_checks_outside_ker_s_match_the_gather_oracle_above_m12(t, k):
             assert (got == -1).any()
 
 
-def test_shift_checks_take_the_pass_where_the_table_disagrees_with_the_linear_part():
-    # one flipped entry at x = y in K breaks g(x + u) = g(x) + L(u) at x in {0, y} only:
-    # D + D(0) reads 1 at every other x, the nonzero coset representatives among them, so
-    # the span read through the linear part is still the span over every x
-    ctx = FieldCtx.from_tower(2, 2)
-    g = build_g_thm1(ctx)
-    y = int(ctx.enumerate_subfield(4)[3])
-    table = g.table().copy()
-    table[y] ^= 1
-    liar = FieldMap("liar", ctx, lambda start, n: table[start:start + n], g._linear)
-    a_values = np.arange(ctx.order)
-    got = shift_checks(liar, a_values, y)
-    assert np.array_equal(got, shift_checks(FieldMap.from_table("t", ctx, table), a_values, y))
-    assert (got == -1).any()
-
-
 def test_built_in_maps_never_reach_the_shift_pass(span_reads):
     # every span g1 or g3 takes reads 2^(m - dim K) + dim K points, for y in K and outside
     # it and in whole batteries; a from_table copy reads every x
@@ -384,8 +369,8 @@ def test_fieldmap_span_matches_the_echelon_of_every_value(t, k):
 
 
 def test_passing_verify_thm1_at_m18_builds_no_s_power_table(monkeypatch):
-    # a passing battery fills no table, not even g's; the 2^m S^E table is built only to
-    # name the x of a failing eq23 a
+    # a passing battery fills no table, not even g's, and a failing eq23 a names its x from
+    # g's blocks and S^E's on the same x: no S^E table is built
     built = []
     table = FieldMap.table
 
@@ -405,4 +390,25 @@ def test_passing_verify_thm1_at_m18_builds_no_s_power_table(monkeypatch):
     failing = [a for a in case2 if ctx.trace_mask(a) >> 7 & 1][:1]
     built.clear()
     assert not _check_eq23_batch(mutant, failing, None).passed
-    assert built == ["S^E"]
+    assert built == []
+
+
+def test_failing_eq23_row_at_m24_names_its_x_from_the_blocks():
+    # g1 fails eq23 at q = 2: the battery's row names its first differing x from g's blocks
+    # and S^E's on the same x, far below one 2^24 uint32 table (64 MB)
+    ctx = FieldCtx.from_tower(1, 8)
+    _, case2, _ = _case_split(ctx, 1729)
+    tracemalloc.start()
+    try:
+        row = _check_eq23_batch(build_g_thm1(ctx), case2, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.counterexample == "a=0x18998, x=0x8"
+    assert peak < 16 << 20, f"tracemalloc peak {peak / 2**20:.1f} MB"
+    a = 0x18998
+    c = int(least_decompositions(ctx, [a])[0])
+    assert c ^ ctx.frobenius(c, 8) == a
+    differs = [abs_trace(ctx, ctx.mul(a, g_scalar(ctx, x)))
+               != abs_trace(ctx, ctx.mul(c, s_power(ctx, x))) for x in range(9)]
+    assert differs == [False] * 8 + [True]
