@@ -1,21 +1,25 @@
 """Named evaluators from field elements to field elements.
 
 A FieldMap is built from its parts or given by its table, and is read
-two ways: on the aligned blocks x = start ^ i (i < n, n = min(2^16,
-2^m), start a multiple of n), in turn (`value_blocks`), and at any given
-x (`at`).  The paper's maps are a linear map plus a function of a linear
-map's value, f = L + h(S) (the paper's g; a linearized map, with h = 0),
-and are built from those parts: L's lookup table and h's table on S's
-image (`blocks.LinearTable`, `blocks.ImageTable`).  On an aligned block
-a linear map is one cached low table XOR one value
-(`blocks.LinearTable.coset`), and at a given x each part is a lookup.
-Such a map has no 2^m table on a passing path, nor to name eq23's
-failing x: the sweeps read its blocks as they are made, and every other
-check reads it through `at`, only at the points it needs.  `table()`,
-the full 2^m value table as uint32 (64 MB at m = 24), filled block by
-block and cached, is for export and for naming a collision.  Any other
-map (an imported one) is given by its table (`from_table`), and every
-read is a lookup in it.  The Walsh spectrum is read at given masks
+three ways: on the aligned blocks x = start ^ i (i < n, n = min(2^16,
+2^m), start a multiple of n), in turn (`value_blocks`), at any given x
+(`at`), and as every value once, in an order of the map's choosing
+(`sweep_blocks`, the bijection sweep's).  The paper's maps are a linear
+map plus a function of a linear map's value, f = L + h(S) (the paper's
+g; a linearized map, with h = 0), and are built from those parts: L's
+lookup table and h's table on S's image (`blocks.LinearTable`,
+`blocks.ImageTable`).  On an aligned block a linear map is one cached
+low table XOR one value (`blocks.LinearTable.coset`), and at a given x
+each part is a lookup.  Such a map has no 2^m table on a passing path,
+nor to name eq23's failing x: the bijection sweep takes its values coset
+by coset of K = ker S, f(x_s + u) = f(x_s) + L(u), one broadcast XOR of
+f at the coset representatives and L on K per block; `table()` and
+eq23's failing x read its aligned blocks as they are made; and every
+other check reads it through `at`, only at the points it needs.
+`table()`, the full 2^m value table as uint32 (64 MB at m = 24), filled
+block by block and cached, is for export and for naming a collision.
+Any other map (an imported one) is given by its table (`from_table`),
+and every read is a lookup in it.  The Walsh spectrum is read at given masks
 through `walsh`, from int32 bins (`blocks.walsh`) cached on the map.  A
 map built from its parts satisfies f(x + u) = f(x) + L(u) for every u in
 K = ker S.  So its spectrum is 0 off a subspace span(N) and takes its
@@ -64,12 +68,20 @@ class FieldMap:
     Built from its parts, linear = (L, S) and image, h's `blocks.ImageTable`
     on S's image or None when h = 0, it is f(x) = L(x) + h(S(x)), read
     through L's `blocks.linear_table` and image; `walsh` and `span` read the
-    quotient by ker S.  `from_table` passes None for both.
+    quotient by ker S.  linear None is a ValueError: a map given by its
+    table, with neither part, is made by `from_table` alone.
     """
 
     def __init__(self, name: str, ctx: FieldCtx,
-                 linear: tuple[LinearizedPoly, LinearizedPoly] | None,
+                 linear: tuple[LinearizedPoly, LinearizedPoly],
                  image: blocks.ImageTable | None):
+        if linear is None:
+            raise ValueError(f"FieldMap {name!r} needs its parts (L, S); "
+                             "a map given by its table is made by FieldMap.from_table")
+        self._fields(name, ctx, linear, image)
+
+    def _fields(self, name, ctx, linear, image) -> None:
+        """Set every attribute; `from_table` calls this on a bare instance, then sets the table."""
         self.name = name
         self.ctx = ctx
         self._linear = linear
@@ -77,7 +89,7 @@ class FieldMap:
         self._image = image
         self._table: np.ndarray | None = None
         self._bins: np.ndarray | None = None
-        self._kept: tuple | None = None   # the parts' lookups at the quotient's read set
+        self._kept: tuple | None = None   # at the quotient's read set: the parts' lookups, f
 
     def __call__(self, x: int) -> int:
         self.ctx.check_element(x)
@@ -107,6 +119,36 @@ class FieldMap:
                 values ^= self._image.coset(start, n, image)
             yield values
 
+    def sweep_blocks(self) -> Iterator[np.ndarray]:
+        """Every value exactly once, in intp blocks of at most blocks.BLOCK, in the map's order.
+
+        Each block is one reused buffer, valid only until the next is asked
+        for.  With a table (always, for a map given by its table; for one
+        built from its parts once `table()` has filled it): the table's
+        blocks in x order, cast.  Else coset by coset of K = ker S: x = x_s
+        ^ u, with x_s one of the coset representatives and u in K, has f(x)
+        = f(x_s) ^ L(u).  The rows are f at the representatives (`at`'s
+        read, kept), the columns L on the span of K's first `_COLUMN_BITS`
+        basis vectors (`_quotient`'s); the span of the rest of K's basis
+        under L folds into the rows.  A block is one broadcast XOR of whole
+        rows with the columns.
+        """
+        if self._table is not None:
+            n = min(blocks.BLOCK, self.ctx.order)
+            index = np.empty(n, dtype=np.intp)
+            for start in range(0, self.ctx.order, n):
+                index[:] = self._table[start:start + n]
+                yield index
+            return
+        reads, _, _, _, size_k, cols, folded = _quotient(*self._linear)
+        reps = self.at(reads)[:self.ctx.order // size_k]
+        rows = np.bitwise_xor.outer(reps, folded).ravel().astype(np.intp)
+        per = min(blocks.BLOCK // cols.size, rows.size)   # powers of two: no partial block
+        buf = np.empty((per, cols.size), dtype=np.intp)
+        for i in range(0, rows.size, per):
+            np.bitwise_xor(rows[i:i + per, None], cols, out=buf)
+            yield buf.reshape(-1)
+
     def table(self) -> np.ndarray:
         """The full 2^m value table as read-only uint32, filled from `value_blocks` and cached."""
         if self._table is None:
@@ -125,7 +167,8 @@ class FieldMap:
         A map built from its parts reads them at those x alone.  For the
         quotient's read set (`span`'s) L(x) and S(x)'s image coordinates
         c(x) are kept, so a shift y costs two XORs and one gather
-        (`_shifted`).  A map given by its table reads it.
+        (`_shifted`), and so is the map there, returned read-only for y = 0.
+        A map given by its table reads it.
         """
         self.ctx.check_element(y)
         y = int(y)
@@ -133,8 +176,11 @@ class FieldMap:
             return self._table[self.ctx.element_array(xs) ^ y]
         if xs is _quotient(*self._linear)[0]:
             if self._kept is None:
-                self._kept = self._lookups(xs)
-            return self._shifted(*self._kept, y)
+                lookups = self._lookups(xs)
+                values = self._shifted(*lookups, 0)
+                values.setflags(write=False)
+                self._kept = lookups, values
+            return self._kept[1] if y == 0 else self._shifted(*self._kept[0], y)
         return self._shifted(*self._lookups(self.ctx.element_array(xs)), y)
 
     def _lookups(self, xs: np.ndarray) -> tuple:
@@ -167,7 +213,7 @@ class FieldMap:
         self.ctx.check_element(masks)
         if self._linear is None:
             return self._walsh_bins()[masks]
-        _, _, pivot_bits, span_n, _ = _quotient(*self._linear)
+        _, _, pivot_bits, span_n, *_ = _quotient(*self._linear)
         c = pivot_bits(masks).astype(np.intp)
         return np.where(span_n[c] == masks, self._walsh_bins()[c], np.int32(0))
 
@@ -177,7 +223,7 @@ class FieldMap:
             if self._linear is None:
                 w = blocks.walsh(self.table(), self.ctx.m)
             else:
-                reads, coords, _, span_n, size_k = _quotient(*self._linear)
+                reads, coords, _, span_n, size_k, *_ = _quotient(*self._linear)
                 reps = self.at(reads)[:self.ctx.order // size_k]
                 w = blocks.walsh(coords(reps), span_n.size.bit_length() - 1)
                 w *= np.int32(size_k)
@@ -214,9 +260,13 @@ class FieldMap:
         ctx.check_element(table)
         table = table.astype(np.uint32, copy=False)
         table.setflags(write=False)
-        fmap = cls(name, ctx, None, None)
+        fmap = cls.__new__(cls)
+        fmap._fields(name, ctx, None, None)
         fmap._table = table
         return fmap
+
+
+_COLUMN_BITS = blocks.BLOCK.bit_length() - 1   # K's basis vectors spanned by a sweep's columns
 
 
 def _quotient(L: LinearizedPoly, S: LinearizedPoly):
@@ -230,7 +280,9 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
     table, its pivot coordinates M -> (M's bit at N_j's pivot)_j as a
     uint32 one (its gathers are faster; both
     `gf2linalg.coordinate_columns`), the span of N in coordinate order
-    (uint32), and |K|.
+    (uint32), |K|, and the span tables of L on K's first `_COLUMN_BITS`
+    basis vectors (intp) and on the rest (uint32): the columns and the
+    folded rows of `FieldMap.sweep_blocks`.
     """
     def build():
         m = L.ctx.m
@@ -245,7 +297,9 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
         pivots, pairings = gf2linalg.coordinate_columns(basis, m)
         coords = blocks.LinearTable(pairings, dtype=np.intp)
         pivot_bits = blocks.LinearTable(pivots)
-        return reads, coords, pivot_bits, gf2linalg.span_table(basis), 1 << len(kernel)
+        return (reads, coords, pivot_bits, gf2linalg.span_table(basis), 1 << len(kernel),
+                gf2linalg.span_table(lk[:_COLUMN_BITS], np.intp),
+                gf2linalg.span_table(lk[_COLUMN_BITS:]))
 
     return L.ctx.cached(("quotient", L.coeffs, S.coeffs), build)
 

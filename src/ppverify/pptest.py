@@ -7,11 +7,14 @@ iff every such sum vanishes.  Sums are accumulated as machine integers
 (each term is +-1), so there is no rounding anywhere.
 
 The definitional check scatters the map's values block by block, as
-they are made (`FieldMap.value_blocks`), so a map built from its parts
-never fills its 2^m table unless it collides.  Character sums use the
-linearity of the trace: Tr(a*y) = parity(M_a & y) for a per-a bitmask
-M_a, so the sum at a is W[M_a], where W is the map's Walsh spectrum
-(`FieldMap.walsh`): one exact integer transform per map, at every m.
+they are made (`FieldMap.sweep_blocks`), so a map built from its parts
+never fills its 2^m table unless it collides: for the paper's g the
+blocks go coset by coset of K = ker S, g(x_s + u) = g(x_s) + L(u), one
+broadcast XOR of g at the coset representatives x_s and L on K.
+Character sums use the linearity of the trace: Tr(a*y) = parity(M_a &
+y) for a per-a bitmask M_a, so the sum at a is W[M_a], where W is the
+map's Walsh spectrum (`FieldMap.walsh`): one exact integer transform per
+map, at every m.
 For the paper's g it is a transform of 2^(2m/3) coset bins (the quotient
 by ker S, so a second route to g beside the blocks), and W[M_a] is one
 lookup in those bins, 0 unless M_a lies in their span; an imported map
@@ -71,19 +74,20 @@ class PPVerdict:
 def is_permutation_exhaustive(f: FieldMap) -> PPVerdict:
     """Scatter every value; permutation iff every value is hit.
 
-    The scatter runs on the map's `value_blocks` (`blocks.BLOCK` values,
-    from its table if it has one, else made one block at a time), each
-    cast to intp (numpy would convert uint32 indices itself, more
-    slowly), so neither a table nor a full-size index copy is made.  On a
-    collision the table is built and the witness is the first colliding
-    pair in enumeration order: the least x2 whose value already
-    appeared, paired with that value's first preimage.
+    The scatter runs on the map's `sweep_blocks`: every value once, in
+    intp blocks of at most `blocks.BLOCK` (numpy would convert uint32
+    indices itself, more slowly), in the map's order.  A map with a table
+    casts its table's blocks; one built from its parts, without its table,
+    makes each block coset by coset of K = ker S, as f(x_s) ^ L(u) for the
+    coset representatives x_s and u in K, one broadcast XOR.  So neither a
+    table nor a full-size index copy is made.  On a collision the table
+    is built and the witness is the first colliding pair in enumeration
+    order: the least x2 whose value already appeared, paired with that
+    value's first preimage.
     """
     seen = np.zeros(f.ctx.order, dtype=bool)
-    index = np.empty(min(blocks.BLOCK, f.ctx.order), dtype=np.intp)
-    for values in f.value_blocks():
-        index[:] = values
-        seen[index] = True
+    for values in f.sweep_blocks():
+        seen[values] = True
     if np.count_nonzero(seen) == f.ctx.order:
         return PPVerdict(PERMUTATION, "exhaustive", f.ctx.order)
     # first[v] = the least preimage of v; x2 is the least x that is not its value's first

@@ -2,7 +2,8 @@
 
 A map built from its parts (L's linear table and h's table on S's image)
 is read at given x by `FieldMap.at`, and the bijection sweep scatters its
-blocks as they are made, so a passing check never fills its 2^m table.
+values coset by coset of ker S as they are made (`FieldMap.sweep_blocks`),
+so a passing check never fills its 2^m table.
 `reference.g_block_direct` evaluates g with two shift-and-XOR products on
 every x, and the `from_table` copy of a map with `reference.first_collision`
 is the sweep's oracle.
@@ -19,6 +20,7 @@ from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_th
 from ppverify.cli import run
 from ppverify.constructions import rel_trace_poly
 from ppverify.maps import FieldMap, _quotient, linearized_map
+from ppverify.pptest import shift_checks
 from ppverify.proofchecks import _check_case1
 
 from reference import first_collision, g_block_direct, g_scalar
@@ -138,9 +140,74 @@ def test_streamed_sweep_matches_the_table_sweep(t, k):
     maps = [build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx)),
             linearized_map(build_L_note(ctx), "L")]
     maps += [build_g_thm3(ctx, _random_L(ctx, rng)) for _ in range(6)]
+    # an injective S = x^2: K = {0}, so the rows are every value and the one column is
+    # L(0); h(s) = s^3, and x^6 permutes iff m is odd
+    S = LinearizedPoly.frobenius_power(ctx, 1)
+    assert not S.kernel_image()[0]
+    maps += [FieldMap(f"L + x^6 #{i}", ctx, (L, S), blocks.image_product(S, (1,)))
+             for i, L in enumerate([LinearizedPoly.zero(ctx), _random_L(ctx, rng)])]
     verdicts = [_sweep_matches_the_table_oracle(g) for g in maps]
-    assert verdicts[1:3] == ["permutation"] * 2 and "not-permutation" in verdicts[3:]
+    assert verdicts[1:3] == ["permutation"] * 2 and "not-permutation" in verdicts[3:9]
     assert verdicts[0] == "permutation" or t != 2
+    assert verdicts[9] == ("permutation" if ctx.m % 2 else "not-permutation")
+
+
+def test_streamed_sweep_folds_a_kernel_wider_than_the_columns():
+    # S = 0, so K is the whole of GF(2^17): 16 of its basis vectors make the columns and
+    # the 17th folds into the rows; a singular L collides
+    ctx = FieldCtx(17)
+    rng = random.Random(17)
+    singular = []
+    while len(singular) < 2:
+        L = _random_L(ctx, rng)
+        if L.kernel_image()[0]:
+            singular.append(linearized_map(L, "singular"))
+    maps = singular + [linearized_map(LinearizedPoly.identity(ctx), "id")]
+    _, _, _, _, _, cols, folded = _quotient(*maps[0]._linear)
+    assert (cols.size, folded.size) == (1 << 16, 2)
+    assert [_sweep_matches_the_table_oracle(g) for g in maps] == (
+        ["not-permutation"] * 2 + ["permutation"])
+
+
+def test_passing_sweep_of_a_built_in_map_reads_neither_blocks_nor_table(monkeypatch):
+    def refuse(fmap):
+        raise AssertionError(f"{fmap.name} read in x order")
+
+    monkeypatch.setattr(FieldMap, "value_blocks", refuse)
+    monkeypatch.setattr(FieldMap, "table", refuse)
+    for t, k in [(2, 1), (2, 3)]:
+        ctx = FieldCtx.from_tower(t, k)
+        for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx)),
+                  linearized_map(build_L_note(ctx), "L")):
+            assert is_permutation_exhaustive(g).verdict == "permutation", g.name
+
+
+def test_the_read_set_is_read_once_per_map(monkeypatch):
+    # the sweep's rows, the Walsh bins and every shift's span share one read at y = 0
+    ctx = FieldCtx.from_tower(2, 2)
+    g = build_g_thm3(ctx, build_L_note(ctx))
+    reads = _quotient(*g._linear)[0]
+    calls = []
+    lookups = FieldMap._lookups
+    monkeypatch.setattr(FieldMap, "_lookups", lambda fmap, xs: calls.append(xs) or lookups(fmap, xs))
+    values = g.at(reads)
+    assert not values.flags.writeable and g.at(reads) is values
+    assert np.array_equal(values, g_block_direct(ctx, reads, build_L_note(ctx)))
+    is_permutation_exhaustive(g)
+    g.walsh(np.arange(ctx.order))
+    for y in (1, 2, 0x5a, ctx.order - 1):
+        shift_checks(g, [1, 2, 3], y)
+    assert len(calls) == 1 and calls[0] is reads
+
+
+def test_a_field_map_needs_its_parts_or_its_table():
+    ctx = FieldCtx.from_tower(2, 1)
+    with pytest.raises(ValueError, match="FieldMap.from_table"):
+        FieldMap("nothing", ctx, None, None)
+    g1 = build_g_thm1(ctx)
+    imported = FieldMap.from_table("t", ctx, g1.table())
+    assert imported._linear is None and imported(5) == g1(5)
+    assert np.array_equal(np.concatenate(list(imported.value_blocks())), g1.table())
 
 
 def test_streamed_sweep_matches_the_table_sweep_at_m18():

@@ -66,7 +66,7 @@ def _check_seeded_masks(t, k):
     rng = np.random.default_rng(ctx.m * 100 + t)
     rand_L = LinearizedPoly(ctx, rng.integers(0, ctx.order, ctx.m).tolist())
     for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx)), build_g_thm3(ctx, rand_L)):
-        _, _, pivot_bits, span_n, _ = _quotient(*g._linear)
+        _, _, pivot_bits, span_n, *_ = _quotient(*g._linear)
         masks = np.concatenate([[0, ctx.order - 1], span_n[rng.integers(0, span_n.size, 4096)],
                                 rng.integers(0, ctx.order, 4096)])
         inside = span_n[pivot_bits(masks).astype(np.intp)] == masks
