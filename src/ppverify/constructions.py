@@ -133,7 +133,8 @@ def _family_members(ctx: FieldCtx):
 def search_L_candidates(ctx: FieldCtx, budget: int) -> list[LCandidate]:
     """Examine the first `budget` members of the declared family of L and keep
     the ones that pass both hypotheses; each survivor is then PP-verified
-    exhaustively, through one L table and the image table all candidates share.
+    exactly by `is_permutation_exhaustive`, on the quotient by ker S: g at
+    the coset representatives, with the image table all candidates share.
 
     Duplicated coefficient vectors (the family parametrization repeats
     itself) are reported once, at their first index.

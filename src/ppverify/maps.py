@@ -1,35 +1,37 @@
 """Named evaluators from field elements to field elements.
 
 A FieldMap is built from its parts or given by its table, and is read
-three ways: on the aligned blocks x = start ^ i (i < n, n = min(2^16,
-2^m), start a multiple of n), in turn (`value_blocks`), at any given x
-(`at`), and as every value once, in an order of the map's choosing
-(`sweep_blocks`, the bijection sweep's).  The paper's maps are a linear
-map plus a function of a linear map's value, f = L + h(S) (the paper's
-g; a linearized map, with h = 0), and are built from those parts: L's
-lookup table and h's table on S's image (`blocks.LinearTable`,
-`blocks.ImageTable`).  On an aligned block a linear map is one cached
-low table XOR one value (`blocks.LinearTable.coset`), and at a given x
-each part is a lookup.  Such a map has no 2^m table on a passing path,
-nor to name eq23's failing x: the bijection sweep takes its values coset
-by coset of K = ker S, f(x_s + u) = f(x_s) + L(u), one broadcast XOR of
-f at the coset representatives and L on K per block; `table()` and
-eq23's failing x read its aligned blocks as they are made; and every
-other check reads it through `at`, only at the points it needs.
-`table()`, the full 2^m value table as uint32 (64 MB at m = 24), filled
-block by block and cached, is for export and for naming a collision.
-Any other map (an imported one) is given by its table (`from_table`),
-and every read is a lookup in it.  The Walsh spectrum is read at given masks
-through `walsh`, from int32 bins (`blocks.walsh`) cached on the map.  A
-map built from its parts satisfies f(x + u) = f(x) + L(u) for every u in
-K = ker S.  So its spectrum is 0 off a subspace span(N) and takes its
-bins through the quotient by K: one per element of span(N), 2^(2m/3) for
-g (256 KB at m = 24), from f on the 2^(m - dim K) coset representatives,
-and a mask is looked up by its coordinates in N
-(`gf2linalg.coordinate_columns`).  `span` reads the proof rows' spans (of
-a V with V(x + u) + V(x) constant in x for u in K) at the representatives
-and K's basis.  A map given by its table keeps the whole spectrum, from
-the histogram of its table, and its `span` reads every x.
+two ways: on the aligned blocks x = start ^ i (i < n, n = min(2^16,
+2^m), start a multiple of n), in turn (`value_blocks`), and at any given
+x (`at`).  The paper's maps are a linear map plus a function of a linear
+map's value, f = L + h(S) (the paper's g; a linearized map, with h = 0),
+and are built from those parts: L's lookup table and h's table on S's
+image (`blocks.LinearTable`, `blocks.ImageTable`).  On an aligned block
+a linear map is one cached low table XOR one value
+(`blocks.LinearTable.coset`), and at a given x each part is a lookup.
+Such a map has no 2^m table on a passing path, nor to name eq23's
+failing x: `table()` and eq23's failing x read its aligned blocks as
+they are made, and every other check reads it through `at`, only at the
+points it needs.  `table()`, the full 2^m value table as uint32 (64 MB
+at m = 24), filled block by block and cached, is for export and for
+naming a collision.  Any other map (an imported one) is given by its
+table (`from_table`), and every read is a lookup in it.
+
+A map built from its parts satisfies f(x + u) = f(x) + L(u) for every u
+in K = ker S, so three readers work on the quotient by K, from f at the
+2^(m - dim K) coset representatives (`at`'s kept read) and the
+annihilator N of L(K): its bijection (`bijective`: L injective on K, and
+f at the representatives meets every coset of L(K), one bin per element
+of span(N), 2^(2m/3) for g); its Walsh spectrum, read at given masks
+through `walsh`, which is 0 off span(N) and takes int32 bins
+(`blocks.walsh`, 256 KB for g at m = 24) cached on the map, a mask
+looked up by its coordinates in N (`gf2linalg.coordinate_columns`); and
+`span`, the proof rows' spans (of a V with V(x + u) + V(x) constant in x
+for u in K), read at the representatives and K's basis.  So for such a
+map the bijection and the character sums read the same coset bins.  A
+map given by its table scatters its table for the bijection (in
+`pptest`), keeps the whole spectrum, from the histogram of its table,
+and its `span` reads every x.
 Determinism contract: repeated evaluation at the same input yields
 identical results.
 
@@ -67,9 +69,9 @@ class FieldMap:
 
     Built from its parts, linear = (L, S) and image, h's `blocks.ImageTable`
     on S's image or None when h = 0, it is f(x) = L(x) + h(S(x)), read
-    through L's `blocks.linear_table` and image; `walsh` and `span` read the
-    quotient by ker S.  linear None is a ValueError: a map given by its
-    table, with neither part, is made by `from_table` alone.
+    through L's `blocks.linear_table` and image; `bijective`, `walsh` and
+    `span` read the quotient by ker S.  linear None is a ValueError: a map
+    given by its table, with neither part, is made by `from_table` alone.
     """
 
     def __init__(self, name: str, ctx: FieldCtx,
@@ -118,36 +120,6 @@ class FieldMap:
             if self._image is not None:
                 values ^= self._image.coset(start, n, image)
             yield values
-
-    def sweep_blocks(self) -> Iterator[np.ndarray]:
-        """Every value exactly once, in intp blocks of at most blocks.BLOCK, in the map's order.
-
-        Each block is one reused buffer, valid only until the next is asked
-        for.  With a table (always, for a map given by its table; for one
-        built from its parts once `table()` has filled it): the table's
-        blocks in x order, cast.  Else coset by coset of K = ker S: x = x_s
-        ^ u, with x_s one of the coset representatives and u in K, has f(x)
-        = f(x_s) ^ L(u).  The rows are f at the representatives (`at`'s
-        read, kept), the columns L on the span of K's first `_COLUMN_BITS`
-        basis vectors (`_quotient`'s); the span of the rest of K's basis
-        under L folds into the rows.  A block is one broadcast XOR of whole
-        rows with the columns.
-        """
-        if self._table is not None:
-            n = min(blocks.BLOCK, self.ctx.order)
-            index = np.empty(n, dtype=np.intp)
-            for start in range(0, self.ctx.order, n):
-                index[:] = self._table[start:start + n]
-                yield index
-            return
-        reads, _, _, _, size_k, cols, folded = _quotient(*self._linear)
-        reps = self.at(reads)[:self.ctx.order // size_k]
-        rows = np.bitwise_xor.outer(reps, folded).ravel().astype(np.intp)
-        per = min(blocks.BLOCK // cols.size, rows.size)   # powers of two: no partial block
-        buf = np.empty((per, cols.size), dtype=np.intp)
-        for i in range(0, rows.size, per):
-            np.bitwise_xor(rows[i:i + per, None], cols, out=buf)
-            yield buf.reshape(-1)
 
     def table(self) -> np.ndarray:
         """The full 2^m value table as read-only uint32, filled from `value_blocks` and cached."""
@@ -213,7 +185,7 @@ class FieldMap:
         self.ctx.check_element(masks)
         if self._linear is None:
             return self._walsh_bins()[masks]
-        _, _, pivot_bits, span_n, *_ = _quotient(*self._linear)
+        _, _, pivot_bits, span_n, _ = _quotient(*self._linear)
         c = pivot_bits(masks).astype(np.intp)
         return np.where(span_n[c] == masks, self._walsh_bins()[c], np.int32(0))
 
@@ -223,7 +195,7 @@ class FieldMap:
             if self._linear is None:
                 w = blocks.walsh(self.table(), self.ctx.m)
             else:
-                reads, coords, _, span_n, size_k, *_ = _quotient(*self._linear)
+                reads, coords, _, span_n, size_k = _quotient(*self._linear)
                 reps = self.at(reads)[:self.ctx.order // size_k]
                 w = blocks.walsh(coords(reps), span_n.size.bit_length() - 1)
                 w *= np.int32(size_k)
@@ -247,6 +219,26 @@ class FieldMap:
                                       for start in range(0, self.ctx.order, n)), width)
         return blocks.span_basis([values_at(_quotient(*self._linear)[0])], width)
 
+    def bijective(self) -> bool:
+        """Whether a map built from its parts (L, S) permutes, decided on the quotient by K = ker S.
+
+        f(x_s + u) = f(x_s) + L(u) for u in K, so f permutes iff L is
+        injective on K and f at the 2^(m - dim K) coset representatives x_s
+        meets every coset of L(K) exactly once (Akbary, Ghioca and Wang,
+        Finite Fields Appl. 17 (2011)).  With N an echelon basis of the
+        annihilator of L(K), L is injective on K iff |span(N)| |K| = 2^m,
+        and then there are as many representatives as cosets, each coset
+        one bin of the pairings with N: f(x_s) must hit every bin.  It reads
+        f at the representatives (`at`'s kept read, as `walsh` does) and
+        2^dim(N) bins, 2^(2m/3) for g; no 2^m array.
+        """
+        reads, coords, _, span_n, size_k = _quotient(*self._linear)
+        if span_n.size * size_k != self.ctx.order:
+            return False
+        hit = np.zeros(span_n.size, dtype=bool)
+        hit[coords(self.at(reads)[:span_n.size])] = True
+        return bool(hit.all())
+
     @classmethod
     def from_table(cls, name: str, ctx: FieldCtx, values) -> "FieldMap":
         """Wrap an explicit value table (length 2^m, entries checked by `FieldCtx.check_element`).
@@ -266,9 +258,6 @@ class FieldMap:
         return fmap
 
 
-_COLUMN_BITS = blocks.BLOCK.bit_length() - 1   # K's basis vectors spanned by a sweep's columns
-
-
 def _quotient(L: LinearizedPoly, S: LinearizedPoly):
     """The quotient-spectrum pieces of L + h(S), cached on the context by both polynomials.
 
@@ -280,9 +269,7 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
     table, its pivot coordinates M -> (M's bit at N_j's pivot)_j as a
     uint32 one (its gathers are faster; both
     `gf2linalg.coordinate_columns`), the span of N in coordinate order
-    (uint32), |K|, and the span tables of L on K's first `_COLUMN_BITS`
-    basis vectors (intp) and on the rest (uint32): the columns and the
-    folded rows of `FieldMap.sweep_blocks`.
+    (uint32), and |K|.
     """
     def build():
         m = L.ctx.m
@@ -297,9 +284,7 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
         pivots, pairings = gf2linalg.coordinate_columns(basis, m)
         coords = blocks.LinearTable(pairings, dtype=np.intp)
         pivot_bits = blocks.LinearTable(pivots)
-        return (reads, coords, pivot_bits, gf2linalg.span_table(basis), 1 << len(kernel),
-                gf2linalg.span_table(lk[:_COLUMN_BITS], np.intp),
-                gf2linalg.span_table(lk[_COLUMN_BITS:]))
+        return reads, coords, pivot_bits, gf2linalg.span_table(basis), 1 << len(kernel)
 
     return L.ctx.cached(("quotient", L.coeffs, S.coeffs), build)
 

@@ -1,25 +1,26 @@
-"""Two independent permutation criteria plus the shift-difference lemma.
+"""Two permutation criteria plus the shift-difference lemma.
 
-The definitional check sweeps all 2^m inputs and watches for output
-collisions.  The character-sum check evaluates, for nonzero a, the
-exact integer sum of (-1)^Tr(a*f(x)) over the field; f is a permutation
-iff every such sum vanishes.  Sums are accumulated as machine integers
-(each term is +-1), so there is no rounding anywhere.
+The definitional check decides whether every value is hit.  The
+character-sum check evaluates, for nonzero a, the exact integer sum of
+(-1)^Tr(a*f(x)) over the field; f is a permutation iff every such sum
+vanishes.  Sums are accumulated as machine integers (each term is +-1),
+so there is no rounding anywhere.
 
-The definitional check scatters the map's values block by block, as
-they are made (`FieldMap.sweep_blocks`), so a map built from its parts
-never fills its 2^m table unless it collides: for the paper's g the
-blocks go coset by coset of K = ker S, g(x_s + u) = g(x_s) + L(u), one
-broadcast XOR of g at the coset representatives x_s and L on K.
-Character sums use the linearity of the trace: Tr(a*y) = parity(M_a &
-y) for a per-a bitmask M_a, so the sum at a is W[M_a], where W is the
-map's Walsh spectrum (`FieldMap.walsh`): one exact integer transform per
-map, at every m.
-For the paper's g it is a transform of 2^(2m/3) coset bins (the quotient
-by ker S, so a second route to g beside the blocks), and W[M_a] is one
-lookup in those bins, 0 unless M_a lies in their span; an imported map
-keeps the transform of its whole table.  M_a is linear in a too, so the
-masks of any number of a are one table lookup.
+For the paper's g, built from its parts with g(x_s + u) = g(x_s) + L(u)
+for u in K = ker S, the definitional check is decided on the quotient by
+K (`FieldMap.bijective`): L is injective on K and g at the coset
+representatives x_s meets every coset of L(K), 2^(2m/3) bins, so it
+never fills the 2^m table unless g collides; an imported map scatters
+its table.  Character sums use the linearity of the trace: Tr(a*y) =
+parity(M_a & y) for a per-a bitmask M_a, so the sum at a is W[M_a],
+where W is the map's Walsh spectrum (`FieldMap.walsh`): one exact
+integer transform per map, at every m.  For g it is a transform of the
+same coset bins, and W[M_a] is one lookup in them, 0 unless M_a lies in
+their span; an imported map keeps the transform of its whole table.  So
+for g the two criteria read the same values, g at the representatives,
+and their agreement is no independent check; the tests pin both against
+the table of g's aligned blocks.  M_a is linear in a too, so the masks
+of any number of a are one table lookup.
 
 The shift-difference lemma is checked the same way for many a at once:
 Tr(a*(f(x+y) + f(x))) is constant in x iff M_a annihilates the span of
@@ -59,7 +60,7 @@ class PPVerdict:
 
     witness is a colliding input pair for the exhaustive method, or an
     (a, sum) pair with a nonzero character sum; negative verdicts always
-    carry one.  checks counts inputs swept or a-values summed.
+    carry one.  checks counts inputs decided or a-values summed.
     """
     verdict: str
     method: str
@@ -72,23 +73,28 @@ class PPVerdict:
 
 
 def is_permutation_exhaustive(f: FieldMap) -> PPVerdict:
-    """Scatter every value; permutation iff every value is hit.
+    """Permutation iff every value is hit; exact, and checks = 2^m on a pass.
 
-    The scatter runs on the map's `sweep_blocks`: every value once, in
-    intp blocks of at most `blocks.BLOCK` (numpy would convert uint32
-    indices itself, more slowly), in the map's order.  A map with a table
-    casts its table's blocks; one built from its parts, without its table,
-    makes each block coset by coset of K = ker S, as f(x_s) ^ L(u) for the
-    coset representatives x_s and u in K, one broadcast XOR.  So neither a
-    table nor a full-size index copy is made.  On a collision the table
-    is built and the witness is the first colliding pair in enumeration
-    order: the least x2 whose value already appeared, paired with that
-    value's first preimage.
+    A map built from its parts (L, S) is decided on the quotient by K =
+    ker S (`FieldMap.bijective`), from f at the 2^(m - dim K) coset
+    representatives, so a pass reads no 2^m array.  A map given by its
+    table scatters its table's blocks into a 2^m `seen`, cast to intp
+    (numpy would convert uint32 indices itself, more slowly).  On a
+    collision the table is built and the witness is the first colliding
+    pair in enumeration order: the least x2 whose value already appeared,
+    paired with that value's first preimage.
     """
-    seen = np.zeros(f.ctx.order, dtype=bool)
-    for values in f.sweep_blocks():
-        seen[values] = True
-    if np.count_nonzero(seen) == f.ctx.order:
+    if f._linear is None:
+        table, seen = f.table(), np.zeros(f.ctx.order, dtype=bool)
+        n = min(blocks.BLOCK, f.ctx.order)
+        index = np.empty(n, dtype=np.intp)
+        for start in range(0, f.ctx.order, n):
+            index[:] = table[start:start + n]
+            seen[index] = True
+        passed = np.count_nonzero(seen) == f.ctx.order
+    else:
+        passed = f.bijective()
+    if passed:
         return PPVerdict(PERMUTATION, "exhaustive", f.ctx.order)
     # first[v] = the least preimage of v; x2 is the least x that is not its value's first
     table = f.table()

@@ -1,12 +1,12 @@
-"""Point reads of the built-in maps and the streamed bijection sweep, against oracles.
+"""Point reads of the built-in maps and their bijection verdict, against oracles.
 
 A map built from its parts (L's linear table and h's table on S's image)
-is read at given x by `FieldMap.at`, and the bijection sweep scatters its
-values coset by coset of ker S as they are made (`FieldMap.sweep_blocks`),
-so a passing check never fills its 2^m table.
+is read at given x by `FieldMap.at`, and its bijection is decided on the
+quotient by ker S from its values at the coset representatives
+(`FieldMap.bijective`), so a passing check never fills its 2^m table.
 `reference.g_block_direct` evaluates g with two shift-and-XOR products on
-every x, and the `from_table` copy of a map with `reference.first_collision`
-is the sweep's oracle.
+every x, and the `from_table` copy of a map, whose table is scattered
+block by block, with `reference.first_collision` is the verdict's oracle.
 """
 
 import random
@@ -120,7 +120,7 @@ def test_at_no_x_is_an_empty_uint32_array():
 
 
 def _sweep_matches_the_table_oracle(g):
-    verdict = is_permutation_exhaustive(g)        # streamed: the map has no table yet
+    verdict = is_permutation_exhaustive(g)        # on the quotient: the map has no table yet
     if verdict.verdict == "permutation":
         assert g._table is None, g.name
     table = g.table()
@@ -129,6 +129,17 @@ def _sweep_matches_the_table_oracle(g):
     assert verdict.witness == pair, g.name
     assert verdict.checks == (g.ctx.order if pair is None else pair[1] + 1), g.name
     return verdict.verdict
+
+
+def _one_coset_moved(g):
+    """g with h changed at one image point, so the coset of the second representative x0
+    maps onto g's image of K: g'(x0 + u) = g(u), exactly one coset of L(K) is missed."""
+    L, S = g._linear
+    x0 = int(_quotient(L, S)[0][1])   # the read set starts with the representatives
+    c0 = int(g._image.coords([x0])[0])
+    values = g._image.values.copy()
+    values[c0] = g(0) ^ int(blocks.linear_table(L)([x0])[0])
+    return FieldMap(f"{g.name} moved", g.ctx, (L, S), blocks.ImageTable(S, lambda _: values))
 
 
 @pytest.mark.parametrize("t,k", SMALL_TOWERS, ids=str)
@@ -140,21 +151,26 @@ def test_streamed_sweep_matches_the_table_sweep(t, k):
     maps = [build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx)),
             linearized_map(build_L_note(ctx), "L")]
     maps += [build_g_thm3(ctx, _random_L(ctx, rng)) for _ in range(6)]
-    # an injective S = x^2: K = {0}, so the rows are every value and the one column is
-    # L(0); h(s) = s^3, and x^6 permutes iff m is odd
+    # an injective S = x^2: K = {0}, so every x is a representative and L is trivially
+    # injective on K; h(s) = s^3, and x^6 permutes iff m is odd
     S = LinearizedPoly.frobenius_power(ctx, 1)
     assert not S.kernel_image()[0]
     maps += [FieldMap(f"L + x^6 #{i}", ctx, (L, S), blocks.image_product(S, (1,)))
              for i, L in enumerate([LinearizedPoly.zero(ctx), _random_L(ctx, rng)])]
+    # L = 0 is not injective on g3's nonzero K = ker S, whatever g does at the representatives
+    g_zero = build_g_thm3(ctx, LinearizedPoly.zero(ctx))
+    assert g_zero._linear[1].kernel_image()[0]
+    maps += [g_zero, _one_coset_moved(build_g_thm1(ctx))]
     verdicts = [_sweep_matches_the_table_oracle(g) for g in maps]
     assert verdicts[1:3] == ["permutation"] * 2 and "not-permutation" in verdicts[3:9]
     assert verdicts[0] == "permutation" or t != 2
     assert verdicts[9] == ("permutation" if ctx.m % 2 else "not-permutation")
+    assert verdicts[11:] == ["not-permutation"] * 2
 
 
-def test_streamed_sweep_folds_a_kernel_wider_than_the_columns():
-    # S = 0, so K is the whole of GF(2^17): 16 of its basis vectors make the columns and
-    # the 17th folds into the rows; a singular L collides
+def test_bijection_of_a_linearized_map_with_the_whole_field_as_kernel():
+    # S = 0, so K is the whole of GF(2^17) and 0 is the one representative: the verdict is
+    # L's injectivity alone, so a singular L collides and the identity permutes
     ctx = FieldCtx(17)
     rng = random.Random(17)
     singular = []
@@ -163,8 +179,7 @@ def test_streamed_sweep_folds_a_kernel_wider_than_the_columns():
         if L.kernel_image()[0]:
             singular.append(linearized_map(L, "singular"))
     maps = singular + [linearized_map(LinearizedPoly.identity(ctx), "id")]
-    _, _, _, _, _, cols, folded = _quotient(*maps[0]._linear)
-    assert (cols.size, folded.size) == (1 << 16, 2)
+    assert _quotient(*maps[0]._linear)[4] == ctx.order
     assert [_sweep_matches_the_table_oracle(g) for g in maps] == (
         ["not-permutation"] * 2 + ["permutation"])
 
@@ -183,7 +198,7 @@ def test_passing_sweep_of_a_built_in_map_reads_neither_blocks_nor_table(monkeypa
 
 
 def test_the_read_set_is_read_once_per_map(monkeypatch):
-    # the sweep's rows, the Walsh bins and every shift's span share one read at y = 0
+    # the bijection verdict, the Walsh bins and every shift's span share one read at y = 0
     ctx = FieldCtx.from_tower(2, 2)
     g = build_g_thm3(ctx, build_L_note(ctx))
     reads = _quotient(*g._linear)[0]
@@ -245,6 +260,24 @@ def test_pptest_both_on_a_built_in_map_builds_no_table(built, spec, capsys):
     assert run(["pptest", "--t", "2", "--k", "3", "--map", spec, "--method", "both"]) == 0
     assert "methods agree" in capsys.readouterr().out
     assert built == []
+
+
+def test_passing_bijection_verdict_at_m24_reads_no_2m_array():
+    # the 16 MB `seen` of a scatter alone is far above the bound: the verdict takes the
+    # coordinates of g at the 2^16 representatives (three 512 KB intp arrays in the
+    # lookup) and 2^16 bins; the quotient pieces and the kept read are the map's, shared
+    # with walsh and span, so they are made before tracing starts
+    ctx = FieldCtx.from_tower(2, 4)
+    g = build_g_thm1(ctx)
+    g.at(_quotient(*g._linear)[0])
+    tracemalloc.start()
+    try:
+        verdict = is_permutation_exhaustive(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.verdict == "permutation" and verdict.checks == ctx.order
+    assert peak < 2 << 20, peak
 
 
 def test_verify_thm1_at_m24_stays_far_below_one_table():
