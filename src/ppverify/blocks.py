@@ -10,9 +10,11 @@ of n) at a time, and there a linear map is one cached low table XOR
 L(start) (`LinearTable.coset`), or at any given x (`LinearTable` and
 `ImageTable` calls).  General products use a
 vectorized shift-and-XOR multiply, and a map that is nonlinear only
-through a linear map's value is tabled on that map's image (`ImageTable`),
-so products run once per image element, never once per input; g's
-s^(q^k+3) and the Case-2 power S^E are both `image_product` tables.
+through a linear map's value is tabled on that map's image (`ImageTable`).
+g's s^(q^k+3) and the Case-2 power S^E are both `image_product` tables:
+a product of Frobenius powers is multilinear in s's image coordinates,
+so its table is an XOR subset-sum of its coefficients, and the products
+run once per tuple of basis vectors, never once per image element.
 Every shared table here is kept on its context by `FieldCtx.cached`.
 `span_basis` finds the F2-span of a table's worth of vectors in one
 blocked pass, which lets a per-a check be decided for every a at once.
@@ -102,14 +104,6 @@ def mul_block(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def frobenius_product(ctx: FieldCtx, v: np.ndarray, exponents) -> np.ndarray:
-    """v times v^(2^e) for each e in exponents, elementwise: one lookup and one product per e."""
-    out = v
-    for e in exponents:
-        out = mul_block(ctx, out, linear_table(LinearizedPoly.frobenius_power(ctx, e))(v))
-    return out
-
-
 def linear_table(poly: LinearizedPoly) -> "LinearTable":
     """The lookup table of a linearized polynomial, cached on its context by coefficients."""
     return poly.ctx.cached(("linear", poly.coeffs), lambda: LinearTable(poly.matrix_columns()))
@@ -177,10 +171,37 @@ class LinearTable:
 
 
 def image_product(poly: LinearizedPoly, exponents) -> "ImageTable":
-    """x -> frobenius_product(poly(x), exponents) through poly's image, cached on its context."""
+    """x -> v * prod_e v^(2^e) with v = poly(x), through poly's image, cached on its context."""
     exponents = tuple(exponents)
-    return poly.ctx.cached(("image-product", poly.coeffs, exponents), lambda: ImageTable(
-        poly, lambda v: frobenius_product(poly.ctx, v, exponents)))
+    return poly.ctx.cached(("image-product", poly.coeffs, exponents),
+                           lambda: ImageTable(poly, exponents=exponents))
+
+
+def _product_table(ctx: FieldCtx, basis: list[int], exponents: tuple) -> np.ndarray:
+    """v * prod_e v^(2^e) at every v of span_table(basis), from its multilinear coefficients.
+
+    Each v^(2^e) is linear in v, so at v = XOR of b_j over c's bits the
+    product is the XOR of b_i0 * prod_t F_et(b_it) over every index tuple
+    drawn from c's bits.  Those products are one `mul_block` per exponent
+    on the r^(n+1)-tuple tensor (r = len(basis), n exponents), XORed into
+    A[T] at the bitmask T of each tuple's index set; a repeated index counts
+    once, since c_i * c_i = c_i.  The value at c is then the XOR of A[T]
+    over T inside c: r levels of the in-place subset-sum, hi ^= lo.
+    """
+    frobenius = ctx.frobenius_images()
+    terms = np.array(basis, dtype=np.int64)
+    bits = np.left_shift(1, np.arange(len(basis)), dtype=np.intp)
+    index = bits
+    for e in exponents:
+        images = np.array([gf2linalg.apply(frobenius[e % ctx.m], b) for b in basis], dtype=np.int64)
+        terms = mul_block(ctx, terms[..., None], images)
+        index = index[..., None] | bits
+    values = np.zeros(1 << len(basis), dtype=np.uint32)
+    np.bitwise_xor.at(values, index.ravel(), terms.ravel().astype(np.uint32))
+    for i in range(len(basis)):
+        pairs = values.reshape(-1, 2, 1 << i)
+        pairs[:, 1] ^= pairs[:, 0]
+    return values
 
 
 def image_coords(poly: LinearizedPoly) -> tuple[LinearTable, list[int]]:
@@ -201,17 +222,24 @@ def image_coords(poly: LinearizedPoly) -> tuple[LinearTable, list[int]]:
 
 
 class ImageTable:
-    """The map x -> fn(poly(x)), with fn evaluated once per image element.
+    """The map x -> fn(poly(x)), or x -> v * prod_e v^(2^e) with v = poly(x), on poly's image.
 
     `coords` maps x to the coordinates c of poly(x) (`image_coords`) and
-    `values[c]` is fn at the image element with coordinates c, so the map
-    is one gather, values[coords(xs)] at any x and values[coords.coset(start,
-    n)] on an aligned block.
+    `values[c]` is the map's value at the image element with coordinates
+    c, so the map is one gather, values[coords(xs)] at any x and
+    values[coords.coset(start, n)] on an aligned block.  fn is evaluated
+    once per image element, on `gf2linalg.span_table` of the image basis;
+    the Frobenius product with the given exponents is built from its
+    coefficients in that basis instead (`_product_table`), in the same order.
     """
 
-    def __init__(self, poly: LinearizedPoly, fn: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, poly: LinearizedPoly, fn: Callable[[np.ndarray], np.ndarray] | None = None,
+                 exponents: tuple | None = None):
         self.coords, basis = image_coords(poly)
-        self.values = fn(gf2linalg.span_table(basis)).astype(np.uint32)
+        if exponents is None:
+            self.values = fn(gf2linalg.span_table(basis)).astype(np.uint32)
+        else:
+            self.values = _product_table(poly.ctx, basis, exponents)
         self.values.setflags(write=False)   # cached on the context, shared by every reader
         self._coords: np.ndarray | None = None   # coset's coordinate buffer
 

@@ -86,8 +86,10 @@ def build_g_thm3(ctx: FieldCtx, L: LinearizedPoly) -> FieldMap:
 def _g_map(ctx: FieldCtx, L: LinearizedPoly, name: str) -> FieldMap:
     """L(x) + P(x) with P(x) = s * s^2 * s^(q^k), from its parts: L's table and P's on S's image.
 
-    P depends on x only through s = S(x), so its products run once per
-    element of S's q^(2k)-element image; that value table is cached on the
+    P depends on x only through s = S(x), so it is tabled on S's
+    q^(2k)-element image, from its coefficients in S's image basis: P is
+    trilinear in s's coordinates, and its products run once per triple of
+    basis vectors (`blocks.image_product`).  That value table is cached on the
     context and shared by every map with the same S; (L, S) is the map's linear part.
     """
     t, k = ctx.require_tower()

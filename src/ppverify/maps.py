@@ -20,14 +20,15 @@ table (`from_table`), and every read is a lookup in it.
 A map built from its parts satisfies f(x + u) = f(x) + L(u) for every u
 in K = ker S, so three readers work on the quotient by K, from f at the
 2^(m - dim K) coset representatives (`at`'s kept read) and the
-annihilator N of L(K): its bijection (`bijective`: L injective on K, and
-f at the representatives meets every coset of L(K), one bin per element
-of span(N), 2^(2m/3) for g); its Walsh spectrum, read at given masks
-through `walsh`, which is 0 off span(N) and takes int32 bins
-(`blocks.walsh`, 256 KB for g at m = 24) cached on the map, a mask
-looked up by its coordinates in N (`gf2linalg.coordinate_columns`); and
-`span`, the proof rows' spans (of a V with V(x + u) + V(x) constant in x
-for u in K), read at the representatives and K's basis.  So for such a
+annihilator N of L(K): its bijection (`bijective`: L injective on K,
+read from dim N and |K| alone, and f at the representatives meets every
+coset of L(K), one bin per element of span(N), 2^(2m/3) for g); its
+Walsh spectrum, read at given masks through `walsh`, which is 0 off
+span(N) and takes int32 bins (`blocks.walsh`, 256 KB for g at m = 24)
+cached on the map, a mask looked up by its coordinates in N
+(`gf2linalg.coordinate_columns`), with span(N) tabled for `walsh` alone;
+and `span`, the proof rows' spans (of a V with V(x + u) + V(x) constant
+in x for u in K), read at the representatives and K's basis.  So for such a
 map the bijection and the character sums read the same coset bins.  A
 map given by its table scatters its table for the bijection (in
 `pptest`), keeps the whole spectrum, from the histogram of its table,
@@ -175,19 +176,20 @@ class FieldMap:
         quotient by K = ker S: f(x + u) = f(x) + L(u) for u in K, so the sum
         over a coset x_s + K is 0 unless M annihilates L(K), and then |K|
         (-1)^(M . f(x_s)).  With N an echelon basis of that annihilator and
-        c M's pivot coordinates in N, W[M] is bins[c] if span(N)[c] = M,
-        else 0; bins is |K| times the `blocks.walsh` of f(x_s)'s pairings
-        with N (`gf2linalg.coordinate_columns`) over the representatives
-        x_s (read by `at`): 2^dim(N) values.  Given by its table, bins is
-        the `blocks.walsh` of the table.  Every |W[M]| <= 2^m, so int32 is exact.
+        c M's pivot coordinates in N, W[M] is bins[c] if span(N)[c] = M
+        (`_span_n`), else 0; bins is |K| times the `blocks.walsh` of
+        f(x_s)'s pairings with N (`gf2linalg.coordinate_columns`) over the
+        representatives x_s (read by `at`): 2^dim(N) values.  Given by its
+        table, bins is the `blocks.walsh` of the table.  Every |W[M]| <=
+        2^m, so int32 is exact.
         """
         masks = np.asarray(masks)
         self.ctx.check_element(masks)
         if self._linear is None:
             return self._walsh_bins()[masks]
-        _, _, pivot_bits, span_n, _ = _quotient(*self._linear)
+        pivot_bits = _quotient(*self._linear)[2]
         c = pivot_bits(masks).astype(np.intp)
-        return np.where(span_n[c] == masks, self._walsh_bins()[c], np.int32(0))
+        return np.where(_span_n(*self._linear)[c] == masks, self._walsh_bins()[c], np.int32(0))
 
     def _walsh_bins(self) -> np.ndarray:
         """`walsh`'s bins, read-only int32, cached beside the table."""
@@ -195,9 +197,9 @@ class FieldMap:
             if self._linear is None:
                 w = blocks.walsh(self.table(), self.ctx.m)
             else:
-                reads, coords, _, span_n, size_k = _quotient(*self._linear)
+                reads, coords, _, basis_n, size_k = _quotient(*self._linear)
                 reps = self.at(reads)[:self.ctx.order // size_k]
-                w = blocks.walsh(coords(reps), span_n.size.bit_length() - 1)
+                w = blocks.walsh(coords(reps), len(basis_n))
                 w *= np.int32(size_k)
             w.setflags(write=False)
             self._bins = w
@@ -226,17 +228,18 @@ class FieldMap:
         injective on K and f at the 2^(m - dim K) coset representatives x_s
         meets every coset of L(K) exactly once (Akbary, Ghioca and Wang,
         Finite Fields Appl. 17 (2011)).  With N an echelon basis of the
-        annihilator of L(K), L is injective on K iff |span(N)| |K| = 2^m,
+        annihilator of L(K), L is injective on K iff 2^dim(N) |K| = 2^m,
         and then there are as many representatives as cosets, each coset
         one bin of the pairings with N: f(x_s) must hit every bin.  It reads
         f at the representatives (`at`'s kept read, as `walsh` does) and
         2^dim(N) bins, 2^(2m/3) for g; no 2^m array.
         """
-        reads, coords, _, span_n, size_k = _quotient(*self._linear)
-        if span_n.size * size_k != self.ctx.order:
+        reads, coords, _, basis_n, size_k = _quotient(*self._linear)
+        bins = 1 << len(basis_n)
+        if bins * size_k != self.ctx.order:
             return False
-        hit = np.zeros(span_n.size, dtype=bool)
-        hit[coords(self.at(reads)[:span_n.size])] = True
+        hit = np.zeros(bins, dtype=bool)
+        hit[coords(self.at(reads)[:bins])] = True
         return bool(hit.all())
 
     @classmethod
@@ -268,8 +271,8 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
     `FieldMap.at`; N's pairings y -> (parity(N_j & y))_j as an intp linear
     table, its pivot coordinates M -> (M's bit at N_j's pivot)_j as a
     uint32 one (its gathers are faster; both
-    `gf2linalg.coordinate_columns`), the span of N in coordinate order
-    (uint32), and |K|.
+    `gf2linalg.coordinate_columns`), N itself, and |K|.  span(N) is not
+    among them (`_span_n`): with L = 0 it is the whole field.
     """
     def build():
         m = L.ctx.m
@@ -284,9 +287,16 @@ def _quotient(L: LinearizedPoly, S: LinearizedPoly):
         pivots, pairings = gf2linalg.coordinate_columns(basis, m)
         coords = blocks.LinearTable(pairings, dtype=np.intp)
         pivot_bits = blocks.LinearTable(pivots)
-        return reads, coords, pivot_bits, gf2linalg.span_table(basis), 1 << len(kernel)
+        return reads, coords, pivot_bits, basis, 1 << len(kernel)
 
     return L.ctx.cached(("quotient", L.coeffs, S.coeffs), build)
+
+
+def _span_n(L: LinearizedPoly, S: LinearizedPoly) -> np.ndarray:
+    """span(N) of `_quotient` in coordinate order (uint32), cached on the context; only `walsh`
+    reads it."""
+    return L.ctx.cached(("quotient-span", L.coeffs, S.coeffs),
+                        lambda: gf2linalg.span_table(_quotient(L, S)[3]))
 
 
 def linearized_map(L: LinearizedPoly, name: str) -> FieldMap:

@@ -13,7 +13,10 @@ irreducibility test, kernel-basis subfield enumeration, Walsh-spectrum
 character sums, popcount parity kernel, image-table map formulas and
 vectorized collision search.  The `*_block_direct` oracles reuse the
 linear-table and multiply kernels, which are pinned on their own, but
-multiply on every x instead of once per image element.  The `*_per_a`
+multiply on every x instead of tabling on S's image.
+`frobenius_product` is the image-product table as it was before it was
+built from its multilinear coefficients: one lookup and one
+shift-and-XOR product per exponent on every element.  The `*_per_a`
 oracles are the case loops as verify ran them before batching, and they
 hold the one-a sweeps the package replaced by its batched rows: one
 full-table sweep of the single-a check per a, the Case-1 witness by a
@@ -325,6 +328,16 @@ def s_power(ctx, x: int) -> int:
     return ctx.mul(ctx.mul(v, ctx.frobenius(v, t * k + 1)), ctx.frobenius(v, 2 * t * k))
 
 
+def frobenius_product(ctx, v: np.ndarray, exponents) -> np.ndarray:
+    """v times v^(2^e) for each e in exponents, elementwise: one lookup and one shift-and-XOR
+    product per e on every entry (the oracle of `blocks.image_product`'s coefficient route)."""
+    out = v
+    for e in exponents:
+        powers = blocks.linear_table(LinearizedPoly.frobenius_power(ctx, e))(v)
+        out = blocks.mul_block(ctx, out, powers)
+    return out
+
+
 def g_block_direct(ctx, xs, L=None):
     """g1(xs), or g3(xs) given L, with two shift-and-XOR products on every x (no image table)."""
     t, k = ctx.require_tower()
@@ -333,13 +346,13 @@ def g_block_direct(ctx, xs, L=None):
         head = xs ^ blocks.linear_table(LinearizedPoly.frobenius_power(ctx, 2 * t * k))(s)
     else:
         head = blocks.linear_table(L)(xs)
-    return head ^ blocks.frobenius_product(ctx, s, (1, t * k))
+    return head ^ frobenius_product(ctx, s, (1, t * k))
 
 
 def s_power_block_direct(ctx, xs):
     """S(xs)^(1 + 2q^k + q^(2k)) with two shift-and-XOR products on every x (no image table)."""
     t, k = ctx.require_tower()
-    return blocks.frobenius_product(ctx, blocks.linear_table(s2k(ctx))(xs), (t * k + 1, 2 * t * k))
+    return frobenius_product(ctx, blocks.linear_table(s2k(ctx))(xs), (t * k + 1, 2 * t * k))
 
 
 def first_collision(values):
@@ -459,7 +472,7 @@ def factorization_one_a(g, a: int, c: int, basis=None, tz_powers=None) -> str | 
     d = t * k
     mask_c = ctx.trace_mask(c)
     if tz_powers is None:
-        tz_powers = blocks.frobenius_product(ctx, tracezero_set(ctx), (d + 1, 2 * d))
+        tz_powers = frobenius_product(ctx, tracezero_set(ctx), (d + 1, 2 * d))
     odd = int(blocks.parity(tz_powers & mask_c).sum(dtype=np.int64))
     tz_sum = len(tz_powers) - 2 * odd
     full_sum = char_sum(g, a)

@@ -10,11 +10,11 @@ import pytest
 from ppverify import FieldCtx, LinearizedPoly, blocks, gf2linalg
 from ppverify.constructions import build_L1, rel_trace_poly, s2k
 from ppverify.proofchecks import _s_power, tracezero_basis
-from reference import rel_trace, signed_parity_sums
+from reference import frobenius_product, rel_trace, signed_parity_sums
 
 
 def _cube(ctx):
-    return lambda v: blocks.frobenius_product(ctx, v, (1,))
+    return lambda v: frobenius_product(ctx, v, (1,))
 
 
 def _square_mod(ctx):
@@ -73,6 +73,69 @@ def test_image_product_is_cached_per_poly_and_exponents():
     # the coordinate table is shared by every image table of one poly
     assert blocks.ImageTable(S, lambda v: v).coords is first.coords
     assert blocks.image_product(LinearizedPoly.identity(ctx), (1, 2)).coords is not first.coords
+
+
+TOWERS_M24 = [(t, k) for t in range(1, 9) for k in range(1, 9) if 3 * t * k <= 24]
+
+
+def _oracle_values(poly, exponents):
+    """The element-by-element product chain on poly's image, in span-table order."""
+    basis = blocks.image_coords(poly)[1]
+    return frobenius_product(poly.ctx, gf2linalg.span_table(basis), exponents)
+
+
+@pytest.mark.parametrize("t,k", TOWERS_M24, ids=str)
+def test_image_product_matches_the_product_chain_on_every_tower(t, k):
+    # g's s^(q^k + 3) and eq23's S^E, on S's 2^(2m/3)-element image
+    ctx = FieldCtx.from_tower(t, k)
+    S = s2k(ctx)
+    for exponents in [(1, t * k), (t * k + 1, 2 * t * k)]:
+        values = blocks.image_product(S, exponents).values
+        assert values.dtype == np.uint32 and not values.flags.writeable
+        assert np.array_equal(values, _oracle_values(S, exponents)), exponents
+
+
+def _poly_of_rank(ctx, rank, rng):
+    """A seeded linearized poly of the given rank: a random invertible map after the subspace
+    polynomial of a random (m - rank)-dimensional V, P_(V + w)(x) = P_V(x)^2 + P_V(w) P_V(x)."""
+    P = LinearizedPoly.identity(ctx)
+    while len(P.kernel_image()[0]) < ctx.m - rank:
+        c = gf2linalg.apply(P.matrix_columns(), rng.randrange(ctx.order))
+        if c:
+            P = P.then_frobenius(1) + LinearizedPoly(ctx, [ctx.mul(c, a) for a in P.coeffs])
+    while True:
+        A = LinearizedPoly(ctx, [rng.randrange(ctx.order) for _ in range(ctx.m)])
+        if not A.kernel_image()[0]:
+            return A.compose(P)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_image_product_matches_the_product_chain_at_every_rank(m):
+    ctx = FieldCtx(m)
+    rng = random.Random(m)
+    e = 1 + m // 2
+    polys = [_poly_of_rank(ctx, rank, rng) for rank in range(m + 1)]
+    assert [len(P.kernel_image()[1]) for P in polys] == list(range(m + 1))
+    for poly in polys + [LinearizedPoly.identity(ctx)]:
+        for exponents in [(), (1,), (1, 2), (e, e)]:
+            got = blocks.image_product(poly, exponents).values
+            assert np.array_equal(got, _oracle_values(poly, exponents)), (poly, exponents)
+
+
+def test_image_product_multiplies_only_the_basis_tuples(monkeypatch):
+    # r = 16 at (2, 4): the tensors are r^2 and r^3 elements, never the 2^16-element image
+    sizes = []
+    multiply = blocks.mul_block
+
+    def recording(ctx, a, b):
+        sizes.append(np.broadcast(a, b).size)
+        return multiply(ctx, a, b)
+
+    ctx = FieldCtx.from_tower(2, 4)
+    S = s2k(ctx)
+    monkeypatch.setattr(blocks, "mul_block", recording)
+    blocks.image_product(S, (1, 8))
+    assert sizes == [16 ** 2, 16 ** 3]
 
 
 @pytest.mark.parametrize("n_in, width", [(5, 6), (13, 21), (24, 24), (48, 48)])

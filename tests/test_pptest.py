@@ -12,9 +12,9 @@ from ppverify import (FieldCtx, LinearizedPoly, blocks, build_g_thm1, build_g_th
 from ppverify.maps import FieldMap, linearized_map
 from ppverify.pptest import PPVerdict, _char_sums, shift_checks
 
-from reference import (abs_trace, char_sum_definitional, char_sums_masked, first_collision, power,
-                       rel_trace, shift_check_sweep, shift_checks_gather, subfield_trace,
-                       walsh_spectrum_levels)
+from reference import (abs_trace, char_sum_definitional, char_sums_masked, first_collision,
+                       frobenius_product, power, rel_trace, shift_check_sweep,
+                       shift_checks_gather, subfield_trace, walsh_spectrum_levels)
 
 
 def cube_map_f4():
@@ -252,7 +252,7 @@ def _walsh_maps(m):
     if ctx.tower:
         g = build_g_thm1(ctx)
     else:
-        g = FieldMap.from_table("x^3", ctx, blocks.frobenius_product(
+        g = FieldMap.from_table("x^3", ctx, frobenius_product(
             ctx, np.arange(ctx.order, dtype=np.int64), [1]))
     constant = FieldMap.from_table("constant", ctx,
                                    np.full(ctx.order, ctx.order - 1, dtype=np.uint32))

@@ -66,7 +66,8 @@ def _check_seeded_masks(t, k):
     rng = np.random.default_rng(ctx.m * 100 + t)
     rand_L = LinearizedPoly(ctx, rng.integers(0, ctx.order, ctx.m).tolist())
     for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx)), build_g_thm3(ctx, rand_L)):
-        _, _, pivot_bits, span_n, *_ = _quotient(*g._linear)
+        _, _, pivot_bits, basis_n, *_ = _quotient(*g._linear)
+        span_n = gf2linalg.span_table(basis_n)
         masks = np.concatenate([[0, ctx.order - 1], span_n[rng.integers(0, span_n.size, 4096)],
                                 rng.integers(0, ctx.order, 4096)])
         inside = span_n[pivot_bits(masks).astype(np.intp)] == masks
@@ -119,6 +120,29 @@ def test_quotient_pieces_are_cached_on_the_context():
     build_g_thm1(ctx).walsh(np.arange(ctx.order))
     assert ("quotient", build_L1(ctx).coeffs, S.coeffs) in ctx._cache
     assert S.kernel_image() is ctx._cache[("kernel-image", S.coeffs)]
+
+
+def _arrays_in(obj):
+    """Every numpy array reachable from obj through tuples, lists, dicts and attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays_in(item)
+    elif isinstance(obj, dict):
+        yield from _arrays_in(list(obj.values()))
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays_in(vars(obj))
+
+
+def test_bijective_with_zero_L_leaves_no_span_of_n_in_the_cache():
+    # L = 0: N annihilates L(K) = 0, so span(N) is the whole field; the injectivity
+    # check reads dim N and |K| alone, and no 2^dim N array is made
+    ctx = FieldCtx.from_tower(1, 5)
+    g = build_g_thm3(ctx, LinearizedPoly.zero(ctx))
+    assert not g.bijective()
+    assert max(a.size for a in _arrays_in(ctx._cache)) < ctx.order
+    assert len(_quotient(*g._linear)[3]) == ctx.m
 
 
 # `pptest --method both` on g3 with L = 0: a non-permutation whose sums are
