@@ -8,9 +8,11 @@ M_a are one of them.  Both reject an entry outside their input range.
 A map is read one aligned block x = start ^ i (i < n, start a multiple
 of n) at a time, and there a linear map is one cached low table XOR
 L(start) (`LinearTable.coset`), or at any given x (`LinearTable` and
-`ImageTable` calls).  General products use a
-vectorized shift-and-XOR multiply, and a map that is nonlinear only
-through a linear map's value is tabled on that map's image (`ImageTable`).
+`ImageTable` calls).  General products (`mul_block`) are 16 integer
+products of operands split into every-4th-bit parts, which cannot carry
+into the bits kept, and one linear-table reduction; a map that is
+nonlinear only through a linear map's value is tabled on that map's
+image (`ImageTable`).
 g's s^(q^k+3) and the Case-2 power S^E are both `image_product` tables:
 a product of Frobenius powers is multilinear in s's image coordinates,
 so its table is an XOR subset-sum of its coefficients, and the products
@@ -21,7 +23,8 @@ blocked pass, which lets a per-a check be decided for every a at once.
 Subspaces, their tables and the coordinates in their bases are
 `gf2linalg`'s.  Every character sum is a lookup in the bins of `walsh`,
 the one engine: a histogram, then the exact int32 Walsh-Hadamard
-transform, cache-blocked; `span_walsh` sums over values of small span.
+transform, every level at a long stride (`_levels`, shared with the
+subset sum); `span_walsh` sums over values of small span.
 These kernels are the only way the package evaluates traces, powers
 and linearized maps; the scalar oracles that pin them are in
 `tests/reference.py`.
@@ -39,8 +42,13 @@ from .linearized import LinearizedPoly
 
 BLOCK = 1 << 16    # inputs per block of a pass over a whole table
 _CHUNK_BITS = 12   # input bits per LinearTable chunk: 4096-entry tables
-_WALSH_BITS = 16   # index bits per cache-resident block of walsh
-_WALSH_ROUND_BITS = 4   # levels per round of walsh, then the index rotates
+_WALSH_BITS = 16   # index bits per cache-resident block of _levels
+_WALSH_ROUND_BITS = 4   # levels per round of _levels, then the index rotates
+_MUL_CHUNK = 1 << 13    # elements per chunk of mul_block's integer products
+_A_PARTS = np.array([0x111111 << i for i in range(4)], dtype=np.int64)[:, None, None]
+_B_PARTS = np.array([[0x111111 << ((k - i) % 4) for k in range(4)] for i in range(4)],
+                    dtype=np.int64)[:, :, None]
+_KEEP = np.array([0x111111111111 << k for k in range(4)], dtype=np.int64)[:, None]
 
 
 def parity(values: np.ndarray) -> np.ndarray:
@@ -53,31 +61,50 @@ def walsh(indices: np.ndarray, bits: int) -> np.ndarray:
 
     The int32 histogram of the indices (in [0, 2^bits)) takes the
     Walsh-Hadamard transform in place: level i maps each pair (lo, hi) at
-    stride 2^i to (lo + hi, lo - hi), the levels in any order.  For bits >=
-    16, levels 0-15 run on one 2^16-entry block (256 KB) at a time, while
-    it is in cache, in four rounds: levels 12-15 in place, then a (4096,
-    16) transpose into one reused buffer rotates the index right by 4 bits,
-    bringing the next 4 bits up to 12-15.  So every low level runs at a
-    stride of at least 2^12; the levels above run over the whole array.
+    stride 2^i to (lo + hi, lo - hi), the levels in any order.  Below 16
+    bits half the levels run in place and the other half after one
+    transpose brings the low index bits up; from 16 bits they run in
+    cache-resident blocks (`_levels`).
     """
     w = np.zeros(1 << bits, dtype=np.int32)
     np.add.at(w, indices, np.int32(1))   # an int32 increment keeps the fast path
+    _levels(w, bits, _butterfly)
+    return w
+
+
+def _levels(w: np.ndarray, bits: int, level: Callable[[np.ndarray, int], None]) -> None:
+    """level(w, 2^i) in place for every i < bits, each at a long stride; levels commute.
+
+    Below 16 bits, levels h..bits-1 (h = bits // 2) run in place, then one
+    transpose of the (2^(bits-h), 2^h) view into a copy brings the low h
+    index bits up, where the other h levels run at strides of 2^(bits-h)
+    or more, and the copy goes back.  From 16 bits, levels 0-15 run on one
+    2^16-entry block (256 KB) at a time, while it is in cache, in four
+    rounds: levels 12-15 in place, then a (4096, 16) transpose into one
+    reused buffer rotates the index right by 4 bits, bringing the next 4
+    bits up to 12-15.  So every low level runs at a stride of at least
+    2^12; the levels above run over the whole array.
+    """
     if bits < _WALSH_BITS:
-        for i in range(bits):
-            _butterfly(w, 1 << i)
-        return w
+        h = bits // 2
+        for i in range(h, bits):
+            level(w, 1 << i)
+        low_up = w.reshape(-1, 1 << h).T.copy()
+        for i in range(bits - h, bits):
+            level(low_up.reshape(-1), 1 << i)
+        w.reshape(-1, 1 << h)[...] = low_up.T
+        return
     size, cols = 1 << _WALSH_BITS, 1 << _WALSH_ROUND_BITS
     buf = np.empty(size, dtype=w.dtype)
     for start in range(0, len(w), size):
         src, dst = w[start:start + size], buf
         for _ in range(_WALSH_BITS // _WALSH_ROUND_BITS):
             for i in range(_WALSH_BITS - _WALSH_ROUND_BITS, _WALSH_BITS):
-                _butterfly(src, 1 << i)
+                level(src, 1 << i)
             np.copyto(dst.reshape(cols, -1), src.reshape(-1, cols).T)
             src, dst = dst, src
     for i in range(_WALSH_BITS, bits):
-        _butterfly(w, 1 << i)
-    return w
+        level(w, 1 << i)
 
 
 def _butterfly(w: np.ndarray, stride: int) -> None:
@@ -89,19 +116,57 @@ def _butterfly(w: np.ndarray, stride: int) -> None:
     hi += lo
 
 
+def _xor_up(w: np.ndarray, stride: int) -> None:
+    """hi ^= lo in place, for every pair of entries stride apart: one level of a subset sum."""
+    pairs = w.reshape(-1, 2, stride)
+    pairs[:, 1] ^= pairs[:, 0]
+
+
 def mul_block(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise field product of two encoding arrays, checked by `FieldCtx.element_array`."""
+    """Elementwise field product of two encoding arrays, checked by `FieldCtx.element_array`.
+
+    The carry-less product comes from 16 integer products.  Each operand is
+    split by the masks 0x111111 << i (i < 4) into parts a_i and b_j whose set
+    bits lie 4 apart.  Operands are below 2^24 (`MAX_DEGREE`), so a part has
+    at most 6 set bits, and at each bit p of the same residue as i + j mod 4
+    the integer product a_i * b_j sums c_p <= 6 terms: c_p 2^p < 2^(p+3)
+    never reaches bit p + 4, the next one of that residue, so bit p is c_p
+    mod 2, the carry-less bit, and every product is below 2^48, exact in
+    int64.  For each k < 4 the XOR of the four products a_i * b_((k-i) mod
+    4), kept at bits 0x111111111111 << k, is the carry-less product at the
+    bits k mod 4, and the four are ORed.  The products run on chunks of
+    _MUL_CHUNK elements as one (4, 4, n) array.  Bits m..2m-2 are then
+    reduced by one `LinearTable` whose columns are x^(m+j) mod the modulus,
+    cached on the context.  The result is int64, in the operands' broadcast
+    shape.
+    """
     a, b = ctx.element_array(a), ctx.element_array(b)
-    m = ctx.m
-    acc = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    bit, term = np.empty_like(acc), np.empty_like(acc)   # reused: no temporaries per step
-    for i in range(m):
-        np.bitwise_and(np.right_shift(b, i, out=bit), 1, out=bit)
-        acc ^= np.multiply(np.left_shift(a, i, out=term), bit, out=term)
-    for j in range(2 * m - 2, m - 1, -1):
-        np.bitwise_and(np.right_shift(acc, j, out=bit), 1, out=bit)
-        acc ^= np.multiply(bit, ctx.modulus << (j - m), out=bit)
-    return acc
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a, b = (np.broadcast_to(v, shape).reshape(-1) for v in (a, b))
+    out = np.empty(a.size, dtype=np.int64)
+    for start in range(0, a.size, _MUL_CHUNK):
+        chunk = slice(start, start + _MUL_CHUNK)
+        terms = b[chunk] & _B_PARTS     # [i, k]: b_((k - i) mod 4)
+        terms *= a[chunk] & _A_PARTS    # times a_i
+        prods = np.bitwise_xor.reduce(terms, axis=0)
+        prods &= _KEEP
+        np.bitwise_or.reduce(prods, axis=0, out=out[chunk])
+    high = out >> ctx.m
+    out &= ctx.order - 1
+    out ^= _reduction(ctx)(high)
+    return out.reshape(shape)
+
+
+def _reduction(ctx: FieldCtx) -> "LinearTable":
+    """The linear table of bits m..2m-2 of a product: column j is x^(m+j) mod the modulus."""
+    def build():
+        cols, v = [], 1 << (ctx.m - 1)
+        for _ in range(ctx.m - 1):
+            v = ctx.mul_by_x(v)
+            cols.append(v)
+        return LinearTable(cols)
+
+    return ctx.cached("reduction", build)
 
 
 def linear_table(poly: LinearizedPoly) -> "LinearTable":
@@ -115,12 +180,13 @@ class LinearTable:
     The input bits are cut into equal chunks of at most _CHUNK_BITS, one
     table per chunk, and a lookup XORs one gather per chunk.  Tables are
     uint32, or uint64 for images wider than 32 bits, unless a dtype is
-    given.  An input outside [0, 2^len(images)) is a ValueError; a uint64
-    one is read through its int64 view, which is free and exact (inputs are
-    at most 48 bits wide).  Each chunk's index is shifted and masked into
-    one reused intp buffer, so every gather takes numpy's fast signed-index
-    path (its unsigned one is much slower) and no other temporary is made.
-    On an aligned block, `coset` needs no gather at all.
+    given; with no images it is the zero map on {0}.  An input outside
+    [0, 2^len(images)) is a ValueError; a uint64 one is read through its
+    int64 view, which is free and exact (inputs are at most 48 bits wide).
+    Each chunk's index is shifted and masked into one reused intp buffer,
+    so every gather takes numpy's fast signed-index path (its unsigned one
+    is much slower) and no other temporary is made.  On an aligned block,
+    `coset` needs no gather at all.
     """
 
     def __init__(self, images: list[int], dtype=None):
@@ -131,7 +197,7 @@ class LinearTable:
             dtype = np.uint32 if max(images, default=0) >> 32 == 0 else np.uint64
         self.images = images
         self.tables = [gf2linalg.span_table(images[i:i + self.bits], dtype)
-                       for i in range(0, len(images), self.bits)]
+                       for i in range(0, max(len(images), 1), max(self.bits, 1))]
         self._low: dict[int, np.ndarray] = {}   # n -> the map on range(n), for coset
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
@@ -186,7 +252,7 @@ def _product_table(ctx: FieldCtx, basis: list[int], exponents: tuple) -> np.ndar
     on the r^(n+1)-tuple tensor (r = len(basis), n exponents), XORed into
     A[T] at the bitmask T of each tuple's index set; a repeated index counts
     once, since c_i * c_i = c_i.  The value at c is then the XOR of A[T]
-    over T inside c: r levels of the in-place subset-sum, hi ^= lo.
+    over T inside c: r levels of the in-place subset-sum, hi ^= lo (`_levels`).
     """
     frobenius = ctx.frobenius_images()
     terms = np.array(basis, dtype=np.int64)
@@ -198,9 +264,7 @@ def _product_table(ctx: FieldCtx, basis: list[int], exponents: tuple) -> np.ndar
         index = index[..., None] | bits
     values = np.zeros(1 << len(basis), dtype=np.uint32)
     np.bitwise_xor.at(values, index.ravel(), terms.ravel().astype(np.uint32))
-    for i in range(len(basis)):
-        pairs = values.reshape(-1, 2, 1 << i)
-        pairs[:, 1] ^= pairs[:, 0]
+    _levels(values, len(basis), _xor_up)
     return values
 
 
@@ -264,11 +328,17 @@ class ImageTable:
 def trace_masks(ctx: FieldCtx) -> LinearTable:
     """a -> ctx.trace_mask(a) over arrays of a, cached on the context.
 
-    Bit i of the mask is Tr(a * e_i) for the basis element e_i = 1 << i;
-    that is linear in a, so the columns are the masks of the basis elements.
+    Bit i of the mask is Tr(a * x^i); that is linear in a, so column j is
+    the mask of x^j, whose bit i is Tr(x^(i+j)): bits j..j+m-1 of the trace
+    sequence T = sum of Tr(x^n) 2^n over n < 2m - 1, which is the masks of
+    1 and x^(m-1) side by side.
     """
-    return ctx.cached("trace-masks",
-                      lambda: LinearTable([ctx.trace_mask(1 << i) for i in range(ctx.m)]))
+    def build():
+        m = ctx.m
+        seq = ctx.trace_mask(1) | ctx.trace_mask(1 << (m - 1)) << (m - 1)
+        return LinearTable([(seq >> j) & (ctx.order - 1) for j in range(m)])
+
+    return ctx.cached("trace-masks", build)
 
 
 def span_basis(vector_blocks: Iterable[np.ndarray], width: int) -> list[int]:

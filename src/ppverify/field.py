@@ -175,15 +175,20 @@ class FieldCtx:
     def frobenius_images(self) -> list[list[int]]:
         """images[i][j] = (x^j)^(2^i): the basis under every Frobenius power, cached.
 
-        m squarings, once per context; squaring is linear, so each row is
-        the one before under their columns.  A linearized polynomial's
-        columns are XORs of these rows (`LinearizedPoly.matrix_columns`).
+        Squaring is linear, so row i + 1 is row i under the squares of the
+        basis: one int64 pass per row, the XOR of three lookups by byte in
+        the 256-entry `gf2linalg.span_table`s of those squares (m <= 24).
+        Each row becomes a list once.  A linearized polynomial's columns are
+        XORs of these rows (`LinearizedPoly.matrix_columns`).
         """
         def build():
-            squares = [self.sqr(1 << j) for j in range(self.m)]   # row 1
-            images = [[1 << j for j in range(self.m)]]
+            squares = [self.sqr(1 << j) for j in range(self.m)]
+            by_byte = [gf2linalg.span_table(squares[i:i + 8], np.int64) for i in (0, 8, 16)]
+            row = np.left_shift(1, np.arange(self.m, dtype=np.int64))
+            images = [row.tolist()]
             while len(images) < self.m:
-                images.append([gf2linalg.apply(squares, v) for v in images[-1]])
+                row = by_byte[0][row & 0xFF] ^ by_byte[1][row >> 8 & 0xFF] ^ by_byte[2][row >> 16]
+                images.append(row.tolist())
             return images
 
         return self.cached("frobenius-images", build)

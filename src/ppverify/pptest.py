@@ -27,8 +27,9 @@ Tr(a*(f(x+y) + f(x))) is constant in x iff M_a annihilates the span of
 the differences, so one span per shift y decides every a
 (`shift_checks`).  The span is `FieldMap.span`'s: for the paper's g the
 differences are constant on the cosets of ker S, so they are read at the
-2^(m - dim K) coset representatives only (`FieldMap.at`); an imported
-map reads them at every x.  One pass over L(F_{q^k}) finds the Case-1
+2^(m - dim K) coset representatives only (`FieldMap.at`), and for y in
+ker S they are the constant L(y), with no span to read; an imported map
+reads them at every x.  One pass over L(F_{q^k}) finds the Case-1
 shift y of every relative trace (`case1_witnesses`).  `shift_check` and
 `find_case1_witness` are their one-element calls.
 """
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blocks
+from . import blocks, gf2linalg
 from .constructions import build_L1, rel_trace_poly
 from .field import FieldCtx
 from .linearized import LinearizedPoly
@@ -191,15 +192,18 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
     `FieldMap.span` of D(x) + D(0), read by `FieldMap.at`: for a map with a
     linear part (L, S), f(x + u) = f(x) + L(u) for u in K = ker S, so D is
     constant on the cosets of K, and only the 2^(m - dim K) coset
-    representatives and K's basis are read (for y in K, D is L(y) there).
-    One span per y, whatever the number of a.  y and every a must lie in
-    [0, 2^m), as ints: TypeError or ValueError otherwise, before any lookup.
+    representatives and K's basis are read; for y in K, D(x) = L(y) at every
+    x, so the span is {0} and none is read.  At most one span per y,
+    whatever the number of a.  y and every a must lie in [0, 2^m), as ints:
+    TypeError or ValueError otherwise, before any lookup.
     """
     a_values = f.ctx.element_array(a_values)
     f.ctx.check_element(y)
     d0 = f(0) ^ f(y)
     masks = blocks.trace_masks(f.ctx)(a_values)
     const = blocks.parity(masks & d0).astype(np.int8)
+    if f._linear is not None and not gf2linalg.apply(f._linear[1].matrix_columns(), y):
+        return const
     for b in f.span(lambda xs: f.at(xs) ^ f.at(xs, y) ^ d0, f.ctx.m):
         const[blocks.parity(masks & b) == 1] = -1
     return const

@@ -16,7 +16,7 @@ linear-table and multiply kernels, which are pinned on their own, but
 multiply on every x instead of tabling on S's image.
 `frobenius_product` is the image-product table as it was before it was
 built from its multilinear coefficients: one lookup and one
-shift-and-XOR product per exponent on every element.  The `*_per_a`
+`mul_block` product per exponent on every element.  The `*_per_a`
 oracles are the case loops as verify ran them before batching, and they
 hold the one-a sweeps the package replaced by its batched rows: one
 full-table sweep of the single-a check per a, the Case-1 witness by a
@@ -329,7 +329,7 @@ def s_power(ctx, x: int) -> int:
 
 
 def frobenius_product(ctx, v: np.ndarray, exponents) -> np.ndarray:
-    """v times v^(2^e) for each e in exponents, elementwise: one lookup and one shift-and-XOR
+    """v times v^(2^e) for each e in exponents, elementwise: one lookup and one `mul_block`
     product per e on every entry (the oracle of `blocks.image_product`'s coefficient route)."""
     out = v
     for e in exponents:
@@ -339,7 +339,7 @@ def frobenius_product(ctx, v: np.ndarray, exponents) -> np.ndarray:
 
 
 def g_block_direct(ctx, xs, L=None):
-    """g1(xs), or g3(xs) given L, with two shift-and-XOR products on every x (no image table)."""
+    """g1(xs), or g3(xs) given L, with two `mul_block` products on every x (no image table)."""
     t, k = ctx.require_tower()
     s = blocks.linear_table(s2k(ctx))(xs)
     if L is None:
@@ -350,7 +350,7 @@ def g_block_direct(ctx, xs, L=None):
 
 
 def s_power_block_direct(ctx, xs):
-    """S(xs)^(1 + 2q^k + q^(2k)) with two shift-and-XOR products on every x (no image table)."""
+    """S(xs)^(1 + 2q^k + q^(2k)) with two `mul_block` products on every x (no image table)."""
     t, k = ctx.require_tower()
     return frobenius_product(ctx, blocks.linear_table(s2k(ctx))(xs), (t * k + 1, 2 * t * k))
 
@@ -465,7 +465,7 @@ def factorization_one_a(g, a: int, c: int, basis=None, tz_powers=None) -> str | 
     """The Case-2 chain for one a, with scalar factor sums; the counterexample or None.
 
     basis defaults to `tracezero_basis`, and tz_powers, the w^E over the
-    trace-zero set, to two shift-and-XOR products on every w.
+    trace-zero set, to two `mul_block` products on every w.
     """
     ctx = g.ctx
     t, k = ctx.require_tower()

@@ -211,6 +211,27 @@ def test_trace_masks_are_cached_and_linear():
     assert masks(np.arange(ctx.order)).tolist() == [ctx.trace_mask(a) for a in range(ctx.order)]
 
 
+@pytest.mark.parametrize("bits", range(18))
+def test_walsh_matches_its_definition(bits):
+    # in-place levels and the half-split transpose below 16 bits, the blocked rounds from 16;
+    # repeated indices count once each
+    rng = np.random.default_rng(bits)
+    indices = rng.integers(0, 1 << bits, 40)
+    indices = np.concatenate([indices, indices[:10], [0, (1 << bits) - 1]])
+    got = blocks.walsh(indices, bits)
+    assert got.dtype == np.int32
+    masks = np.arange(1 << bits, dtype=np.int64)
+    assert np.array_equal(got, signed_parity_sums(indices, masks))
+
+
+def test_linear_table_without_columns_is_the_zero_map_on_zero():
+    table = blocks.LinearTable([])
+    assert table(np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
+    assert table.coset(0, 1).tolist() == [0]
+    with pytest.raises(ValueError, match=r"outside the range \[0, 2\^0\)"):
+        table(np.array([0, 1]))
+
+
 def test_span_walsh_matches_the_definition_and_the_parity_oracle():
     # 16-bit values, so their span (16 dimensions) keeps the transform at 2^16 bins;
     # 300 values put 218 masks in an oracle block, so the 1000 masks span five blocks

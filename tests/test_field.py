@@ -190,6 +190,16 @@ def test_frobenius_image_paths_match_repeated_squaring(t, k):
 
 
 @pytest.mark.parametrize("m", range(1, 25))
+def test_trace_mask_columns_match_the_scalar_masks(m):
+    # the columns come from one trace sequence; the scalar masks, from m steps each
+    ctx = FieldCtx(m)
+    masks = blocks.trace_masks(ctx)
+    assert masks.images == [ctx.trace_mask(1 << j) for j in range(m)]
+    a_values = [0, 1, ctx.order - 1] + [random.Random(m).randrange(ctx.order) for _ in range(50)]
+    assert masks(np.array(a_values)).tolist() == [ctx.trace_mask(a) for a in a_values]
+
+
+@pytest.mark.parametrize("m", range(1, 25))
 def test_frobenius_images_match_repeated_squaring(m):
     ctx = FieldCtx(m)
     assert ctx.frobenius_images() == frobenius_images_by_squaring(ctx)
@@ -278,18 +288,28 @@ def test_modulus_file_bad_line(tmp_path):
         load_modulus_file(str(path))
 
 
-@pytest.mark.parametrize("m", [1, 6, 18, 24])
+@pytest.mark.parametrize("m", range(1, 25))
 def test_mul_block_matches_polymod_oracle(m):
+    # (top, top) sets every bit of every part: the most terms per bit of an integer product
     ctx = FieldCtx(m)
     rng = random.Random(m)
     top = ctx.order - 1
     a = [0, 1, top, top] + [rng.randrange(ctx.order) for _ in range(300)]
     b = [top, top, 1, top] + [rng.randrange(ctx.order) for _ in range(300)]
     got = blocks.mul_block(ctx, np.array(a), np.array(b))
+    assert got.dtype == np.int64
     assert got.tolist() == [mul_via_polymod(ctx, x, y) for x, y in zip(a, b)]
     # a scalar operand broadcasts against the array
     assert blocks.mul_block(ctx, np.array(a), np.int64(top)).tolist() == [
         mul_via_polymod(ctx, x, top) for x in a]
+    # the (r, 1) x (r,) and (r, r, 1) x (r,) tensors of the image products
+    col, row = np.array(a[:16])[:, None], np.array(b[:16])
+    assert blocks.mul_block(ctx, col, row).tolist() == [
+        [mul_via_polymod(ctx, x, y) for y in b[:16]] for x in a[:16]]
+    cube = blocks.mul_block(ctx, blocks.mul_block(ctx, col, row)[..., None], row)
+    assert cube.shape == (16, 16, 16)
+    assert cube[3].tolist() == [[mul_via_polymod(ctx, mul_via_polymod(ctx, a[3], y), z)
+                                 for z in b[:16]] for y in b[:16]]
 
 
 def test_cached_builds_once_per_key():

@@ -4,7 +4,7 @@ A map built from its parts (L's linear table and h's table on S's image)
 is read at given x by `FieldMap.at`, and its bijection is decided on the
 quotient by ker S from its values at the coset representatives
 (`FieldMap.bijective`), so a passing check never fills its 2^m table.
-`reference.g_block_direct` evaluates g with two shift-and-XOR products on
+`reference.g_block_direct` evaluates g with two `mul_block` products on
 every x, and the `from_table` copy of a map, whose table is scattered
 block by block, with `reference.first_collision` is the verdict's oracle.
 """

@@ -345,8 +345,9 @@ def test_shift_checks_outside_ker_s_match_the_gather_oracle_above_m12(t, k):
 
 
 def test_built_in_maps_never_reach_the_shift_pass(span_reads):
-    # every span g1 or g3 takes reads 2^(m - dim K) + dim K points, for y in K and outside
-    # it and in whole batteries; a from_table copy reads every x
+    # a shift y in K = ker S takes no span on g1 or g3 (D is the constant L(y)), one outside K
+    # reads 2^(m - dim K) + dim K points, and whole batteries read no more; a from_table copy
+    # reads every x.  Every a agrees with the from_table copy, whose span reads every x.
     for t, k in [(2, 2), (1, 4), (2, 3)]:
         ctx = FieldCtx.from_tower(t, k)
         bound = (1 << (ctx.m - t * k)) + t * k
@@ -354,22 +355,28 @@ def test_built_in_maps_never_reach_the_shift_pass(span_reads):
         kernel = ctx.enumerate_subfield(t * k).tolist()
         outside = [y for y in (rng.randrange(ctx.order) for _ in range(8)) if y not in kernel][:4]
         assert len(outside) == 4
+        a_values = np.arange(ctx.order)
         for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx))):
+            oracle = _oracle(g)
             for y in kernel + outside:
                 span_reads.clear()
-                shift_check(g, 1, y)
-                assert span_reads and max(span_reads) <= bound, (g.name, y, span_reads)
+                got = shift_checks(g, a_values, y)
+                if y in kernel:
+                    assert span_reads == [], (g.name, y, span_reads)
+                else:
+                    assert span_reads and max(span_reads) <= bound, (g.name, y, span_reads)
+                assert np.array_equal(got, shift_checks(oracle, a_values, y)), (g.name, y)
             span_reads.clear()
-            shift_check(_oracle(g), 1, outside[0])
+            shift_check(oracle, 1, outside[0])
             assert span_reads == [ctx.order]
     span_reads.clear()
-    assert verify_thm1(FieldCtx.from_tower(2, 3)).passed
+    assert verify_thm1(FieldCtx.from_tower(2, 3)).passed   # its Case-2 rows take spans
     assert span_reads and max(span_reads) <= (1 << 12) + 6
-    for t, k in [(1, 6), (2, 2)]:
+    for t, k in [(1, 6), (2, 2)]:   # every Case-1 witness lies in K: no span in the battery
         ctx = FieldCtx.from_tower(t, k)
         span_reads.clear()
         assert verify_thm3(ctx, build_L_note(ctx)).passed
-        assert span_reads and max(span_reads) <= (1 << (ctx.m - t * k)) + t * k
+        assert span_reads == []
 
 
 @pytest.mark.parametrize("t,k", SMALL_TOWERS, ids=str)
