@@ -25,8 +25,7 @@ from .linearized import LinearizedPoly, format_linpoly, parse_linpoly
 from .maps import FieldMap, format_table_lines, linearized_map, parse_table_file
 from .pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, char_sum, is_permutation_exhaustive,
                      pp_verdict_charsum)
-from .proofchecks import (CHARSUM_ALL_LIMIT_M, CSV_HEADER, VerificationReport, verify_thm1,
-                          verify_thm3)
+from .proofchecks import CSV_HEADER, VerificationReport, verify_thm1, verify_thm3
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -76,18 +75,18 @@ def _parse_range(text: str, name: str) -> list[int]:
         raise ConfigError(f"--{name} expects N or LO..HI in ASCII digits, got {text!r}") from None
 
 
-def _parse_mode(text: str, seed: int) -> tuple[str, int, int]:
-    """'all' or 'sample:N[:SEED]' -> (mode, n, seed); seed applies where no SEED is written.
+def _parse_mode(text: str) -> tuple[str, int, int]:
+    """'all' or 'sample:N[:SEED]' -> (mode, n, seed); DEFAULT_SEED where no SEED is written.
 
     N and SEED are ASCII digits only.
     """
     if text == "all":
-        return "all", DEFAULT_SAMPLES, seed
+        return "all", DEFAULT_SAMPLES, DEFAULT_SEED
     parts = text.split(":")
     if parts[0] == "sample":
         try:
             n = _digits(parts[1]) if len(parts) > 1 else DEFAULT_SAMPLES
-            seed = _digits(parts[2]) if len(parts) > 2 else seed
+            seed = _digits(parts[2]) if len(parts) > 2 else DEFAULT_SEED
             if len(parts) > 3 or n < 1:
                 raise ValueError
             return "sample", n, seed
@@ -207,7 +206,6 @@ def _emit_reports(reports: list[VerificationReport], fmt: str, out: str | None) 
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    reports: list[VerificationReport] = []
     jobs: list[tuple[str, int, int]] = []
     if args.theorem is None:
         if args.tee is not None or args.kay is not None:
@@ -226,21 +224,16 @@ def _cmd_verify(args) -> int:
         ks = _parse_range(args.kay, "k")
         jobs += [(args.theorem, t, k) for t in ts for k in ks]
 
+    checked = []   # every job's context and L, so no battery runs before a bad one is named
     for theorem, t, k in jobs:
         if theorem == "thm1" and t != 2:
             raise ConfigError(f"theorem 1 requires q = 4 (t = 2), got t={t}; "
                               "use `verify thm3` for other towers")
-        if 3 * t * k > 24:
-            raise ConfigError(f"tower (t={t}, k={k}) needs degree {3 * t * k} > 24")
-
-    mode, n, seed = (_parse_mode(args.mode, args.seed) if args.mode
-                     else (None, DEFAULT_SAMPLES, args.seed))
-    for theorem, t, k in jobs:
         ctx = _build_ctx(args, t=t, k=k)
-        if theorem == "thm1":
-            reports.append(verify_thm1(ctx, seed=seed, sample_n=n, charsum_mode=mode))
-        else:
-            reports.append(verify_thm3(ctx, _parse_L(args.L, ctx), seed=seed))
+        checked.append((ctx, _parse_L(args.L, ctx) if theorem == "thm3" else None))
+
+    reports = [verify_thm1(ctx, seed=args.seed) if L is None
+               else verify_thm3(ctx, L, seed=args.seed) for ctx, L in checked]
 
     _emit_reports(reports, args.format, args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
@@ -264,7 +257,7 @@ def _cmd_pptest(args) -> int:
         _atomic_write(args.export, format_table_lines(fmap))
         print(f"exported table to {args.export}")
 
-    mode, n, seed = _parse_mode(args.mode, args.seed)
+    mode, n, seed = _parse_mode(args.mode)
     verdicts = []
     if args.method in ("exhaustive", "both"):
         verdicts.append(is_permutation_exhaustive(fmap))
@@ -355,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ctx_flags(p, ranged=True)
     p.add_argument("--L", default="builtin:L-note",
                    help="linearized map for thm3 (builtin:L-note or lin[i:hex,...])")
-    p.add_argument("--mode", default=None, help="thm1's charsum row: all or sample:N[:SEED] "
-                   f"(default all up to m = {CHARSUM_ALL_LIMIT_M}, sample:{DEFAULT_SAMPLES} above)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", default=None, help="write reports here (atomic)")
     p.add_argument("--seed", type=_decimal("seed"), default=DEFAULT_SEED)
@@ -371,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="all",
                    help="charsum mode: all (every nonzero a, the default) or sample:N[:SEED]")
     p.add_argument("--export", default=None, help="also export the map as a hex table")
-    p.add_argument("--seed", type=_decimal("seed"), default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_pptest)
 
     p = sub.add_parser("charsum", help="one character sum for a single a")

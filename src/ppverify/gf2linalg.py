@@ -67,7 +67,9 @@ def particular_solution(cols: Sequence[int], width: int) -> list[int]:
     In reduced row echelon form each image basis vector alone holds its
     pivot bit, so reducing v flips exactly v's own pivot bits: the
     preimage is linear in v, with column b the preimage paired with pivot
-    b, and 0 where b is not a pivot.
+    b, and 0 where b is not a pivot.  A paired preimage has no bit at a
+    column that reduced to 0, and those are the pivot bits of the kernel's
+    `echelon` basis, so P(v) is the least solution of A(x) = v.
     """
     pivots, _ = _rref(cols)
     return [pivots[b][1] if b in pivots else 0 for b in range(width)]

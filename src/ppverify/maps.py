@@ -9,13 +9,12 @@ and are built from those parts: L's lookup table and h's table on S's
 image (`blocks.LinearTable`, `blocks.ImageTable`).  On an aligned block
 a linear map is one cached low table XOR one value
 (`blocks.LinearTable.coset`), and at a given x each part is a lookup.
-Such a map has no 2^m table on a passing path, nor to name eq23's
-failing x: `table()` and eq23's failing x read its aligned blocks as
-they are made, and every other check reads it through `at`, only at the
-points it needs.  `table()`, the full 2^m value table as uint32 (64 MB
-at m = 24), filled block by block and cached, is for export and for
-naming a collision.  Any other map (an imported one) is given by its
-table (`from_table`), and every read is a lookup in it.
+Such a map has no 2^m table on a passing path, nor for export or eq23's
+failing x, which read its aligned blocks as they are made; every other
+check reads it through `at`, only at the points it needs.  `table()`,
+the full 2^m value table as uint32 (64 MB at m = 24), filled block by
+block and cached, is for naming a collision.  Any other map (an imported
+one) is given by its table (`from_table`), and every read is a lookup in it.
 
 A map built from its parts satisfies f(x + u) = f(x) + L(u) for every u
 in K = ker S, so three readers work on the quotient by K, from f at the
@@ -47,11 +46,12 @@ one `:` between two nonempty fields, `\\n` after every line) is split
 from its colons and line ends alone; any other block (whitespace, `#`
 or blank lines, `\\r`, an unterminated last line, or any malformed
 line) goes through the token scan, which classifies every byte with a
-translate table and names the first malformed line.  Beside the table,
-export needs a few MB and import a few MB of block buffers, plus the
-half-size old table while the table grows (when m is inferred from the
-line count, or x >= 2^m turn up).  Every x below 2^24 is tracked in the
-table, so only an x past every field costs a Python int.
+translate table and names the first malformed line.  Export reads the
+map's `value_blocks` and needs a few MB of block buffers, no table;
+import a few MB beside its table, plus the half-size old table while the
+table grows (when m is inferred from the line count, or x >= 2^m turn
+up).  Every x below 2^24 is tracked in the table, so only an x past
+every field costs a Python int.
 """
 
 from __future__ import annotations
@@ -92,13 +92,18 @@ class FieldMap:
         self._image = image
         self._table: np.ndarray | None = None
         self._bins: np.ndarray | None = None
-        self._kept: tuple | None = None   # at the quotient's read set: the parts' lookups, f
+        self._kept: np.ndarray | None = None   # f at the quotient's read set, read-only
 
     def __call__(self, x: int) -> int:
+        """f(x) for one checked element x: a table entry, or the parts' columns at x."""
         self.ctx.check_element(x)
+        x = int(x)
         if self._linear is None:
             return int(self._table[x])
-        return int(self._shifted(0, 0, int(x)))   # f(0 + x): L and c vanish at 0
+        value = gf2linalg.apply(self._l_tab.images, x)
+        if self._image is not None:
+            value ^= int(self._image.values[gf2linalg.apply(self._image.coords.images, x)])
+        return value
 
     def __repr__(self) -> str:
         return f"FieldMap({self.name!r}, m={self.ctx.m})"
@@ -134,39 +139,27 @@ class FieldMap:
             self._table = table
         return self._table
 
-    def at(self, xs, y: int = 0) -> np.ndarray:
-        """The map at x ^ y for every x in xs, as uint32; xs and y are checked field elements.
+    def at(self, xs) -> np.ndarray:
+        """The map at every x in xs, as uint32; xs are checked field elements.
 
-        A map built from its parts reads them at those x alone.  For the
-        quotient's read set (`span`'s) L(x) and S(x)'s image coordinates
-        c(x) are kept, so a shift y costs two XORs and one gather
-        (`_shifted`), and so is the map there, returned read-only for y = 0.
-        A map given by its table reads it.
+        A map built from its parts reads L's table and h's image table at
+        those x alone.  At the quotient's read set (`span`'s) the values are
+        kept and returned read-only, so the bijection, the Walsh bins and
+        every span read them once.  A map given by its table reads it.
         """
-        self.ctx.check_element(y)
-        y = int(y)
         if self._linear is None:
-            return self._table[self.ctx.element_array(xs) ^ y]
-        if xs is _quotient(*self._linear)[0]:
-            if self._kept is None:
-                lookups = self._lookups(xs)
-                values = self._shifted(*lookups, 0)
-                values.setflags(write=False)
-                self._kept = lookups, values
-            return self._kept[1] if y == 0 else self._shifted(*self._kept[0], y)
-        return self._shifted(*self._lookups(self.ctx.element_array(xs)), y)
-
-    def _lookups(self, xs: np.ndarray) -> tuple:
-        """The parts' lookups at xs: L(x), and S(x)'s image coordinates c(x) (None without h)."""
-        return self._l_tab(xs), None if self._image is None else self._image.coords(xs)
-
-    def _shifted(self, lx, cx, y: int):
-        """f(x + y) = L(x) + L(y) + values[c(x) + c(y)], with L(y) and c(y) from the columns."""
-        out = lx ^ gf2linalg.apply(self._l_tab.images, y)
+            return self._table[self.ctx.element_array(xs)]
+        kept = xs is _quotient(*self._linear)[0]
+        if kept and self._kept is not None:
+            return self._kept
+        xs = xs if kept else self.ctx.element_array(xs)
+        values = self._l_tab(xs)
         if self._image is not None:
-            cy = gf2linalg.apply(self._image.coords.images, y)
-            out ^= self._image.values[cx ^ cy if cy else cx]
-        return out
+            values ^= self._image(xs)
+        if kept:
+            values.setflags(write=False)
+            self._kept = values
+        return values
 
     def walsh(self, masks) -> np.ndarray:
         """The Walsh spectrum W[M] = sum_x (-1)^popcount(M & f(x)) at each mask M, as int32.
@@ -322,15 +315,14 @@ def format_table_lines(fmap: FieldMap) -> Iterator[str]:
     """Hex table exchange format: one `x:gx` line per element, sorted by x.
 
     Yields one text chunk of newline-terminated lines per block of
-    `blocks.BLOCK` entries: a character array, one contiguous row per
-    character column, filled by uint8 arithmetic on the nibbles, with each
-    value's leading zero digits multiplied to NUL bytes; its transpose's
-    bytes are the lines, and one `bytes.translate` drops the NULs.
+    `FieldMap.value_blocks` (a map built from its parts is never tabled):
+    a character array, one contiguous row per character column, filled
+    by uint8 arithmetic on the nibbles, with each value's leading zero
+    digits multiplied to NUL bytes; its transpose's bytes are the lines,
+    and one `bytes.translate` drops the NULs.
     """
-    table = fmap.table()
     width = (fmap.ctx.m + 3) // 4                     # hex digits of the widest value
-    for start in range(0, len(table), blocks.BLOCK):
-        ys = table[start:start + blocks.BLOCK]
+    for start, ys in zip(range(0, fmap.ctx.order, blocks.BLOCK), fmap.value_blocks()):
         chars = np.empty((2 * width + 2, len(ys)), dtype=np.uint8)
         for field, values in enumerate((np.arange(start, start + len(ys), dtype=np.uint32), ys)):
             for i in range(width):                    # digit columns, from the left

@@ -204,7 +204,7 @@ def shift_checks(f: FieldMap, a_values, y: int) -> np.ndarray:
     const = blocks.parity(masks & d0).astype(np.int8)
     if f._linear is not None and not gf2linalg.apply(f._linear[1].matrix_columns(), y):
         return const
-    for b in f.span(lambda xs: f.at(xs) ^ f.at(xs, y) ^ d0, f.ctx.m):
+    for b in f.span(lambda xs: f.at(xs) ^ f.at(xs ^ y) ^ d0, f.ctx.m):
         const[blocks.parity(masks & b) == 1] = -1
     return const
 

@@ -241,17 +241,16 @@ def decompose_a(ctx: FieldCtx, a: int) -> int:
 def least_decompositions(ctx: FieldCtx, a_values) -> np.ndarray:
     """decompose_a for an array of Case-2 a at once, as uint32.
 
-    One lookup of the particular solution (it is linear in a), the least
-    member of its coset over the q^k-element kernel, and an exact check
-    that every c solves c + c^(q^k) = a: a ValueError names the first a
-    outside the map's image.  Every a must be a nonzero int in [0, 2^m):
-    TypeError or ValueError otherwise, before any lookup.
+    One linear-table lookup (`_decomposition`) and an exact check that
+    every c solves c + c^(q^k) = a: a ValueError names the first a outside
+    the map's image.  Every a must be a nonzero int in [0, 2^m): TypeError
+    or ValueError otherwise, before any lookup.
     """
     a_values = ctx.element_array(a_values)
     if (a_values == 0).any():
         raise ValueError("a must be nonzero")
-    phi, particular, kernel = _decomposition(ctx)
-    c = (particular(a_values)[:, None] ^ kernel).min(axis=1)
+    phi, least = _decomposition(ctx)
+    c = least(a_values)
     missed = phi(c) != a_values
     if missed.any():
         raise ValueError(
@@ -261,14 +260,14 @@ def least_decompositions(ctx: FieldCtx, a_values) -> np.ndarray:
 
 
 def _decomposition(ctx: FieldCtx):
-    """Tables of c -> c + c^(q^k) and of a particular solution, and its kernel F_{q^k}; cached."""
+    """Tables of c -> c + c^(q^k) and of its least solution c (`particular_solution`); cached."""
     t, k = ctx.require_tower()
     d = t * k
 
     def build():
         cols = [c ^ (1 << j) for j, c in enumerate(ctx.frobenius_images()[d])]
-        particular = blocks.LinearTable(gf2linalg.particular_solution(cols, ctx.m))
-        return blocks.LinearTable(cols), particular, ctx.enumerate_subfield(d)
+        least = blocks.LinearTable(gf2linalg.particular_solution(cols, ctx.m))
+        return blocks.LinearTable(cols), least
 
     return ctx.cached(("decomposition", d), build)
 
@@ -411,8 +410,8 @@ def _check_pp_exhaustive(g: FieldMap) -> CheckResult:
 
 
 @_timed
-def _check_charsum(g: FieldMap, mode: str, sample_n: int, seed: int) -> CheckResult:
-    verdict, by_a = _charsum_run(g, mode=mode, n=sample_n, seed=seed)
+def _check_charsum(g: FieldMap, mode: str, seed: int) -> CheckResult:
+    verdict, by_a = _charsum_run(g, mode=mode, n=DEFAULT_SAMPLES, seed=seed)
     name = f"pp-charsum-{mode}"
     sums = {f"{a:x}": s for a, s in by_a.items()} if mode == "sample" else None
     if verdict.verdict == "not-permutation":
@@ -519,15 +518,13 @@ def _row(name: str, a_list: list[int], bad: np.ndarray, note: str | None, why) -
                        note=note)
 
 
-def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
-                sample_n: int = DEFAULT_SAMPLES,
-                charsum_mode: str | None = None) -> VerificationReport:
+def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Full battery for the q=4 construction g1 on one tower context.
 
     Runs eq22, kernel/image, the exhaustive bijection check, the
-    character-sum criterion (the one row charsum_mode and sample_n set; by
-    default all a up to m = CHARSUM_ALL_LIMIT_M, a seeded sample above),
-    the Case-1 shift-witness sweep and the Case-2 identity chain.
+    character-sum criterion (all a up to m = CHARSUM_ALL_LIMIT_M,
+    DEFAULT_SAMPLES seeded a above), the Case-1 shift-witness sweep and
+    the Case-2 identity chain.
     Rejects t != 2: the statement is specific to q = 4.
     """
     t, k = ctx.require_tower()
@@ -540,9 +537,8 @@ def verify_thm1(ctx: FieldCtx, seed: int = DEFAULT_SEED,
 
     g = build_g_thm1(ctx)
     report.checks.append(_check_pp_exhaustive(g))
-    if charsum_mode is None:
-        charsum_mode = "all" if ctx.m <= CHARSUM_ALL_LIMIT_M else "sample"
-    report.checks.append(_check_charsum(g, charsum_mode, sample_n, seed))
+    mode = "all" if ctx.m <= CHARSUM_ALL_LIMIT_M else "sample"
+    report.checks.append(_check_charsum(g, mode, seed))
 
     case1, case2, sampled = _case_split(ctx, seed)
     report.checks.append(_check_case1(g, build_L1(ctx), case1, sampled))

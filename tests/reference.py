@@ -432,11 +432,17 @@ def adapted_witness(ctx, L, a: int) -> int | None:
 
 
 def decomposition_cosets(ctx, a_values) -> list[list[int]]:
-    """For each a, every c with c + c^(q^k) = a, ascending: a filter of the whole domain."""
+    """For each a, every c with c + c^(q^k) = a, ascending: a filter of the whole domain,
+    one block of 2^16 x at a time."""
     t, k = ctx.require_tower()
-    xs = np.arange(ctx.order, dtype=np.uint32)
-    phi = xs ^ blocks.linear_table(LinearizedPoly.frobenius_power(ctx, t * k))(xs)
-    return [np.flatnonzero(phi == a).tolist() for a in a_values]
+    frobenius = blocks.linear_table(LinearizedPoly.frobenius_power(ctx, t * k))
+    cosets: list[list[int]] = [[] for _ in a_values]
+    for start in range(0, ctx.order, blocks.BLOCK):
+        xs = np.arange(start, min(start + blocks.BLOCK, ctx.order), dtype=np.uint32)
+        phi = xs ^ frobenius(xs)
+        for coset, a in zip(cosets, a_values):
+            coset += (start + np.flatnonzero(phi == a)).tolist()
+    return cosets
 
 
 @functools.lru_cache(maxsize=1)

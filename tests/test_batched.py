@@ -75,12 +75,16 @@ def test_every_a_matches_oracle_up_to_m12(t, k, which):
         assert rows[0].passed and not rows[1].passed
 
 
-@pytest.mark.parametrize("t,k", [(1, 1), (2, 1), (1, 3), (2, 2), (1, 4), (2, 3)], ids=str)
+@pytest.mark.parametrize("t,k", [(1, 1), (2, 1), (1, 3), (2, 2), (1, 4), (2, 3), (7, 1), (2, 4)],
+                         ids=str)
 def test_least_decompositions_match_decompose_a(t, k):
     # the least member of each coset, which the Case-2 rows and their messages use;
     # decompose_a is the one-a call, and both must equal the least c found by a domain filter
+    # (8 seeded a of the split above m = 18)
     ctx = FieldCtx.from_tower(t, k)
     _, case2, _ = _case_split(ctx, 1729)
+    if ctx.m > 18:
+        case2 = random.Random(ctx.m).sample(case2, 8)
     want = [coset[0] for coset in decomposition_cosets(ctx, case2)]
     assert least_decompositions(ctx, case2).tolist() == want
     assert [decompose_a(ctx, a) for a in case2] == want

@@ -12,8 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ppverify import (FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note, pptest,
-                      verify_thm1)
+from ppverify import FieldCtx, blocks, build_g_thm1, build_g_thm3, build_L_note, pptest
 from ppverify.maps import FieldMap
 from ppverify.pptest import (DEFAULT_SAMPLES, DEFAULT_SEED, PPVerdict, _charsum_run, char_sum,
                              pp_verdict_charsum)
@@ -119,7 +118,4 @@ def test_an_empty_sample_is_rejected_not_passed():
     for n in (0, -3):
         with pytest.raises(ValueError, match="n >= 1"):
             pp_verdict_charsum(mutant, mode="sample", n=n)
-        with pytest.raises(ValueError, match="n >= 1"):
-            verify_thm1(ctx, sample_n=n, charsum_mode="sample")
     assert pp_verdict_charsum(mutant, mode="sample", n=1).checks == 1
-    assert verify_thm1(ctx, sample_n=0, charsum_mode="all").passed   # n sizes a sample only

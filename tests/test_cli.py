@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from ppverify import cli
 from ppverify.cli import build_parser, run
 from ppverify.maps import parse_table_file
 
@@ -173,36 +174,55 @@ def _verify_json(tmp_path, argv):
     return reports
 
 
-@pytest.mark.parametrize("mode, seed", [("sample:8", 5), ("all", 5), ("sample:8:7", 7)])
-def test_verify_seed_flag_applies_under_mode(tmp_path, mode, seed):
-    # a SEED written in the mode wins; otherwise --seed applies
-    got = _verify_json(tmp_path, ["thm1", "--k", "1", "--seed", "5", "--mode", mode])
-    assert [r["seed"] for r in got] == [seed]
+@pytest.mark.parametrize("argv, seed", [([], None), (["--mode", "sample:8"], 1729),
+                                        (["--mode", "sample:8:7"], 7)],
+                         ids=["all", "sample-default-seed", "sample-seed"])
+def test_pptest_sample_seed_is_written_in_the_mode(tmp_path, capsys, argv, seed):
+    # every sum of the zero map is 2^m, so the witness is the first a checked: the first
+    # drawn from SEED (1729 when none is written) under sample, and a = 1 under all
+    table = tmp_path / "zero.txt"
+    table.write_text("".join(f"{x:x}:0\n" for x in range(1 << 15)))
+    assert run(["pptest", "--map", str(table), "--method", "charsum"] + argv) == 1
+    first = random.Random(seed).randrange(1, 1 << 15) if seed is not None else 1
+    assert f"witness: char_sum(a={first:x}) = {1 << 15}" in capsys.readouterr().out
 
 
-def test_verify_mode_seed_and_seed_flag_draw_the_same_sample(tmp_path):
-    flag = _verify_json(tmp_path, ["thm1", "--k", "1", "--seed", "5", "--mode", "sample:8"])
-    written = _verify_json(tmp_path, ["thm1", "--k", "1", "--mode", "sample:8:5"])
-    assert flag == written
-    assert flag[0]["checks"][3]["name"] == "pp-charsum-sample"
+@pytest.mark.parametrize("argv", [["verify", "thm1", "--k", "1", "--mode", "all"],
+                                  ["pptest", "--t", "2", "--k", "1", "--map", "builtin:g-thm1",
+                                   "--seed", "5"]], ids=["verify-mode", "pptest-seed"])
+def test_retired_sampling_options_are_usage_errors(argv, capsys):
+    # verify's charsum row is fixed by m and --seed; pptest's seed is written in --mode
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
-def test_verify_smoke_suite_reports_one_seed_under_mode(tmp_path):
-    got = _verify_json(tmp_path, ["--seed", "5", "--mode", "sample:8"])
+def test_verify_seed_flag_sets_every_report(tmp_path):
+    got = _verify_json(tmp_path, ["--seed", "5"])
     assert {r["theorem"] for r in got} == {"thm1", "thm3"}
     assert {r["seed"] for r in got} == {5}
 
 
-@pytest.mark.parametrize("argv, seed", [(["--seed", "5"], 5), (["--seed", "5", "--mode", "sample:8"], 5),
-                                        (["--seed", "5", "--mode", "sample:8:7"], 7)])
-def test_pptest_seed_flag_applies_under_mode(tmp_path, capsys, argv, seed):
-    # every sum of the zero map is 2^m, so the witness is the first a checked: the first
-    # drawn from the seed under sample, and a = 1 with no --mode, which checks every a
-    table = tmp_path / "zero.txt"
-    table.write_text("".join(f"{x:x}:0\n" for x in range(1 << 15)))
-    assert run(["pptest", "--map", str(table), "--method", "charsum"] + argv) == 1
-    first = random.Random(seed).randrange(1, 1 << 15) if "--mode" in argv else 1
-    assert f"witness: char_sum(a={first:x}) = {1 << 15}" in capsys.readouterr().out
+@pytest.mark.parametrize("argv, message", [
+    (["thm3", "--t", "0..3", "--k", "3"], "tower parameters must be positive, got (t=0, k=3)"),
+    (["thm3", "--t", "1..3", "--k", "3", "--modulus-file", "missing.txt"],
+     "cannot read modulus file"),
+    (["thm3", "--t", "1..3", "--k", "3"], "tower (t=3, k=3) needs degree 27 > 24"),
+    (["--L", "lin[zz]"], "bad linearized term 'zz'"),
+], ids=["positivity", "modulus-file", "degree", "smoke-suite-L"])
+def test_verify_names_the_first_bad_job_before_any_battery_runs(tmp_path, monkeypatch, capsys,
+                                                              argv, message):
+    # every job's context and L are built in list order before any battery: an earlier
+    # job's positivity or modulus-file error wins over a later job's degree error, and
+    # the smoke suite's thm1 batteries do not run ahead of a bad --L
+    monkeypatch.chdir(tmp_path)
+    for battery in ("verify_thm1", "verify_thm3"):
+        monkeypatch.setattr(cli, battery, lambda *a, **k: pytest.fail("a battery ran"))
+    assert run(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}"), captured.err
+    assert captured.out == ""
 
 
 def test_pptest_charsum_all_above_m14(capsys):
@@ -379,14 +399,13 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys, argv, where):
     (["field-info", "--m", "6", "--modulus-file=--"], "--modulus-file"),
     (["verify", "--t=--", "--k", "1", "thm3"], "--t"),
     (["search-L", "--t", "1", "--k", "1", "--out=--"], "--out"),
-    (["verify", "thm1", "--k", "1", "--mode=--"], "--mode"),
     (["verify", "thm1", "--k", "1", "--seed=--"], "--seed"),
     (["search-L", "--t", "1", "--k", "1", "--budget=--"], "--budget"),
 ], ids=["verify-L", "pptest-map", "charsum-map", "field-info-modulus-file", "verify-t",
-        "search-L-out", "verify-mode", "verify-seed", "search-L-budget"])
+        "search-L-out", "verify-seed", "search-L-budget"])
 def test_option_value_dash_dash_is_config_error(tmp_path, capsys, monkeypatch, argv, flag):
     # argparse parses `--X=--` as an empty list: it must neither crash (exit 70)
-    # nor be taken for the option unset (search-L printing, verify ignoring --mode)
+    # nor be taken for the option unset (search-L printing, verify ignoring --seed)
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -411,10 +430,8 @@ SAMPLE = ["pptest", "--t", "2", "--k", "1", "--map", "builtin:g-thm1", "--method
     (["search-L", "--t", "1", "--k", "1", "--budget={}"], "--budget"),
     (SAMPLE + ["--mode=sample:{}"], "--mode"),
     (SAMPLE + ["--mode=sample:4:{}"], "--mode"),
-    (["verify", "thm1", "--k", "1", "--mode=sample:{}"], "--mode"),
 ], ids=["verify-k", "verify-k-hi", "verify-k-lo", "verify-t", "pptest-t", "pptest-k",
-        "field-info-m", "verify-seed", "search-L-budget", "pptest-mode-n", "pptest-mode-seed",
-        "verify-mode-n"])
+        "field-info-m", "verify-seed", "search-L-budget", "pptest-mode-n", "pptest-mode-seed"])
 def test_decimal_options_take_ascii_digits_only(argv, flag, text, capsys):
     # int() takes every one of these texts, which ran a command before
     assert run([arg.format(text) for arg in argv]) == 2
@@ -434,3 +451,20 @@ def test_verify_loads_no_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_option_surface_is_pinned():
+    # every settable value of every subcommand: an option added or removed shows up here
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    surface = {name: [opt for a in sub._actions if a.dest != "help"
+                      for opt in (a.option_strings or [a.dest])]
+               for name, sub in subcommands.items()}
+    ctx = ["--t", "--k", "--modulus-file"]
+    assert surface == {
+        "verify": ["theorem"] + ctx + ["--L", "--format", "--out", "--seed"],
+        "pptest": ctx + ["--m", "--map", "--method", "--mode", "--export"],
+        "charsum": ctx + ["--m", "--map", "--a"],
+        "search-L": ctx + ["--budget", "--out"],
+        "field-info": ctx + ["--m"],
+    }

@@ -359,23 +359,15 @@ def test_report_json_roundtrip():
     assert back.overall == rerun.overall
 
 
-def test_sample_n_sizes_only_the_charsum_row():
-    # the per-a rows keep their 128 seeded a whatever size the character-sum sample has
-    report = verify_thm1(FieldCtx.from_tower(2, 3), sample_n=8, charsum_mode="sample")
-    rows = {c.name: (c.count, c.note) for c in report.checks}
-    assert report.passed and rows["pp-charsum-sample"] == (8, None)
-    for name in ("case1-shift-witness", "case2-eq23", "case2-factorization"):
-        assert rows[name] == (128, "sampled 128 a-values")
-
-
 def test_sampled_runs_record_sums_and_reproduce():
-    ctx = FieldCtx.from_tower(2, 2)
-    r1 = verify_thm1(ctx, seed=7, sample_n=16, charsum_mode="sample")
-    r2 = verify_thm1(ctx, seed=7, sample_n=16, charsum_mode="sample")
+    # above m = 14 the character-sum row samples 128 seeded a and records their sums
+    ctx = FieldCtx.from_tower(2, 3)
+    r1 = verify_thm1(ctx, seed=7)
+    r2 = verify_thm1(ctx, seed=7)
     s1 = next(c for c in r1.checks if c.name == "pp-charsum-sample")
     s2 = next(c for c in r2.checks if c.name == "pp-charsum-sample")
     assert s1.sums == s2.sums
-    assert s1.sums and all(v == 0 for v in s1.sums.values())
+    assert s1.count == 128 and s1.sums and all(v == 0 for v in s1.sums.values())
 
 
 def test_eq24_scaling_is_exact():

@@ -48,6 +48,19 @@ def test_span_is_the_xor_closure_ascending_uint32_read_only(width):
                    for i, p in enumerate(pivots) for j, v in enumerate(basis))
 
 
+@pytest.mark.parametrize("inputs", range(1, 11))
+def test_particular_solution_is_the_least_solution(inputs):
+    # the least x with A(x) = v, over every x, for every v in A's image: Case 2's least
+    # decomposition is this table's value, with no search of the solution coset
+    rng = random.Random(f"particular:{inputs}")
+    for width in (inputs - 1, inputs, inputs + 2):
+        for cols in ([rng.randrange(1 << width) for _ in range(inputs)] for _ in range(4)):
+            images = [gf2linalg.apply(cols, x) for x in range(1 << inputs)]
+            least = {v: images.index(v) for v in set(images)}
+            P = gf2linalg.particular_solution(cols, width)
+            assert {v: gf2linalg.apply(P, v) for v in least} == least, cols
+
+
 @pytest.mark.parametrize("t,k", TOWERS_M12, ids=str)
 def test_subfields_and_tracezero_match_the_filters(t, k):
     ctx = FieldCtx.from_tower(t, k)

@@ -54,6 +54,17 @@ def test_export_matches_oracle_up_to_m12(t, k):
         assert "".join(maps.format_table_lines(fmap)) == oracle_text(fmap)
 
 
+@pytest.mark.parametrize("t,k", [(2, 1), (2, 3)], ids=str)
+def test_export_of_a_built_map_streams_its_blocks(t, k):
+    # a map built from its parts is formatted from its aligned blocks and never tabled
+    ctx = FieldCtx.from_tower(t, k)
+    for g in (build_g_thm1(ctx), build_g_thm3(ctx, build_L_note(ctx))):
+        text = "".join(maps.format_table_lines(g))
+        assert g._table is None, g.name
+        copy = FieldMap.from_table("copy", ctx, g.table())
+        assert text.encode("ascii") == "".join(maps.format_table_lines(copy)).encode("ascii")
+
+
 @pytest.mark.parametrize("m", range(1, 25))
 def test_export_of_a_seeded_table_matches_both_oracles_at_every_m(m):
     # chunk by chunk against the boolean-mask export, and up to m = 16 against the per-line one
